@@ -294,6 +294,25 @@ def read_predictions(path, corpus: Corpus) -> dict:
 # public-release conversion
 
 
+_TABLE_KEYS = ("db_id", "table_names_original", "column_names_original", "column_types")
+_DIALOGUE_KEYS = ("database_id", "interaction")
+_ITEM_KEYS = ("utterance", "query")
+
+
+def _entries(where, raw, keys: tuple[str, ...]) -> list[dict]:
+    """``raw`` as a list of objects that all carry ``keys``; otherwise a
+    DataError naming ``where`` and the entry index."""
+    if not isinstance(raw, list):
+        raise DataError(f"{where}: expected a list of entries")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DataError(f"{where}: entry {i}: expected an object")
+        missing = [k for k in keys if k not in entry]
+        if missing:
+            raise DataError(f"{where}: entry {i}: missing key {missing[0]!r}")
+    return raw
+
+
 def convert_public(dialogues_path, tables_path, out_dir: Path,
                    prefix: str) -> tuple[int, int]:
     """Reshape a SParC/CoSQL release (interactions + tables.json) into the
@@ -312,7 +331,7 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
 
     schemas = []
     known = set()
-    for entry in raw_tables:
+    for entry in _entries(tables_path, raw_tables, _TABLE_KEYS):
         db_id = entry["db_id"]
         tables: list[dict] = [{"name": name, "columns": []}
                               for name in entry["table_names_original"]]
@@ -341,12 +360,13 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
 
     records = []
     n_turns = 0
-    for i, entry in enumerate(raw_dialogues):
+    for i, entry in enumerate(_entries(dialogues_path, raw_dialogues, _DIALOGUE_KEYS)):
         db_id = entry["database_id"]
         if db_id not in known:
-            raise DataError(f"dialogue {i}: unknown database_id {db_id!r}")
+            raise DataError(f"{dialogues_path}: entry {i}: unknown database_id {db_id!r}")
         turns = []
-        for item in entry["interaction"]:
+        for item in _entries(f"{dialogues_path}: entry {i}: interaction",
+                             entry["interaction"], _ITEM_KEYS):
             turns.append({"question": item["utterance"].strip(),
                           "sql": item["query"].strip()})
             n_turns += 1

@@ -15,11 +15,12 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .data import Dialogue, Vocabulary
-from .grammar import GrammarOptions, Production, agnostic_productions
+from .grammar import Production, agnostic_productions
 from .nn import ContractError, LSTMCellParams, Parameter, get_precision, init_uniform
 
 __all__ = [
@@ -149,14 +150,12 @@ class ModelBundle:
     config: ContextConfig
     vocab: Vocabulary
     params: dict[str, Parameter]
-    agnostic: tuple[Production, ...] = field(default=None)
     _cells: dict[str, LSTMCellParams] = field(default_factory=dict, init=False,
                                               repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.agnostic is None:
-            self.agnostic = tuple(agnostic_productions(GrammarOptions()))
-        self.agnostic_index = {p: k for k, p in enumerate(self.agnostic)}
+    # Row of each schema-agnostic production in ``action_emb``.
+    agnostic_index: ClassVar[dict[Production, int]] = {
+        p: k for k, p in enumerate(agnostic_productions())}
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -193,11 +192,10 @@ def build_model(config: ContextConfig, vocab: Vocabulary, seed: int) -> ModelBun
     hid = config.hidden_dim
     half = hid // 2
     mem = config.memory_dim
-    agnostic = tuple(agnostic_productions(GrammarOptions()))
 
     params: dict[str, Parameter] = {}
     _add(params, rng, "word_emb", (len(vocab), e))
-    _add(params, rng, "action_emb", (len(agnostic), e))
+    _add(params, rng, "action_emb", (len(ModelBundle.agnostic_index), e))
     _add(params, rng, "bos_emb", (e,))
 
     q_input = e + (hid if config.question_method == "turn" else 0)
@@ -232,7 +230,7 @@ def build_model(config: ContextConfig, vocab: Vocabulary, seed: int) -> ModelBun
     if "tree_copy" in config.sql_methods:
         _add(params, rng, "tree.wt", (hid, hid))
 
-    return ModelBundle(config, vocab, params, agnostic)
+    return ModelBundle(config, vocab, params)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +318,9 @@ def load_checkpoint(path: str | Path) -> ModelBundle:
         raise ConfigError(f"{path}: not a checkpoint ({err.msg})") from err
     if blob.get("format") != _FORMAT:
         raise ConfigError(f"{path}: unrecognized checkpoint format")
+    if blob.get("precision") != get_precision():
+        raise ConfigError(f"{path}: saved at {blob.get('precision')}-bit precision, "
+                          f"but the active precision is {get_precision()}-bit")
     config = ContextConfig.from_dict(blob["config"])
     vocab = Vocabulary.from_list(blob["vocab"])
     params: dict[str, Parameter] = {}

@@ -25,7 +25,6 @@ from .grammar import (
     AGG_FUNCTIONS,
     COMPARISON_OPS,
     GrammarError,
-    GrammarOptions,
     NonTerminal,
     Production,
     ast_to_actions,
@@ -219,8 +218,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, matrix: np.ndarray) -> 
 # Loading
 
 
-def load_corpus(dialogues_path: str | Path, schemas_path: str | Path,
-                options: GrammarOptions | None = None) -> Corpus:
+def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
     """Read dialogues and schemas; derive gold action sequences.
 
     Queries the grammar cannot express are kept with supported=false
@@ -252,8 +250,12 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path,
         if db_id not in schemas:
             raise DataError(f"{where}: unknown db_id {db_id!r}")
         schema = schemas[db_id]
+        if not isinstance(raw_turns, list):
+            raise DataError(f"{where}: turns must be a list, got {type(raw_turns).__name__}")
         turns = []
         for t, raw in enumerate(raw_turns, start=1):
+            if not isinstance(raw, dict):
+                raise DataError(f"{where}, turn {t}: expected an object")
             if "question" not in raw or "sql" not in raw:
                 raise DataError(f"{where}, turn {t}: needs question and sql")
             total += 1
@@ -261,7 +263,7 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path,
             actions: tuple[Production, ...] | None
             supported = True
             try:
-                actions = tuple(ast_to_actions(sql_to_ast(sql, schema, options)))
+                actions = tuple(ast_to_actions(sql_to_ast(sql, schema)))
             except GrammarError as err:
                 logger.warning("%s, turn %d: unsupported SQL (%s)", where, t, err)
                 actions = None

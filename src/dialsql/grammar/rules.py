@@ -13,17 +13,14 @@ Col/Tab rules instantiated from the schema.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "NonTerminal",
     "Production",
     "AST",
     "Grammar",
-    "GrammarOptions",
     "GrammarError",
     "StructureError",
     "DerivationError",
@@ -34,9 +31,7 @@ __all__ = [
     "agnostic_productions",
     "ast_to_actions",
     "actions_to_ast",
-    "legal_actions",
     "extract_subtrees",
-    "sample_ast",
     "format_actions",
     "AGG_FUNCTIONS",
     "COMPARISON_OPS",
@@ -111,9 +106,6 @@ class Production:
         return f"{self.lhs} -> {' '.join(str(s) for s in self.rhs)}"
 
 
-Action = Production
-
-
 def format_actions(actions: Sequence[Production]) -> str:
     """One action per line, in the grammar-dump notation."""
     return "\n".join(str(a) for a in actions)
@@ -147,16 +139,8 @@ class AST:
         return 1 + sum(c.node_count() for c in self.children)
 
 
-@dataclass(frozen=True)
-class GrammarOptions:
-    """Toggles for optional grammar extensions."""
-
-    subqueries: bool = False
-
-
-def agnostic_productions(options: GrammarOptions | None = None) -> list[Production]:
+def agnostic_productions() -> list[Production]:
     """The fixed schema-agnostic rule set, in stable order."""
-    options = options or GrammarOptions()
     nt = NonTerminal
     rules = [
         Production(nt.START, (nt.ROOT,)),
@@ -179,9 +163,6 @@ def agnostic_productions(options: GrammarOptions | None = None) -> list[Producti
     ]
     rules += [Production(nt.FILTER, (op, nt.AGG, nt.VALUE)) for op in COMPARISON_OPS]
     rules.append(Production(nt.FILTER, ("between", nt.AGG, nt.VALUE, nt.VALUE)))
-    if options.subqueries:
-        rules.append(Production(nt.FILTER, ("in", nt.AGG, nt.ROOT)))
-        rules.append(Production(nt.FILTER, ("not_in", nt.AGG, nt.ROOT)))
     rules.append(Production(nt.VALUE, ("value",)))
     return rules
 
@@ -213,7 +194,7 @@ class Grammar:
         return "\n".join(str(p) for p in self.productions) + "\n"
 
 
-def build_grammar(schema, options: GrammarOptions | None = None) -> Grammar:
+def build_grammar(schema) -> Grammar:
     """Instantiate the grammar for one database.
 
     Col rules are deduplicated by column name across tables (the rule
@@ -222,7 +203,7 @@ def build_grammar(schema, options: GrammarOptions | None = None) -> Grammar:
     """
     if not schema.tables or any(not t.columns for t in schema.tables):
         raise GrammarError(f"schema {schema.db_id!r} needs at least one table with columns")
-    rules = agnostic_productions(options)
+    rules = agnostic_productions()
     seen: set[str] = set()
     for table in schema.tables:
         for column in table.columns:
@@ -239,19 +220,24 @@ def build_grammar(schema, options: GrammarOptions | None = None) -> Grammar:
 # tree <-> sequence
 
 
+def _preorder(node: AST) -> list[Production]:
+    """Production sequence of a subtree rooted anywhere, node first."""
+    out: list[Production] = []
+
+    def walk(n: AST) -> None:
+        out.append(n.production)
+        for child in n.children:
+            walk(child)
+
+    walk(node)
+    return out
+
+
 def ast_to_actions(ast: AST) -> list[Production]:
     """Pre-order flattening; inverse of :func:`actions_to_ast`."""
     if ast.lhs is not NonTerminal.START:
         raise StructureError(f"tree must be rooted at Start, got {ast.lhs}")
-    out: list[Production] = []
-
-    def walk(node: AST) -> None:
-        out.append(node.production)
-        for child in node.children:
-            walk(child)
-
-    walk(ast)
-    return out
+    return _preorder(ast)
 
 
 def actions_to_ast(actions: Sequence[Production], grammar: Grammar | None = None) -> AST:
@@ -323,18 +309,6 @@ class Derivation:
         for a in actions:
             self.apply(a)
 
-    def to_ast(self) -> AST:
-        if not self.is_complete:
-            raise IncompleteSequenceError("derivation not complete")
-        return actions_to_ast(self.actions, self.grammar)
-
-
-def legal_actions(partial: Sequence[Production], grammar: Grammar) -> list[Production]:
-    """Expansions of the frontier after applying a valid prefix."""
-    d = Derivation(grammar)
-    d.apply_sequence(partial)
-    return d.legal()
-
 
 # ---------------------------------------------------------------------------
 # subtrees
@@ -374,40 +348,3 @@ def extract_subtrees(actions: Sequence[Production]) -> list[tuple[NonTerminal, t
             out.append((seq[0].lhs, seq))
     return out
 
-
-# ---------------------------------------------------------------------------
-# sampling
-
-_RECURSIVE = (NonTerminal.FILTER, NonTerminal.ROOT)
-
-
-def sample_ast(grammar: Grammar, rng: np.random.Generator, max_depth: int = 6) -> AST:
-    """Draw a random schema-consistent tree.
-
-    Filter/subquery recursion depth is bounded, and each sampled column
-    is paired with a table that actually declares it.
-    """
-    schema = grammar.schema
-
-    def sample_agg(prod: Production) -> AST:
-        col_rules = grammar.expansions(NonTerminal.COL)
-        col = col_rules[int(rng.integers(len(col_rules)))]
-        owners = schema.tables_with_column(col.rhs[0])
-        table = owners[int(rng.integers(len(owners)))]
-        tab = Production(NonTerminal.TAB, (table.name,))
-        return AST(prod, (AST(col), AST(tab)))
-
-    def sample(nt: NonTerminal, depth: int) -> AST:
-        choices = grammar.expansions(nt)
-        if depth >= max_depth:
-            capped = [p for p in choices
-                      if not any(s in _RECURSIVE for s in p.rhs_nonterminals())]
-            if capped:
-                choices = capped
-        prod = choices[int(rng.integers(len(choices)))]
-        if nt is NonTerminal.AGG:
-            return sample_agg(prod)
-        children = tuple(sample(c, depth + 1) for c in prod.rhs_nonterminals())
-        return AST(prod, children)
-
-    return sample(NonTerminal.START, 0)

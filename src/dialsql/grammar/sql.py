@@ -29,9 +29,9 @@ from .rules import (
     AST,
     COMPARISON_OPS,
     GrammarError,
-    GrammarOptions,
     NonTerminal,
     Production,
+    _preorder,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ast_to_sql",
     "sql_to_ast",
     "canonicalize",
-    "subtree_actions",
 ]
 
 _NT = NonTerminal
@@ -100,21 +99,8 @@ def _agg_parts(agg: AST) -> tuple[str, str, str]:
     return f, col, tab
 
 
-def subtree_actions(node: AST) -> tuple[Production, ...]:
-    """Pre-order production sequence of a subtree rooted anywhere."""
-    out: list[Production] = []
-
-    def walk(n: AST) -> None:
-        out.append(n.production)
-        for c in n.children:
-            walk(c)
-
-    walk(node)
-    return tuple(out)
-
-
 def _serial(node: AST) -> str:
-    return "\n".join(str(p) for p in subtree_actions(node))
+    return "\n".join(str(p) for p in _preorder(node))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +108,7 @@ def _serial(node: AST) -> str:
 
 
 def _referenced_tables(root: AST, schema: DatabaseSchema) -> list[str]:
-    """Table names referenced in this query scope, in first-use order.
-
-    Nested subqueries manage their own FROM clauses and are skipped.
-    """
+    """Table names referenced in the query, in first-use order."""
     seen: dict[str, str] = {}
 
     def walk(node: AST) -> None:
@@ -136,8 +119,6 @@ def _referenced_tables(root: AST, schema: DatabaseSchema) -> list[str]:
             seen.setdefault(rendered.lower(), rendered)
             return
         for child in node.children:
-            if child.lhs is _NT.ROOT:
-                continue
             walk(child)
 
     walk(root)
@@ -206,22 +187,18 @@ def _render_agg(agg: AST, qualify: bool, bare_f: str | None = None) -> str:
     return f"{f}({col_sql})"
 
 
-def _render_filter(filt: AST, qualify: bool, schema: DatabaseSchema) -> str:
+def _render_filter(filt: AST, qualify: bool) -> str:
     op = filt.terminals()[0]
     if op in ("and", "or"):
         rendered = []
         for child in filt.children:
-            text = _render_filter(child, qualify, schema)
+            text = _render_filter(child, qualify)
             if child.terminals()[0] in ("and", "or"):
                 text = f"({text})"
             rendered.append(text)
         return f" {op.upper()} ".join(rendered)
     if op == "between":
         return f"{_render_agg(filt.children[0], qualify)} BETWEEN 1 AND 1"
-    if op in ("in", "not_in"):
-        keyword = "IN" if op == "in" else "NOT IN"
-        inner = _render_root(filt.children[1], schema)
-        return f"{_render_agg(filt.children[0], qualify)} {keyword} ({inner})"
     keyword = "LIKE" if op == "like" else op
     return f"{_render_agg(filt.children[0], qualify)} {keyword} 1"
 
@@ -242,7 +219,7 @@ def _render_root(root: AST, schema: DatabaseSchema) -> str:
     items = ", ".join(_render_agg(a, qualify, bare_f) for a in select.children)
     parts = [f"SELECT {items}", f"FROM {_render_from(tables, schema)}"]
     if filt is not None:
-        parts.append(f"WHERE {_render_filter(filt, qualify, schema)}")
+        parts.append(f"WHERE {_render_filter(filt, qualify)}")
     if order is not None:
         parts.append(f"ORDER BY {_render_order(order, qualify)}")
     return " ".join(parts)
@@ -301,10 +278,9 @@ class _ColRef:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], schema: DatabaseSchema, options: GrammarOptions):
+    def __init__(self, tokens: list[str], schema: DatabaseSchema):
         self.tokens = tokens
         self.schema = schema
-        self.options = options
         self.pos = 0
 
     # -- token plumbing
@@ -461,9 +437,9 @@ class _Parser:
 
         if self.accept_kw("not"):
             self.expect_kw("in")
-            return self.parse_subquery_filter("not_in", agg)
+            raise UnsupportedSQLError("IN subquery")
         if self.accept_kw("in"):
-            return self.parse_subquery_filter("in", agg)
+            raise UnsupportedSQLError("IN subquery")
         if self.accept_kw("between"):
             v1 = self.parse_value()
             self.expect_kw("and")
@@ -482,14 +458,6 @@ class _Parser:
         else:
             raise UnsupportedSQLError("syntax", f"expected a comparison, got {op!r}")
         return AST(Production(_NT.FILTER, (op, _NT.AGG, _NT.VALUE)), (agg, self.parse_value()))
-
-    def parse_subquery_filter(self, op: str, agg: AST) -> AST:
-        if not self.options.subqueries:
-            raise UnsupportedSQLError("IN subquery", "enable the subqueries grammar option")
-        self.expect_kw("(")
-        inner = self.parse_root()
-        self.expect_kw(")")
-        return AST(Production(_NT.FILTER, (op, _NT.AGG, _NT.ROOT)), (agg, inner))
 
     def parse_value(self) -> AST:
         tok = self.peek()
@@ -547,14 +515,13 @@ class _Parser:
         return AST(Production(_NT.AGG, (f, _NT.COL, _NT.TAB)), (col, tab))
 
 
-def sql_to_ast(sql: str, schema: DatabaseSchema,
-               options: GrammarOptions | None = None) -> AST:
+def sql_to_ast(sql: str, schema: DatabaseSchema) -> AST:
     """Parse supported SQL into a Start-rooted tree.
 
     Raises :class:`UnsupportedSQLError` naming the offending construct
     when the query falls outside the subset.
     """
-    parser = _Parser(_tokenize(sql), schema, options or GrammarOptions())
+    parser = _Parser(_tokenize(sql), schema)
     return parser.parse_statement()
 
 

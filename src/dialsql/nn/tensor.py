@@ -26,7 +26,6 @@ __all__ = [
     "set_precision",
     "get_precision",
     "active_dtype",
-    "backward",
     "softmax_masked",
 ]
 
@@ -111,9 +110,6 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -189,10 +185,6 @@ class Tape:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def _taping(*inputs: Tensor) -> "Tape | None":
@@ -458,22 +450,6 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     return out
 
 
-def slice_cols(m: Tensor, lo: int, hi: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise DimensionError(f"slice_cols: need a matrix, got shape {m.shape}")
-    out = Tensor(m.values[:, lo:hi])
-    tape = _taping(m)
-    if tape is not None:
-        def bwd():
-            if m.requires_grad:
-                delta = np.zeros_like(m.values)
-                delta[:, lo:hi] = _out_grad(out)
-                m.accumulate_grad(delta)
-
-        tape.record((out,), (m,), bwd)
-    return out
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate vectors into one vector."""
     parts = list(parts)
@@ -541,62 +517,6 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
                     r.accumulate_grad(g[k])
 
         tape.record((out,), rows, bwd)
-    return out
-
-
-def vstack(blocks: Sequence[Tensor]) -> Tensor:
-    """Stack matrices with equal column counts on top of each other."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ContractError("vstack: need at least one block")
-    for b in blocks:
-        if b.values.ndim != 2:
-            raise DimensionError(f"vstack: need matrices, got shape {b.shape}")
-    out = Tensor(np.concatenate([b.values for b in blocks], axis=0))
-    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-    tape = _taping(*blocks)
-    if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            for b, lo, hi in zip(blocks, offsets[:-1], offsets[1:]):
-                if b.requires_grad:
-                    b.accumulate_grad(g[lo:hi])
-
-        tape.record((out,), blocks, bwd)
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two matrices side by side."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols: incompatible shapes {a.shape}, {b.shape}")
-    out = Tensor(np.concatenate([a.values, b.values], axis=1))
-    split = a.shape[1]
-    tape = _taping(a, b)
-    if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g[:, :split])
-            if b.requires_grad:
-                b.accumulate_grad(g[:, split:])
-
-        tape.record((out,), (a, b), bwd)
-    return out
-
-
-def repeat_row(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into an (n, d) matrix."""
-    if v.values.ndim != 1:
-        raise DimensionError(f"repeat_row: need a vector, got shape {v.shape}")
-    out = Tensor(np.tile(v.values, (n, 1)))
-    tape = _taping(v)
-    if tape is not None:
-        def bwd():
-            if v.requires_grad:
-                v.accumulate_grad(_out_grad(out).sum(axis=0))
-
-        tape.record((out,), (v,), bwd)
     return out
 
 

@@ -307,6 +307,26 @@ class TestConvert:
         assert code == 1
         assert "missing_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which, entry, expected", [
+        ("tables", {"table_names_original": []}, "missing key 'db_id'"),
+        ("tables", "concert_singer", "expected an object"),
+        ("dialogues", {"interaction": []}, "missing key 'database_id'"),
+        ("dialogues", {"database_id": "concert_singer", "interaction": [{"query": "x"}]},
+         "interaction: entry 0: missing key 'utterance'"),
+    ])
+    def test_malformed_entry_names_file_and_index(self, tmp_path, capsys, which, entry,
+                                                  expected):
+        paths = dict(zip(("dialogues", "tables"), public_release(tmp_path)))
+        raw = json.loads(paths[which].read_text())
+        raw.append(entry)
+        paths[which].write_text(json.dumps(raw))
+        code = main(["convert", "--dialogues", str(paths["dialogues"]),
+                     "--tables", str(paths["tables"]), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{paths[which]}: entry 1" in err and expected in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_breakdown_files(self, data_dir, data_args, checkpoint, tmp_path,
@@ -372,6 +392,18 @@ class TestExitCodes:
                      "--config", str(cfg)])
         assert code == 2
         capsys.readouterr()
+
+    def test_turn_not_an_object_is_runtime_error(self, data_dir, tmp_path, capsys):
+        records = json.loads((data_dir / "dialogues.json").read_text())
+        records[0]["turns"] = ["question sql"]
+        dialogues = tmp_path / "dialogues.json"
+        dialogues.write_text(json.dumps(records))
+        code = main(["train", "--dialogues", str(dialogues),
+                     "--schemas", str(data_dir / "schemas.json"),
+                     "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dialogue #0, turn 1" in err and "Traceback" not in err
 
     def test_unknown_method_is_runtime_error(self, data_args, tmp_path, capsys):
         code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"),

@@ -20,7 +20,7 @@ from dialsql.context import (
 )
 from dialsql.data import Dialogue, Example
 from dialsql.decoder import encode_turn, teacher_forced_loss
-from dialsql.nn import ContractError, Tape, ops
+from dialsql.nn import ContractError, Tape, ops, set_precision
 
 from test_decoder import GRAMMAR, TINY_DIMS, VOCAB, actions_for
 
@@ -333,6 +333,26 @@ class TestCheckpoint:
         assert blob["config_hash"] == config_hash(model.config)
         assert blob["precision"] == 64
         assert blob["format"] == "dialsql-checkpoint-v1"
+
+    def test_precision_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model32.json"
+        set_precision(32)
+        try:
+            save_checkpoint(tiny_model("none", seed=15), path)
+        finally:
+            set_precision(64)
+        with pytest.raises(ConfigError, match=r"model32\.json.*32-bit.*64-bit"):
+            load_checkpoint(path)
+
+    def test_32_bit_round_trip_keeps_float32(self, tmp_path):
+        path = tmp_path / "model32.json"
+        set_precision(32)
+        try:
+            save_checkpoint(tiny_model("tree_copy", seed=16), path)
+            loaded = load_checkpoint(path)
+        finally:
+            set_precision(64)
+        assert {p.values.dtype for p in loaded.parameters()} == {np.dtype(np.float32)}
 
     def test_loaded_model_decodes_identically(self, tmp_path):
         from dialsql.decoder import greedy_parse

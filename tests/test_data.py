@@ -193,6 +193,21 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="turn 1"):
             load_corpus(*self.write_inputs(tmp_path, records))
 
+    def test_turns_not_a_list_rejected(self, tmp_path):
+        records = [{"dialogue_id": "d0", "db_id": "fleet", "turns": 5}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        with pytest.raises(DataError, match=r"dialogues\.json: dialogue #0: turns"):
+            load_corpus(dialogues, schemas)
+
+    def test_turn_not_an_object_rejected(self, tmp_path):
+        records = [{"dialogue_id": "d0", "db_id": "fleet",
+                    "turns": [{"question": "show capacity",
+                               "sql": "SELECT capacity FROM trucks"},
+                              "question sql"]}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        with pytest.raises(DataError, match=r"dialogues\.json: dialogue #0, turn 2"):
+            load_corpus(dialogues, schemas)
+
     def test_invalid_json_rejected(self, tmp_path):
         dialogues = tmp_path / "dialogues.json"
         dialogues.write_text("[{broken")

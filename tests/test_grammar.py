@@ -7,7 +7,6 @@ from dialsql.grammar import (
     AST,
     Derivation,
     DerivationError,
-    GrammarOptions,
     IncompleteSequenceError,
     NonTerminal,
     Production,
@@ -18,10 +17,10 @@ from dialsql.grammar import (
     ast_to_actions,
     build_grammar,
     extract_subtrees,
-    legal_actions,
-    sample_ast,
 )
 from dialsql.schema import schema_from_dict
+
+from sampling import QuerySampler
 
 NT = NonTerminal
 
@@ -81,13 +80,6 @@ class TestConstruction:
         assert set(g1.productions) == set(g2.productions)
         assert [str(p) for p in g1.productions] != [str(p) for p in g2.productions]
 
-    def test_subquery_rules_only_with_flag(self, cars_schema):
-        plain = build_grammar(cars_schema)
-        extended = build_grammar(cars_schema, GrammarOptions(subqueries=True))
-        in_rule = Production(NT.FILTER, ("in", NT.AGG, NT.ROOT))
-        assert in_rule not in plain
-        assert in_rule in extended
-
     def test_dump_lists_schema_rules_last(self, cars_schema):
         lines = build_grammar(cars_schema).dump().strip().splitlines()
         agnostic_count = len(agnostic_productions())
@@ -116,10 +108,9 @@ class TestTreeSequence:
         assert tree.node_count() == 6
 
     def test_sequence_length_equals_node_count(self, cars_schema):
-        g = build_grammar(cars_schema)
-        rng = np.random.default_rng(0)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(0))
         for _ in range(50):
-            tree = sample_ast(g, rng)
+            tree = sampler.query()
             assert len(ast_to_actions(tree)) == tree.node_count()
 
     def test_swapped_cols_give_different_tree(self, cars_schema, figure2_actions_text):
@@ -162,22 +153,28 @@ class TestTreeSequence:
             AST(Production(NT.SELECT, (NT.AGG,)), ())
 
     def test_random_roundtrip_property(self, cars_schema):
-        g = build_grammar(cars_schema, GrammarOptions(subqueries=True))
-        rng = np.random.default_rng(1)
+        g = build_grammar(cars_schema)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(1))
         for _ in range(500):
-            tree = sample_ast(g, rng)
+            tree = sampler.query()
             actions = ast_to_actions(tree)
             assert actions_to_ast(actions, g) == tree
+
+
+def legal_after(prefix, grammar):
+    d = Derivation(grammar)
+    d.apply_sequence(prefix)
+    return d.legal()
 
 
 class TestFrontier:
     def test_empty_prefix_axiom(self, cars_schema):
         g = build_grammar(cars_schema)
-        assert legal_actions([], g) == [Production(NT.START, (NT.ROOT,))]
+        assert legal_after([], g) == [Production(NT.START, (NT.ROOT,))]
 
     def test_after_start_all_root_rules(self, cars_schema):
         g = build_grammar(cars_schema)
-        legal = legal_actions([Production(NT.START, (NT.ROOT,))], g)
+        legal = legal_after([Production(NT.START, (NT.ROOT,))], g)
         assert legal == g.expansions(NT.ROOT)
         assert all(p.lhs is NT.ROOT for p in legal)
 
@@ -189,16 +186,16 @@ class TestFrontier:
             Production(NT.SELECT, (NT.AGG,)),
             Production(NT.AGG, ("none", NT.COL, NT.TAB)),
         ]
-        legal = legal_actions(prefix, g)
+        legal = legal_after(prefix, g)
         names = {p.rhs[0] for p in legal}
         assert "Id" in names and "Horsepower" in names and "Make" in names
         assert all(p.lhs is NT.COL for p in legal)
 
     def test_prefix_soundness_property(self, cars_schema):
         g = build_grammar(cars_schema)
-        rng = np.random.default_rng(2)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(2))
         for _ in range(100):
-            actions = ast_to_actions(sample_ast(g, rng))
+            actions = ast_to_actions(sampler.query())
             d = Derivation(g)
             for act in actions:
                 assert act in d.legal()
@@ -208,9 +205,9 @@ class TestFrontier:
 
     def test_complete_derivation_rejects_more(self, cars_schema):
         g = build_grammar(cars_schema)
-        rng = np.random.default_rng(3)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(3))
         d = Derivation(g)
-        d.apply_sequence(ast_to_actions(sample_ast(g, rng)))
+        d.apply_sequence(ast_to_actions(sampler.query()))
         with pytest.raises(DerivationError):
             d.apply(Production(NT.TAB, ("CARS_DATA",)))
 
@@ -249,10 +246,9 @@ class TestSubtrees:
         assert len(subtrees) == 3
 
     def test_every_subtree_is_valid_derivation(self, cars_schema):
-        g = build_grammar(cars_schema)
-        rng = np.random.default_rng(4)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(4))
         for _ in range(100):
-            actions = ast_to_actions(sample_ast(g, rng))
+            actions = ast_to_actions(sampler.query())
             for root, seq in extract_subtrees(actions):
                 assert seq[0].lhs is root
                 # replay the subtree as its own derivation

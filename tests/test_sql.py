@@ -5,20 +5,19 @@ import pytest
 
 from dialsql.grammar import (
     AST,
-    GrammarOptions,
     JoinPathError,
     NonTerminal,
     Production,
     UnsupportedSQLError,
     ast_to_actions,
     ast_to_sql,
-    build_grammar,
     canonicalize,
     format_actions,
-    sample_ast,
     sql_to_ast,
 )
 from dialsql.schema import schema_from_dict
+
+from sampling import QuerySampler
 
 NT = NonTerminal
 
@@ -148,6 +147,8 @@ class TestParsing:
             "SELECT Id FROM CARS_DATA UNION SELECT Id FROM CARS_DATA": "UNION",
             "SELECT Id FROM CARS_DATA ORDER BY Horsepower DESC LIMIT 3": "LIMIT",
             "SELECT Id FROM CARS_DATA WHERE Id IN (SELECT MakeId FROM CAR_NAMES)": "IN subquery",
+            "SELECT Id FROM CARS_DATA WHERE Id NOT IN (SELECT MakeId FROM CAR_NAMES)":
+                "IN subquery",
         }
         for sql, construct in cases.items():
             with pytest.raises(UnsupportedSQLError) as exc:
@@ -170,19 +171,6 @@ class TestParsing:
         with pytest.raises(UnsupportedSQLError) as exc:
             sql_to_ast("SELECT id FROM a, b", schema)
         assert exc.value.construct == "ambiguous column"
-
-    def test_subquery_parses_with_flag(self, cars_schema):
-        options = GrammarOptions(subqueries=True)
-        sql = "SELECT Make FROM CAR_NAMES WHERE MakeId IN (SELECT Id FROM CARS_DATA)"
-        tree = sql_to_ast(sql, cars_schema, options)
-        assert ast_to_sql(tree, cars_schema) == sql
-
-    def test_not_in_subquery(self, cars_schema):
-        options = GrammarOptions(subqueries=True)
-        sql = ("SELECT Make FROM CAR_NAMES WHERE MakeId NOT IN "
-               "(SELECT Id FROM CARS_DATA WHERE Horsepower > 1)")
-        tree = sql_to_ast(sql, cars_schema, options)
-        assert ast_to_sql(tree, cars_schema) == sql
 
     def test_between_and_like(self, cars_schema):
         sql = ("SELECT Id FROM CARS_DATA JOIN CAR_NAMES ON CARS_DATA.Id = CAR_NAMES.MakeId "
@@ -219,31 +207,26 @@ class TestParsing:
 
 class TestRoundTrip:
     def test_random_trees_roundtrip_up_to_canonicalization(self, cars_schema):
-        g = build_grammar(cars_schema, GrammarOptions(subqueries=True))
-        rng = np.random.default_rng(5)
-        options = GrammarOptions(subqueries=True)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(5))
         for _ in range(500):
-            tree = sample_ast(g, rng)
+            tree = sampler.query()
             sql = ast_to_sql(tree, cars_schema)
-            reparsed = sql_to_ast(sql, cars_schema, options)
+            reparsed = sql_to_ast(sql, cars_schema)
             assert canonicalize(reparsed) == canonicalize(tree), sql
 
     def test_parse_then_render_is_stable(self, cars_schema):
-        g = build_grammar(cars_schema, GrammarOptions(subqueries=True))
-        rng = np.random.default_rng(6)
-        options = GrammarOptions(subqueries=True)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(6))
         for _ in range(200):
-            sql = ast_to_sql(sample_ast(g, rng), cars_schema)
-            tree = sql_to_ast(sql, cars_schema, options)
+            sql = ast_to_sql(sampler.query(), cars_schema)
+            tree = sql_to_ast(sql, cars_schema)
             assert ast_to_sql(tree, cars_schema) == sql
 
 
 class TestCanonicalize:
     def test_idempotent(self, cars_schema):
-        g = build_grammar(cars_schema, GrammarOptions(subqueries=True))
-        rng = np.random.default_rng(7)
+        sampler = QuerySampler(cars_schema, np.random.default_rng(7))
         for _ in range(500):
-            tree = sample_ast(g, rng)
+            tree = sampler.query()
             once = canonicalize(tree)
             assert canonicalize(once) == once
 
