@@ -313,6 +313,11 @@ def _entries(where, raw, keys: tuple[str, ...]) -> list[dict]:
     return raw
 
 
+def _check_index(where: str, what: str, idx, size: int) -> None:
+    if type(idx) is not int or not 0 <= idx < size:
+        raise DataError(f"{where}: {what} index {idx!r} is not in range({size})")
+
+
 def convert_public(dialogues_path, tables_path, out_dir: Path,
                    prefix: str) -> tuple[int, int]:
     """Reshape a SParC/CoSQL release (interactions + tables.json) into the
@@ -331,28 +336,30 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
 
     schemas = []
     known = set()
-    for entry in _entries(tables_path, raw_tables, _TABLE_KEYS):
+    for k, entry in enumerate(_entries(tables_path, raw_tables, _TABLE_KEYS)):
+        where = f"{tables_path}: entry {k}"
         db_id = entry["db_id"]
-        tables: list[dict] = [{"name": name, "columns": []}
-                              for name in entry["table_names_original"]]
+        table_names = entry["table_names_original"]
+        tables: list[dict] = [{"name": name, "columns": []} for name in table_names]
         columns = entry["column_names_original"]
         types = entry["column_types"]
         if len(columns) != len(types):
-            raise DataError(f"{db_id}: column_names_original and column_types"
+            raise DataError(f"{where}: column_names_original and column_types"
                             " lengths differ")
+        qualified = []                           # per column index; None for "*"
         for (table_idx, column), kind in zip(columns, types):
             if table_idx == -1:                  # the "*" pseudo-column
+                qualified.append(None)
                 continue
+            _check_index(where, "table", table_idx, len(tables))
             tables[table_idx]["columns"].append({"name": column, "type": kind})
-        qualified = {}
-        for (table_idx, column), _ in zip(columns, types):
-            qualified[len(qualified)] = (
-                None if table_idx == -1
-                else f"{entry['table_names_original'][table_idx]}.{column}")
+            qualified.append(f"{table_names[table_idx]}.{column}")
         foreign_keys = []
         for here, there in entry.get("foreign_keys", []):
+            for idx in (here, there):
+                _check_index(where, "foreign-key column", idx, len(qualified))
             if qualified[here] is None or qualified[there] is None:
-                raise DataError(f"{db_id}: foreign key references the * column")
+                raise DataError(f"{where}: foreign key references the * column")
             foreign_keys.append([qualified[here], qualified[there]])
         schemas.append({"db_id": db_id, "tables": tables,
                         "foreign_keys": foreign_keys})

@@ -258,6 +258,10 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 raise DataError(f"{where}, turn {t}: expected an object")
             if "question" not in raw or "sql" not in raw:
                 raise DataError(f"{where}, turn {t}: needs question and sql")
+            for key in ("question", "sql"):
+                if not isinstance(raw[key], str):
+                    raise DataError(f"{where}, turn {t}: {key} must be a string, "
+                                    f"got {type(raw[key]).__name__}")
             total += 1
             sql = raw["sql"]
             actions: tuple[Production, ...] | None

@@ -131,17 +131,22 @@ def compute_metrics(predictions: dict[tuple[str, int], AST | None],
     turn_match = {t: CellStat(sum(hits), len(hits))
                   for t, hits in sorted(by_turn.items())}
 
-    labeled = [ex for ex in _scored_examples(corpus) if ex.phenomenon]
-    per_phenomenon = phenomenon_breakdown(predictions, corpus) if labeled else {}
-
     return MetricsReport(ques, CellStat(int_matched, int_total), turn_match,
-                         per_phenomenon)
+                         _phenomenon_cells(matches, corpus))
 
 
 def phenomenon_breakdown(predictions: dict[tuple[str, int], AST | None],
                          corpus: Corpus) -> dict[str, CellStat]:
     """Per-fine-label accuracy over the annotated examples."""
-    matches = _matches(predictions, corpus)
+    cells = _phenomenon_cells(_matches(predictions, corpus), corpus)
+    if not cells:
+        raise ContractError("no labeled examples to break down")
+    return cells
+
+
+def _phenomenon_cells(matches: dict[tuple[str, int], bool],
+                      corpus: Corpus) -> dict[str, CellStat]:
+    """Per-fine-label cells from computed matches; empty without labels."""
     by_label: dict[str, list[bool]] = {}
     for ex in _scored_examples(corpus):
         if not ex.phenomenon:
@@ -151,8 +156,6 @@ def phenomenon_breakdown(predictions: dict[tuple[str, int], AST | None],
                 f"dialogue {ex.dialogue_id!r} turn {ex.turn_index}: "
                 f"unknown phenomenon label {ex.phenomenon!r}")
         by_label.setdefault(ex.phenomenon, []).append(matches[ex.key()])
-    if not by_label:
-        raise ContractError("no labeled examples to break down")
     return {label: CellStat(sum(hits), len(hits))
             for label, hits in sorted(by_label.items())}
 

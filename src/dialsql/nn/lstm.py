@@ -1,15 +1,18 @@
 """LSTM cells and sequence encoders on top of the tensor tape.
 
 The cell step is fused: one tape entry covers the full gate algebra,
-with a hand-derived backward pass. This keeps tapes short for long
-dialogues without changing any gradient.
+with a hand-derived vjp. This keeps tapes short for long dialogues
+without changing any gradient. Like every tape entry, the vjp returns
+one delta per input (``w_ih, w_hh, b, x, h, c``) and the tape adds
+them; it is the only entry with two outputs, so either of ``dh'`` and
+``dc'`` may be missing and then counts as zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DimensionError, Tensor, _out_grad, _taping
+from .tensor import DimensionError, Tensor, _taping
 
 __all__ = ["LSTMCellParams", "lstm_cell", "run_lstm", "run_bilstm"]
 
@@ -67,9 +70,12 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     inputs = (params.w_ih, params.w_hh, params.b, x, h, c)
     tape = _taping(*inputs)
     if tape is not None:
-        def bwd():
-            dh = _out_grad(out_h)
-            dc_in = _out_grad(out_c)
+        def vjp(dh, dc_in):
+            # An output no path to the loss reached has no gradient.
+            if dh is None:
+                dh = np.zeros_like(out_h.values)
+            if dc_in is None:
+                dc_in = np.zeros_like(out_c.values)
             t = np.tanh(c_new)
             do = dh * t
             dc = dc_in + dh * o * (1.0 - t * t)
@@ -82,33 +88,20 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
             dzg = dg * (1.0 - g * g)
             dzo = do * o * (1.0 - o)
             dz = np.concatenate([dzi, dzf, dzg, dzo])
-            if params.w_ih.requires_grad:
-                params.w_ih.accumulate_grad(np.outer(dz, x.values))
-            if params.w_hh.requires_grad:
-                params.w_hh.accumulate_grad(np.outer(dz, h.values))
-            if params.b.requires_grad:
-                params.b.accumulate_grad(dz)
-            if x.requires_grad:
-                x.accumulate_grad(params.w_ih.values.T.dot(dz))
-            if h.requires_grad:
-                h.accumulate_grad(params.w_hh.values.T.dot(dz))
-            if c.requires_grad:
-                c.accumulate_grad(dc_prev)
+            return (np.outer(dz, x.values), np.outer(dz, h.values), dz,
+                    params.w_ih.values.T.dot(dz), params.w_hh.values.T.dot(dz), dc_prev)
 
-        tape.record((out_h, out_c), inputs, bwd)
+        tape.record((out_h, out_c), inputs, vjp)
     return out_h, out_c
 
 
-def run_lstm(params: LSTMCellParams, xs: list[Tensor],
-             h0: Tensor | None = None, c0: Tensor | None = None) -> list[Tensor]:
-    """Run a sequence through one direction; returns hidden states.
-
-    Initial state defaults to zeros. The caller keeps (h, c) threading
-    to itself when it needs the final cell state.
-    """
+def run_lstm(params: LSTMCellParams, xs: list[Tensor]) -> list[Tensor]:
+    """Run a sequence through one direction from zero states; returns
+    hidden states. A caller that needs the final cell state threads
+    (h, c) through :func:`lstm_cell` itself."""
     hs = params.hidden_size
-    h = h0 if h0 is not None else Tensor(np.zeros(hs))
-    c = c0 if c0 is not None else Tensor(np.zeros(hs))
+    h = Tensor(np.zeros(hs))
+    c = Tensor(np.zeros(hs))
     states = []
     for x in xs:
         h, c = lstm_cell(params, x, h, c)

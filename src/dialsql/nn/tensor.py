@@ -6,6 +6,12 @@ open and an input requires a gradient) in execution order, so walking
 the tape backwards is a valid reverse-topological traversal. Inference
 runs without a tape: an operation then computes its value and nothing
 else, building no backward closure.
+
+An operation's backward is a vector-Jacobian product (vjp): it takes
+the gradient of each output and returns one delta per input, in input
+order. It reads only values, never gradients, and writes nothing: the
+tape alone decides which entries run and adds each delta to the inputs
+that require a gradient.
 """
 
 from __future__ import annotations
@@ -136,12 +142,15 @@ def _active_tape() -> "Tape | None":
 class Tape:
     """Ordered record of differentiable operations.
 
-    Entries are (outputs, inputs, backward_fn). Construction order is a
+    Entries are (outputs, inputs, vjp). Construction order is a
     topological order, so :meth:`backward` replays entries reversed.
+    ``vjp(*output_grads)`` returns one delta per input. A single-output
+    entry always receives its output's gradient; an entry with several
+    outputs receives None for each output no path to the loss reached.
     """
 
     def __init__(self):
-        self._entries: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable[[], None]]] = []
+        self._entries: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         global _open_tapes
@@ -162,26 +171,39 @@ class Tape:
         return len(self._entries)
 
     def record(self, outputs: Sequence[Tensor], inputs: Sequence[Tensor],
-               backward_fn: Callable[[], None]) -> None:
+               vjp: Callable) -> None:
         """Append one entry; its outputs now require gradients."""
         outputs = tuple(outputs)
         for out in outputs:
             out.requires_grad = True
-        self._entries.append((outputs, tuple(inputs), backward_fn))
+        self._entries.append((outputs, tuple(inputs), vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Populate gradients of every recorded requires_grad tensor.
 
-        Tensors recorded on the tape but not on any path to ``loss`` end
-        up with zero gradients.
+        Entries none of whose outputs lie on a path to ``loss`` are
+        skipped. Deltas are added in input order, so a tensor used twice
+        sums its deltas in a fixed order. Tensors recorded on the tape
+        but not on any path to ``loss`` end up with zero gradients.
         """
         if loss.shape != ():
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
         loss.accumulate_grad(np.asarray(1.0, dtype=loss.values.dtype))
-        for outputs, _inputs, fn in reversed(self._entries):
-            if any(out.grad is not None for out in outputs):
-                fn()
-        for _outputs, inputs, _fn in self._entries:
+        for outputs, inputs, vjp in reversed(self._entries):
+            if len(outputs) == 1:           # the common case, without a list
+                g = outputs[0].grad
+                if g is None:
+                    continue                # no path from here to the loss
+                deltas = vjp(g)
+            else:
+                grads = [out.grad for out in outputs]
+                if all(g is None for g in grads):
+                    continue
+                deltas = vjp(*grads)
+            for t, delta in zip(inputs, deltas):
+                if t.requires_grad:
+                    t.accumulate_grad(delta)
+        for _outputs, inputs, _vjp in self._entries:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
@@ -190,8 +212,7 @@ class Tape:
 def _taping(*inputs: Tensor) -> "Tape | None":
     """The tape an operation on ``inputs`` records on, or None when no
     tape is open or no input requires a gradient. Operations call this
-    before building their backward closure, so the no-tape path builds
-    none."""
+    before building their vjp, so the no-tape path builds none."""
     if not _open_tapes:
         return None
     tape = _active_tape()
@@ -201,12 +222,6 @@ def _taping(*inputs: Tensor) -> "Tape | None":
         if t.requires_grad:
             return tape
     return None
-
-
-def _out_grad(out: Tensor) -> np.ndarray:
-    if out.grad is None:
-        return np.zeros_like(out.values)
-    return out.grad
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +238,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values + b.values)
     tape = _taping(a, b)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g)
-
-        tape.record((out,), (a, b), bwd)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    out = Tensor(a.values - b.values)
-    tape = _taping(a, b)
-    if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(-g)
-
-        tape.record((out,), (a, b), bwd)
+        tape.record((out,), (a, b), lambda g: (g, g))
     return out
 
 
@@ -255,14 +247,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values * b.values)
     tape = _taping(a, b)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g * b.values)
-            if b.requires_grad:
-                b.accumulate_grad(g * a.values)
-
-        tape.record((out,), (a, b), bwd)
+        tape.record((out,), (a, b), lambda g: (g * b.values, g * a.values))
     return out
 
 
@@ -271,11 +256,7 @@ def affine(a: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     out = Tensor(scale * a.values + shift)
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(scale * _out_grad(out))
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), lambda g: (scale * g,))
     return out
 
 
@@ -290,14 +271,7 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     out = Tensor(a.values * s.values)
     tape = _taping(a, s)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g * s.values)
-            if s.requires_grad:
-                s.accumulate_grad(np.sum(g * a.values))
-
-        tape.record((out,), (a, s), bwd)
+        tape.record((out,), (a, s), lambda g: (g * s.values, np.sum(g * a.values)))
     return out
 
 
@@ -308,14 +282,8 @@ def div_by(a: Tensor, s: Tensor) -> Tensor:
     out = Tensor(a.values / s.values)
     tape = _taping(a, s)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            if a.requires_grad:
-                a.accumulate_grad(g / s.values)
-            if s.requires_grad:
-                s.accumulate_grad(-np.sum(g * a.values) / (s.values * s.values))
-
-        tape.record((out,), (a, s), bwd)
+        tape.record((out,), (a, s), lambda g: (
+            g / s.values, -np.sum(g * a.values) / (s.values * s.values)))
     return out
 
 
@@ -327,11 +295,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.values))
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(_out_grad(out) * (1.0 - out.values * out.values))
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), lambda g: (g * (1.0 - out.values * out.values),))
     return out
 
 
@@ -344,23 +308,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(np.where(v >= 0, 1.0 / d, e / d))
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(_out_grad(out) * out.values * (1.0 - out.values))
-
-        tape.record((out,), (a,), bwd)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.values))
-    tape = _taping(a)
-    if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(_out_grad(out) * out.values)
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), lambda g: (g * out.values * (1.0 - out.values),))
     return out
 
 
@@ -368,11 +316,7 @@ def log(a: Tensor) -> Tensor:
     out = Tensor(np.log(a.values))
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(_out_grad(out) / a.values)
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), lambda g: (g / a.values,))
     return out
 
 
@@ -384,11 +328,7 @@ def reduce_sum(a: Tensor) -> Tensor:
     out = Tensor(np.add.reduce(a.values, axis=None))     # np.sum without its wrapper
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                a.accumulate_grad(np.full_like(a.values, _out_grad(out)))
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), lambda g: (np.full_like(a.values, g),))
     return out
 
 
@@ -405,13 +345,7 @@ def pick(a: Tensor, index: int) -> Tensor:
     out = Tensor(a.values[index])
     tape = _taping(a)
     if tape is not None:
-        def bwd():
-            if a.requires_grad:
-                delta = np.zeros_like(a.values)
-                delta[index] = _out_grad(out)
-                a.accumulate_grad(delta)
-
-        tape.record((out,), (a,), bwd)
+        tape.record((out,), (a,), _scatter(a, index))
     return out
 
 
@@ -422,14 +356,17 @@ def row(m: Tensor, index: int) -> Tensor:
     out = Tensor(m.values[index])
     tape = _taping(m)
     if tape is not None:
-        def bwd():
-            if m.requires_grad:
-                delta = np.zeros_like(m.values)
-                delta[index] = _out_grad(out)
-                m.accumulate_grad(delta)
-
-        tape.record((out,), (m,), bwd)
+        tape.record((out,), (m,), _scatter(m, index))
     return out
+
+
+def _scatter(m: Tensor, index: int) -> Callable:
+    """vjp of ``m.values[index]``: the gradient put back at ``index``."""
+    def vjp(g):
+        delta = np.zeros_like(m.values)
+        delta[index] = g
+        return (delta,)
+    return vjp
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -440,13 +377,12 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     out = Tensor(m.values[idx])
     tape = _taping(m)
     if tape is not None:
-        def bwd():
-            if m.requires_grad:
-                delta = np.zeros_like(m.values)
-                np.add.at(delta, idx, _out_grad(out))
-                m.accumulate_grad(delta)
+        def vjp(g):
+            delta = np.zeros_like(m.values)
+            np.add.at(delta, idx, g)
+            return (delta,)
 
-        tape.record((out,), (m,), bwd)
+        tape.record((out,), (m,), vjp)
     return out
 
 
@@ -464,16 +400,16 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(values)
     tape = _taping(*parts)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            lo = 0
+        def vjp(g):
+            # Bounds from a running offset: cheaper than np.cumsum at these sizes.
+            deltas, lo = [], 0
             for p in parts:
                 hi = lo + p.size
-                if p.requires_grad:
-                    p.accumulate_grad(g[lo:hi])
+                deltas.append(g[lo:hi])
                 lo = hi
+            return deltas
 
-        tape.record((out,), parts, bwd)
+        tape.record((out,), parts, vjp)
     return out
 
 
@@ -488,13 +424,7 @@ def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(np.array([p.values for p in parts], dtype=active_dtype()))
     tape = _taping(*parts)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            for k, p in enumerate(parts):
-                if p.requires_grad:
-                    p.accumulate_grad(g[k])
-
-        tape.record((out,), parts, bwd)
+        tape.record((out,), parts, _unstack)
     return out
 
 
@@ -510,14 +440,13 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     out = Tensor(np.array([r.values for r in rows]))    # np.stack, at a fifth of the cost
     tape = _taping(*rows)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
-            for k, r in enumerate(rows):
-                if r.requires_grad:
-                    r.accumulate_grad(g[k])
-
-        tape.record((out,), rows, bwd)
+        tape.record((out,), rows, _unstack)
     return out
+
+
+def _unstack(g: np.ndarray) -> np.ndarray:
+    """vjp of the two stacking ops: iterating ``g`` yields ``g[k]``, part k's delta."""
+    return g
 
 
 def expand_by_counts(v: Tensor, counts: Sequence[int]) -> Tensor:
@@ -528,13 +457,13 @@ def expand_by_counts(v: Tensor, counts: Sequence[int]) -> Tensor:
     out = Tensor(np.repeat(v.values, counts))
     tape = _taping(v)
     if tape is not None:
-        def bwd():
-            if v.requires_grad:
-                g = _out_grad(out)
-                offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                v.accumulate_grad(np.add.reduceat(g, offsets) if g.size else np.zeros_like(v.values))
+        def vjp(g):
+            if not g.size:
+                return (np.zeros_like(v.values),)
+            offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            return (np.add.reduceat(g, offsets),)
 
-        tape.record((out,), (v,), bwd)
+        tape.record((out,), (v,), vjp)
     return out
 
 
@@ -544,11 +473,7 @@ def transpose(m: Tensor) -> Tensor:
     out = Tensor(m.values.T)
     tape = _taping(m)
     if tape is not None:
-        def bwd():
-            if m.requires_grad:
-                m.accumulate_grad(_out_grad(out).T)
-
-        tape.record((out,), (m,), bwd)
+        tape.record((out,), (m,), lambda g: (g.T,))
     return out
 
 
@@ -569,30 +494,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(out_vals)
     tape = _taping(a, b)
     if tape is not None:
-        def bwd():
-            g = _out_grad(out)
+        def vjp(g):
             if an == 2 and bn == 2:
-                if a.requires_grad:
-                    a.accumulate_grad(g.dot(b.values.T))
-                if b.requires_grad:
-                    b.accumulate_grad(a.values.T.dot(g))
-            elif an == 2 and bn == 1:
-                if a.requires_grad:
-                    a.accumulate_grad(np.outer(g, b.values))
-                if b.requires_grad:
-                    b.accumulate_grad(a.values.T.dot(g))
-            elif an == 1 and bn == 2:
-                if a.requires_grad:
-                    a.accumulate_grad(b.values.dot(g))
-                if b.requires_grad:
-                    b.accumulate_grad(np.outer(a.values, g))
-            else:
-                if a.requires_grad:
-                    a.accumulate_grad(g * b.values)
-                if b.requires_grad:
-                    b.accumulate_grad(g * a.values)
+                return g.dot(b.values.T), a.values.T.dot(g)
+            if an == 2:
+                return np.outer(g, b.values), a.values.T.dot(g)
+            if bn == 2:
+                return b.values.dot(g), np.outer(a.values, g)
+            return g * b.values, g * a.values
 
-        tape.record((out,), (a, b), bwd)
+        tape.record((out,), (a, b), vjp)
     return out
 
 
@@ -642,11 +553,5 @@ def _softmax_result(scores: Tensor, probs: np.ndarray) -> Tensor:
     out = Tensor(probs)
     tape = _taping(scores)
     if tape is not None:
-        def bwd():
-            if scores.requires_grad:
-                g = _out_grad(out)
-                inner = np.dot(out.values, g)
-                scores.accumulate_grad(out.values * (g - inner))
-
-        tape.record((out,), (scores,), bwd)
+        tape.record((out,), (scores,), lambda g: (out.values * (g - np.dot(out.values, g)),))
     return out

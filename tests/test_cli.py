@@ -307,6 +307,26 @@ class TestConvert:
         assert code == 1
         assert "missing_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("column_names_original", [[-1, "*"], [2, "Stadium_ID"]],
+         "table index 2 is not in range(2)"),
+        ("foreign_keys", [[3, 7]], "foreign-key column index 7 is not in range(6)"),
+    ])
+    def test_index_out_of_range_names_file_and_entry(self, tmp_path, capsys, field, value,
+                                                     expected):
+        dialogues, tables = public_release(tmp_path)
+        raw = json.loads(tables.read_text())
+        raw[0][field] = value
+        if field == "column_names_original":
+            raw[0]["column_types"] = ["text"] * len(value)
+        tables.write_text(json.dumps(raw))
+        code = main(["convert", "--dialogues", str(dialogues),
+                     "--tables", str(tables), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tables}: entry 0: {expected}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("which, entry, expected", [
         ("tables", {"table_names_original": []}, "missing key 'db_id'"),
         ("tables", "concert_singer", "expected an object"),
@@ -404,6 +424,19 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "dialogue #0, turn 1" in err and "Traceback" not in err
+
+    def test_question_not_a_string_is_runtime_error(self, data_dir, tmp_path, capsys):
+        records = json.loads((data_dir / "dialogues.json").read_text())
+        records[0]["turns"][0]["question"] = 5
+        dialogues = tmp_path / "dialogues.json"
+        dialogues.write_text(json.dumps(records))
+        code = main(["train", "--dialogues", str(dialogues),
+                     "--schemas", str(data_dir / "schemas.json"),
+                     "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dialogue #0, turn 1: question must be a string" in err
+        assert "Traceback" not in err
 
     def test_unknown_method_is_runtime_error(self, data_args, tmp_path, capsys):
         code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"),

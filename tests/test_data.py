@@ -208,6 +208,16 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=r"dialogues\.json: dialogue #0, turn 2"):
             load_corpus(dialogues, schemas)
 
+    @pytest.mark.parametrize("key, value", [("question", 5), ("sql", 7)])
+    def test_question_or_sql_not_a_string_rejected(self, tmp_path, key, value):
+        turn = {"question": "show capacity", "sql": "SELECT capacity FROM trucks"}
+        records = [{"dialogue_id": "d0", "db_id": "fleet",
+                    "turns": [dict(turn), {**turn, key: value}]}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        with pytest.raises(DataError, match=rf"dialogues\.json: dialogue #0, turn 2: {key} "
+                                            r"must be a string, got int"):
+            load_corpus(dialogues, schemas)
+
     def test_invalid_json_rejected(self, tmp_path):
         dialogues = tmp_path / "dialogues.json"
         dialogues.write_text("[{broken")

@@ -22,7 +22,7 @@ from dialsql.evaluation import (
     read_report,
     report_schema,
 )
-from dialsql.grammar import AST, NonTerminal, actions_to_ast, sql_to_ast
+from dialsql.grammar import AST, NonTerminal, actions_to_ast, canonicalize, sql_to_ast
 from dialsql.nn import ContractError
 
 from test_decoder import GRAMMAR, MINI_SCHEMA, actions_for
@@ -284,6 +284,22 @@ class TestPhenomenonBreakdown:
                              {("d0", 1): "continuation"})
         report = compute_metrics(gold_predictions(corpus), corpus)
         assert report.per_phenomenon == {"continuation": CellStat(1, 1)}
+
+    def test_labeled_metrics_canonicalize_each_tree_once(self, monkeypatch):
+        labels = {("d0", 1): "context_independent", ("d0", 2): "continuation",
+                  ("d1", 1): "one_anaphora"}
+        corpus = make_corpus({"d0": ["SELECT alpha FROM t1", "SELECT beta FROM t1"],
+                              "d1": ["SELECT alpha FROM t2"]}, labels)
+        calls = []
+
+        def counting(tree):
+            calls.append(tree)
+            return canonicalize(tree)
+
+        monkeypatch.setattr("dialsql.evaluation.canonicalize", counting)
+        report = compute_metrics(gold_predictions(corpus), corpus)
+        assert len(report.per_phenomenon) == 3
+        assert len(calls) == 2 * 3          # prediction and gold, once per scored turn
 
     def test_taxonomy_shape(self):
         assert len(FINE_LABELS) == 11

@@ -1,0 +1,111 @@
+"""Print one SHA-256 over the program's observable outputs at 64 bits.
+
+A refactor that claims unchanged behaviour prints the same digest before
+and after. Run it once against each source tree and compare::
+
+    PYTHONPATH=<tree>/src python tools/digest.py
+
+It hashes, in order:
+
+- the dialogues and schemas JSON of ``gen_synthetic`` for seeds 0-15,
+  and the same files again after a round trip through ``load_corpus``;
+- for all 14 configurations at dims 6/8/4, on every turn of four
+  synthetic dialogues: the teacher-forced loss, the gradient of every
+  parameter, and the greedy action sequence (``max_steps`` 60, each
+  dialogue decoded on the model's own previous predictions);
+- the bytes of every checkpoint in ``bench/models`` loaded and saved
+  again.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+from dialsql.context import (
+    build_model,
+    load_checkpoint,
+    method_config,
+    method_names,
+    prepare_inputs,
+    save_checkpoint,
+)
+from dialsql.data import build_vocab, gen_synthetic, load_corpus, write_dialogues, write_schemas
+from dialsql.decoder import encode_turn, greedy_parse, teacher_forced_loss
+from dialsql.grammar import build_grammar, format_actions
+from dialsql.nn import Tape, set_precision
+
+MODEL_DIR = Path(__file__).resolve().parent.parent / "bench" / "models"
+DIMS = {"embedding": 6, "hidden": 8, "distance": 4}
+
+
+def _corpus_bytes(corpus, tmp: Path) -> bytes:
+    write_dialogues(corpus, tmp / "dialogues.json")
+    write_schemas(corpus.schemas, tmp / "schemas.json")
+    return (tmp / "dialogues.json").read_bytes() + (tmp / "schemas.json").read_bytes()
+
+
+def corpora(h, tmp: Path) -> None:
+    for seed in range(16):
+        h.update(_corpus_bytes(gen_synthetic(seed=seed), tmp))
+        reread = load_corpus(tmp / "dialogues.json", tmp / "schemas.json")
+        h.update(_corpus_bytes(reread, tmp))
+
+
+def models(h) -> None:
+    corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=4)
+    vocab = build_vocab(corpus)
+    grammars = {db: build_grammar(s) for db, s in corpus.schemas.items()}
+    for method in method_names():
+        h.update(method.encode())
+        model = build_model(method_config(method, h=2, dims=DIMS), vocab, seed=0)
+        params = model.parameters()
+        for dialogue in corpus.dialogues:
+            grammar = grammars[dialogue.db_id]
+            own: dict = {}
+            for ex in dialogue.turns:
+                inputs = prepare_inputs(dialogue, ex.turn_index, model.config)
+                for p in params:
+                    p.grad = None
+                with Tape() as tape:
+                    encoded = encode_turn(model, inputs.segments, inputs.distances,
+                                          inputs.precedent)
+                    loss = teacher_forced_loss(model, encoded, grammar,
+                                               list(ex.gold_actions))
+                    tape.backward(loss)
+                h.update(loss.values.tobytes())
+                for p in params:      # None: the parameter took no part
+                    h.update(b"-" if p.grad is None else p.grad.tobytes())
+
+                inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
+                                        gold_mode=False, predictions=own)
+                encoded = encode_turn(model, inputs.segments, inputs.distances,
+                                      inputs.precedent)
+                result = greedy_parse(model, encoded, grammar, max_steps=60)
+                own[ex.turn_index] = result.actions if result.complete else None
+                h.update(f"{result.complete} {result.steps}\n".encode())
+                h.update(format_actions(result.actions).encode())
+
+
+def checkpoints(h, tmp: Path) -> None:
+    for path in sorted(MODEL_DIR.glob("*.json")):
+        if path.name in ("manifest.json", "expected_decode.json"):
+            continue
+        h.update(path.name.encode())
+        save_checkpoint(load_checkpoint(path), tmp / "resaved.json")
+        h.update((tmp / "resaved.json").read_bytes())
+
+
+def main() -> None:
+    set_precision(64)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpora(h, Path(tmp))
+        models(h)
+        checkpoints(h, Path(tmp))
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
