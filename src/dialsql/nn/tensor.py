@@ -190,17 +190,10 @@ class Tape:
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
         loss.accumulate_grad(np.asarray(1.0, dtype=loss.values.dtype))
         for outputs, inputs, vjp in reversed(self._entries):
-            if len(outputs) == 1:           # the common case, without a list
-                g = outputs[0].grad
-                if g is None:
-                    continue                # no path from here to the loss
-                deltas = vjp(g)
-            else:
-                grads = [out.grad for out in outputs]
-                if all(g is None for g in grads):
-                    continue
-                deltas = vjp(*grads)
-            for t, delta in zip(inputs, deltas):
+            grads = [out.grad for out in outputs]
+            if all(g is None for g in grads):
+                continue                    # no path from here to the loss
+            for t, delta in zip(inputs, vjp(*grads)):
                 if t.requires_grad:
                     t.accumulate_grad(delta)
         for _outputs, inputs, _vjp in self._entries:
