@@ -313,6 +313,17 @@ def _entries(where, raw, keys: tuple[str, ...]) -> list[dict]:
     return raw
 
 
+def _pairs(where: str, key: str, raw) -> list:
+    """``raw`` as a list of two-element lists; otherwise a DataError
+    naming ``where``, ``key`` and the pair index."""
+    if not isinstance(raw, list):
+        raise DataError(f"{where}: {key} must be a list")
+    for j, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DataError(f"{where}: {key} pair {j} is {pair!r}, expected two values")
+    return raw
+
+
 def _check_index(where: str, what: str, idx, size: int) -> None:
     if type(idx) is not int or not 0 <= idx < size:
         raise DataError(f"{where}: {what} index {idx!r} is not in range({size})")
@@ -341,7 +352,7 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
         db_id = entry["db_id"]
         table_names = entry["table_names_original"]
         tables: list[dict] = [{"name": name, "columns": []} for name in table_names]
-        columns = entry["column_names_original"]
+        columns = _pairs(where, "column_names_original", entry["column_names_original"])
         types = entry["column_types"]
         if len(columns) != len(types):
             raise DataError(f"{where}: column_names_original and column_types"
@@ -355,7 +366,7 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
             tables[table_idx]["columns"].append({"name": column, "type": kind})
             qualified.append(f"{table_names[table_idx]}.{column}")
         foreign_keys = []
-        for here, there in entry.get("foreign_keys", []):
+        for here, there in _pairs(where, "foreign_keys", entry.get("foreign_keys", [])):
             for idx in (here, there):
                 _check_index(where, "foreign-key column", idx, len(qualified))
             if qualified[here] is None or qualified[there] is None:

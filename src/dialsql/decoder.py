@@ -69,16 +69,19 @@ class FrontierError(GrammarError):
 # Embeddings
 
 
-def word_vector(model, token: str) -> Tensor:
-    return ops.row(model.params["word_emb"], model.vocab.index(token))
+def _embed_tokens(model, tokens: list[str]) -> Tensor:
+    """Word embeddings of ``tokens``, one row each."""
+    return ops.take_rows(model.params["word_emb"], [model.vocab.index(t) for t in tokens])
 
 
 class ActionEmbedder:
-    """Production embeddings with per-call caching.
+    """Production embeddings, each computed once per embedder.
 
     Schema-agnostic productions index a learned table; schema-specific
     ones (column and table rules) are encoded from their name tokens, so
-    unseen schemas need no new parameters.
+    unseen schemas need no new parameters. Training shares one embedder
+    across a batch and inference across a call of ``predict_corpus``:
+    the parameters do not change in between.
     """
 
     def __init__(self, model):
@@ -91,9 +94,8 @@ class ActionEmbedder:
             return hit
         model = self.model
         if production.schema_specific:
-            tokens = name_tokens(production.rhs[0])
-            cell = model.cell("schema_enc")
-            emb = encode_name([word_vector(model, t) for t in tokens], cell)
+            emb = encode_name(_embed_tokens(model, name_tokens(production.rhs[0])),
+                              model.cell("schema_enc"))
         else:
             emb = ops.row(model.params["action_emb"], model.agnostic_index[production])
         self._cache[production] = emb
@@ -113,31 +115,28 @@ class AttentionContext:
     gate_coeffs: Tensor | None = None  # per-row coefficients, constant within a question
 
 
-def attention_context(segment_states: list[list[Tensor]], tokens: list[str],
+def attention_context(segment_states: list[Tensor], tokens: list[str],
                       distances: list[int] | None = None,
                       distance_table: Tensor | None = None,
                       gate_weights: Tensor | None = None) -> AttentionContext:
-    """Assemble the attention memory from per-question state lists.
+    """Assemble the attention memory from per-question state matrices.
 
-    With a distance table, each row becomes [state; distance_embedding]
-    using that question's relative distance. Gate weights (one per
-    question) are expanded to one coefficient per row.
+    The memory stacks the matrices' rows. With a distance table, each
+    row becomes [state; distance_embedding] using that question's
+    relative distance. Gate weights (one per question) are expanded to
+    one coefficient per row.
     """
-    if not segment_states or not any(segment_states):
+    counts = [s.shape[0] for s in segment_states]
+    if not sum(counts):
         raise ContractError("attention needs at least one encoder state")
-    rows: list[Tensor] = []
-    for seg_idx, states in enumerate(segment_states):
-        if distance_table is not None:
-            d = ops.row(distance_table, distances[seg_idx])
-            rows.extend(ops.concat([s, d]) for s in states)
-        else:
-            rows.extend(states)
-    memory = ops.stack_rows(rows)
+    memory = segment_states[0] if len(segment_states) == 1 else ops._join(segment_states, 0)
+    if distance_table is not None:
+        dist_rows = ops.take_rows(distance_table, np.repeat(distances, counts))
+        memory = ops._join([memory, dist_rows], 1)
     if len(tokens) != memory.shape[0]:
         raise ContractError("token list must align with attention rows")
     coeffs = None
     if gate_weights is not None:
-        counts = [len(s) for s in segment_states]
         coeffs = ops.expand_by_counts(gate_weights, counts)
     return AttentionContext(memory, tokens, coeffs)
 
@@ -201,13 +200,12 @@ def encode_precedent(model, actions: tuple[Production, ...],
         return EMPTY_COPY_CONTEXT
     fwd = model.cell("sql_enc.fwd")
     bwd = model.cell("sql_enc.bwd")
-    encoded = encode_actions([embedder(a) for a in actions], fwd, bwd)
-    states = ops.stack_rows(encoded.states)
+    states = encode_actions(ops.stack_rows([embedder(a) for a in actions]), fwd, bwd).states
     subtrees = []
     if with_subtrees:
         for root, seq in extract_subtrees(list(actions)):
-            phi = encode_actions([embedder(a) for a in seq], fwd, bwd).final_state
-            subtrees.append((root, seq, phi))
+            embedded = ops.stack_rows([embedder(a) for a in seq])
+            subtrees.append((root, seq, encode_actions(embedded, fwd, bwd).final_state))
     return CopyContext(tuple(actions), states, subtrees)
 
 
@@ -233,14 +231,13 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
         turn_cell = model.cell("turn_enc")
         state = turn_state_init(turn_cell.hidden_size)
         for tokens in segments:
-            enc = encode_question([word_vector(model, t) for t in tokens], fwd, bwd,
+            enc = encode_question(_embed_tokens(model, tokens), fwd, bwd,
                                   turn_vec=state.h)
             encodings.append(enc)
             state = turn_state_update(enc.question_vector, state, turn_cell)
     else:
         for tokens in segments:
-            encodings.append(encode_question([word_vector(model, t) for t in tokens],
-                                             fwd, bwd))
+            encodings.append(encode_question(_embed_tokens(model, tokens), fwd, bwd))
 
     gate_weights = None
     if config.question_method == "gate" and len(encodings) > 1:
@@ -383,8 +380,7 @@ def _generation_logits(model, productions: list[Production], h: Tensor, c: Tenso
     if productions[0].schema_specific:
         exact, partial = _turn_linking(encoded, tuple(p.rhs[0] for p in productions))
         rule_embs = ops.stack_rows([embedder(p) for p in productions])
-        tok_embs = ops.take_rows(model.params["word_emb"],
-                                 [model.vocab.index(t) for t in encoded.attention.tokens])
+        tok_embs = _embed_tokens(model, encoded.attention.tokens)
         link = ops.add(
             ops.add(ops.scale_by(exact, model.params["link.w_exact"]),
                     ops.scale_by(partial, model.params["link.w_partial"])),

@@ -1,9 +1,11 @@
 """Recurrent encoders feeding the decoder.
 
-All functions take already-embedded inputs (lists of vectors) so the
-embedding lookup policy stays with the model. Question and action
-encoders are bidirectional; the turn-level and schema-name encoders run
-one direction only.
+All functions take already-embedded inputs, one row per position of a
+matrix, so the embedding lookup policy stays with the model. Each
+encoder runs one fused :func:`~dialsql.nn.lstm_sequence` pass, one tape
+entry, and returns its per-position states as one matrix. Question and
+action encoders are bidirectional; the turn-level and schema-name
+encoders run one direction only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ContractError, LSTMCellParams, Tensor, lstm_cell, ops, run_bilstm, softmax
+from .nn import ContractError, LSTMCellParams, Tensor, lstm_cell, lstm_sequence, ops, softmax
 
 __all__ = [
     "QuestionEncoding",
@@ -29,62 +31,50 @@ __all__ = [
 
 @dataclass
 class QuestionEncoding:
-    """Per-token states plus the two summary vectors the model needs."""
+    """Per-token states plus the summary vector the model needs."""
 
-    states: list[Tensor]          # per token: [forward; backward]
+    states: Tensor                # one row per token: [forward; backward]
     question_vector: Tensor       # [backward at first token; forward at last]
-    final_state: Tensor           # state at the last token, initializes the decoder
+
+    @property
+    def final_state(self) -> Tensor:
+        """State at the last token; initializes the decoder."""
+        return ops.row(self.states, self.states.shape[0] - 1)
 
 
 @dataclass
 class SqlEncoding:
-    states: list[Tensor]          # per action: [forward; backward]
+    states: Tensor                # one row per action: [forward; backward]
     final_state: Tensor           # [forward at last; backward at first]
 
 
-def _bi_states(fwd: LSTMCellParams, bwd: LSTMCellParams,
-               inputs: list[Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    if not inputs:
-        raise ContractError("encoder needs a non-empty sequence")
-    return run_bilstm(fwd, bwd, inputs)
-
-
-def encode_question(embedded: list[Tensor], fwd: LSTMCellParams,
+def encode_question(embedded: Tensor, fwd: LSTMCellParams,
                     bwd: LSTMCellParams, turn_vec: Tensor | None = None) -> QuestionEncoding:
-    """BiLSTM over token embeddings.
+    """BiLSTM over token embeddings, one row per token.
 
     With ``turn_vec`` (the turn-level state), each step's input is the
-    embedding concatenated with that vector, in both directions.
+    embedding followed by that vector, in both directions.
     """
-    if turn_vec is not None:
-        embedded = [ops.concat([e, turn_vec]) for e in embedded]
-    f_states, b_states = _bi_states(fwd, bwd, embedded)
-    states = [ops.concat([f, b]) for f, b in zip(f_states, b_states)]
-    question_vector = ops.concat([b_states[0], f_states[-1]])
-    return QuestionEncoding(states, question_vector, states[-1])
+    states, (f_end, b_end) = lstm_sequence([fwd, bwd], embedded, tail=turn_vec)
+    return QuestionEncoding(states, ops.concat([b_end, f_end]))
 
 
-def encode_actions(embedded: list[Tensor], fwd: LSTMCellParams,
+def encode_actions(embedded: Tensor, fwd: LSTMCellParams,
                    bwd: LSTMCellParams) -> SqlEncoding:
-    """BiLSTM over action embeddings.
+    """BiLSTM over action embeddings, one row per action.
 
     ``final_state`` concatenates the two directions' final states and
     doubles as the subtree embedding when the input is one subtree's
     action sequence.
     """
-    f_states, b_states = _bi_states(fwd, bwd, embedded)
-    states = [ops.concat([f, b]) for f, b in zip(f_states, b_states)]
-    return SqlEncoding(states, ops.concat([f_states[-1], b_states[0]]))
+    states, ends = lstm_sequence([fwd, bwd], embedded)
+    return SqlEncoding(states, ops.concat(ends))
 
 
-def encode_name(embedded: list[Tensor], cell: LSTMCellParams) -> Tensor:
-    """Final hidden state of a one-direction LSTM over name tokens."""
-    if not embedded:
-        raise ContractError("schema name produced no tokens")
-    h = Tensor(np.zeros(cell.hidden_size))
-    c = Tensor(np.zeros(cell.hidden_size))
-    for x in embedded:
-        h, c = lstm_cell(cell, x, h, c)
+def encode_name(embedded: Tensor, cell: LSTMCellParams) -> Tensor:
+    """Final hidden state of a one-direction LSTM over name tokens, one
+    row per token."""
+    _, (h,) = lstm_sequence([cell], embedded)
     return h
 
 

@@ -19,7 +19,7 @@ from .context import (
     save_checkpoint,
 )
 from .data import Corpus, build_vocab, load_embeddings
-from .decoder import encode_turn, greedy_parse, teacher_forced_loss
+from .decoder import ActionEmbedder, encode_turn, greedy_parse, teacher_forced_loss
 from .evaluation import compute_metrics
 from .grammar import AST, Grammar, actions_to_ast, build_grammar
 from .nn import Adam, ContractError, Tape, clip_global_norm, ops
@@ -43,6 +43,7 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     forcing. Incomplete decodes yield None (scored as wrong).
     """
     grammars = _grammars(corpus)
+    embedder = ActionEmbedder(model)
     out: dict[tuple[str, int], AST | None] = {}
     for dialogue in corpus.dialogues:
         grammar = grammars[dialogue.db_id]
@@ -51,8 +52,9 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
             inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
                                     gold_mode=gold_previous_sql, predictions=own)
             encoded = encode_turn(model, inputs.segments, inputs.distances,
-                                  inputs.precedent)
-            result = greedy_parse(model, encoded, grammar, max_steps=max_steps)
+                                  inputs.precedent, embedder)
+            result = greedy_parse(model, encoded, grammar, max_steps=max_steps,
+                                  embedder=embedder)
             own[ex.turn_index] = result.actions if result.complete else None
             out[ex.key()] = (actions_to_ast(list(result.actions), grammar)
                              if result.complete else None)
@@ -144,14 +146,17 @@ class SqlParser:
                 batch = [items[i] for i in order[lo:lo + self.batch_size]]
                 optimizer.zero_grad()
                 with Tape() as tape:
+                    # One embedder per batch: the parameters change only
+                    # after it, so every production is embedded once.
+                    embedder = ActionEmbedder(model)
                     total = None
                     for dialogue, ex in batch:
                         inputs = prepare_inputs(dialogue, ex.turn_index, config)
-                        encoded = encode_turn(model, inputs.segments,
-                                              inputs.distances, inputs.precedent)
+                        encoded = encode_turn(model, inputs.segments, inputs.distances,
+                                              inputs.precedent, embedder)
                         loss = teacher_forced_loss(model, encoded,
                                                    grammars[dialogue.db_id],
-                                                   list(ex.gold_actions))
+                                                   list(ex.gold_actions), embedder)
                         total = loss if total is None else ops.add(total, loss)
                     tape.backward(ops.affine(total, 1.0 / len(batch)))
                 norms.append(clip_global_norm(model.parameters(), self.clip_norm))

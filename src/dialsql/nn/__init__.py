@@ -2,7 +2,7 @@
 
 from . import tensor as ops
 from .gradcheck import grad_check
-from .lstm import LSTMCellParams, lstm_cell, run_bilstm, run_lstm
+from .lstm import LSTMCellParams, lstm_cell, lstm_sequence
 from .optim import Adam, Parameter, clip_global_norm, init_uniform
 from .tensor import (
     ContractError,
@@ -23,8 +23,7 @@ __all__ = [
     "grad_check",
     "LSTMCellParams",
     "lstm_cell",
-    "run_bilstm",
-    "run_lstm",
+    "lstm_sequence",
     "Adam",
     "Parameter",
     "clip_global_norm",

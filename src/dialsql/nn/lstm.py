@@ -1,20 +1,32 @@
-"""LSTM cells and sequence encoders on top of the tensor tape.
+"""LSTM cells and fused sequence passes on top of the tensor tape.
 
-The cell step is fused: one tape entry covers the full gate algebra,
-with a hand-derived vjp. This keeps tapes short for long dialogues
-without changing any gradient. Like every tape entry, the vjp returns
-one delta per input (``w_ih, w_hh, b, x, h, c``) and the tape adds
-them; it is the only entry with two outputs, so either of ``dh'`` and
-``dc'`` may be missing and then counts as zero.
+Two operations share one step kernel, :func:`_step`, so a step computes
+the same values bit for bit in both:
+
+- :func:`lstm_cell` is one step and one tape entry, with a hand-derived
+  vjp. Like every tape entry, the vjp returns one delta per input
+  (``w_ih, w_hh, b, x, h, c``) and the tape adds them; either of
+  ``dh'`` and ``dc'`` may be missing and then counts as zero.
+- :func:`lstm_sequence` runs a whole encoder pass, one or two
+  directions over the rows of an input matrix, as one tape entry. Its
+  vjp is backpropagation through time: the recurrence is walked step by
+  step, and each direction's weight gradients are then one ``dZᵀX`` and
+  one ``dZᵀH_prev`` product over all steps.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .tensor import DimensionError, Tensor, _taping
+from .tensor import ContractError, DimensionError, Tensor, _taping
 
-__all__ = ["LSTMCellParams", "lstm_cell", "run_lstm", "run_bilstm"]
+__all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence"]
+
+# The order in which direction k of a sequence pass reads the rows; the
+# same slice maps its reading-order states back to row order.
+_READING_ORDER = (slice(None), slice(None, None, -1))
 
 
 class LSTMCellParams:
@@ -40,6 +52,32 @@ class LSTMCellParams:
         return [self.w_ih, self.w_hh, self.b]
 
 
+def _step(params: LSTMCellParams, x: np.ndarray, h: np.ndarray,
+          c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step on arrays; returns (h', c', sig, g).
+
+    ``sig`` holds the i, f and o gates at their blocks of the stacked
+    pre-activation (the g block's entries go unused) and ``g`` the
+    candidate cell input.
+    """
+    hs = params.hidden_size
+    z = params.w_ih.values.dot(x)
+    z += params.w_hh.values.dot(h)
+    z += params.b.values
+    # One exp for the three sigmoid gates, computed in place:
+    # sig = 1 / (1 + exp(-z)).
+    sig = np.negative(z)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    g = np.tanh(z[2 * hs:3 * hs])
+    c_new = sig[hs:2 * hs] * c
+    c_new += sig[:hs] * g
+    h_new = np.tanh(c_new)
+    h_new *= sig[3 * hs:]
+    return h_new, c_new, sig, g
+
+
 def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; returns (h', c')."""
     hs = params.hidden_size
@@ -48,22 +86,7 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     if h.values.shape != (hs,) or c.values.shape != (hs,):
         raise DimensionError("lstm_cell: state shapes do not match hidden size")
 
-    z = params.w_ih.values.dot(x.values)
-    z += params.w_hh.values.dot(h.values)
-    z += params.b.values
-    # One exp for the three sigmoid gates (the g block's entries go
-    # unused), computed in place: sig = 1 / (1 + exp(-z)).
-    sig = np.negative(z)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    i, f, o = sig[:hs], sig[hs:2 * hs], sig[3 * hs:]
-    g = np.tanh(z[2 * hs:3 * hs])
-    c_new = f * c.values
-    c_new += i * g
-    h_new = np.tanh(c_new)
-    h_new *= o
-
+    h_new, c_new, sig, g = _step(params, x.values, h.values, c.values)
     out_h = Tensor(h_new)
     out_c = Tensor(c_new)
 
@@ -76,6 +99,7 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
                 dh = np.zeros_like(out_h.values)
             if dc_in is None:
                 dc_in = np.zeros_like(out_c.values)
+            i, f, o = sig[:hs], sig[hs:2 * hs], sig[3 * hs:]
             t = np.tanh(c_new)
             do = dh * t
             dc = dc_in + dh * o * (1.0 - t * t)
@@ -95,27 +119,117 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     return out_h, out_c
 
 
-def run_lstm(params: LSTMCellParams, xs: list[Tensor]) -> list[Tensor]:
-    """Run a sequence through one direction from zero states; returns
-    hidden states. A caller that needs the final cell state threads
-    (h, c) through :func:`lstm_cell` itself."""
-    hs = params.hidden_size
-    h = Tensor(np.zeros(hs))
-    c = Tensor(np.zeros(hs))
-    states = []
-    for x in xs:
-        h, c = lstm_cell(params, x, h, c)
-        states.append(h)
-    return states
+def lstm_sequence(cells: Sequence[LSTMCellParams], xs: Tensor,
+                  tail: Tensor | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Run one pass per cell over the rows of ``xs``, from zero states.
 
+    ``cells`` is a forward cell, optionally followed by a backward cell
+    that reads the rows last to first. Each step's input is one row of
+    ``xs`` followed by ``tail``, when given, at every step.
 
-def run_bilstm(fwd: LSTMCellParams, bwd: LSTMCellParams,
-               xs: list[Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    """Run both directions over the sequence from zero states.
-
-    Returns (forward_states, backward_states), both indexed by input
-    position, so ``backward_states[0]`` has consumed the whole sequence.
+    Returns the state matrix, one row per position holding each
+    direction's hidden state there side by side ([forward; backward]),
+    and each direction's end hidden state: the forward state at the last
+    row and the backward state at the first. One tape entry records the
+    whole pass.
     """
-    forward = run_lstm(fwd, xs)
-    backward = list(reversed(run_lstm(bwd, list(reversed(xs)))))
-    return forward, backward
+    if not 1 <= len(cells) <= 2:
+        raise ContractError(f"lstm_sequence: need one or two cells, got {len(cells)}")
+    if xs.values.ndim != 2:
+        raise DimensionError(f"lstm_sequence: need a matrix, got shape {xs.shape}")
+    if not xs.shape[0]:
+        raise ContractError("lstm_sequence: empty sequence")
+    x = xs.values
+    if tail is not None:
+        if tail.values.ndim != 1:
+            raise DimensionError(f"lstm_sequence: tail must be a vector, got shape {tail.shape}")
+        x = np.concatenate([x, np.broadcast_to(tail.values, (len(x), tail.size))], axis=1)
+    for cell in cells:
+        if cell.input_size != x.shape[1]:
+            raise DimensionError(f"lstm_sequence: step input has {x.shape[1]} entries, "
+                                 f"the cell expects {cell.input_size}")
+
+    inputs = [t for cell in cells for t in cell.tensors()] + [xs]
+    if tail is not None:
+        inputs.append(tail)
+    tape = _taping(*inputs)
+    passes, blocks, ends = [], [], []
+    for cell, order in zip(cells, _READING_ORDER):
+        hidden, kept = _unroll(cell, x[order], keep=tape is not None)   # in reading order
+        passes.append((hidden, kept))
+        blocks.append(hidden[order])
+        ends.append(Tensor(hidden[-1]))
+    states = Tensor(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+
+    if tape is not None:
+        def vjp(d_states, *d_ends):
+            deltas = []
+            dx = np.zeros_like(x)
+            col = 0
+            for cell, order, (hidden, kept), d_end in zip(cells, _READING_ORDER, passes, d_ends):
+                hs = cell.hidden_size
+                dh = (np.zeros_like(hidden) if d_states is None
+                      else d_states[order, col:col + hs])
+                col += hs
+                dz = _bptt(cell, kept, dh, d_end)
+                h_prev = np.concatenate([np.zeros_like(hidden[:1]), hidden[:-1]])
+                deltas += [dz.T.dot(x[order]), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
+                dx += dz.dot(cell.w_ih.values)[order]
+            width = xs.shape[1]
+            deltas.append(dx[:, :width])
+            if tail is not None:
+                deltas.append(np.add.reduce(dx[:, width:], axis=0))
+            return deltas
+
+        tape.record([states, *ends], inputs, vjp)
+    return states, ends
+
+
+def _unroll(cell: LSTMCellParams, rows: np.ndarray,
+            keep: bool) -> tuple[np.ndarray, tuple | None]:
+    """One direction over ``rows``: the hidden state after each row, and,
+    when ``keep``, the cell states, gates and candidates the vjp needs."""
+    h = c = np.zeros(cell.hidden_size, dtype=rows.dtype)     # _step writes into neither
+    hidden, cells, sigs, gs = [], [], [], []
+    for row in rows:
+        h, c, sig, g = _step(cell, row, h, c)
+        hidden.append(h)
+        if keep:
+            cells.append(c)
+            sigs.append(sig)
+            gs.append(g)
+    kept = (np.array(cells), np.array(sigs), np.array(gs)) if keep else None
+    return np.array(hidden), kept
+
+
+def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray,
+          d_end: np.ndarray | None) -> np.ndarray:
+    """Gradient of one pass's gate pre-activations, one row per step.
+
+    ``kept`` is what :func:`_unroll` kept, ``d_hidden`` the gradient of
+    each step's hidden state through the state matrix, and ``d_end``
+    that of the last step's through the end state.
+    """
+    c, sig, g = kept
+    steps, hs = c.shape
+    i, f, o = sig[:, :hs], sig[:, hs:2 * hs], sig[:, 3 * hs:]
+    tc = np.tanh(c)
+    c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
+    # Step-local factors: dz's i, f and g blocks are dc times by_dc,
+    # its o block is dh times by_dh, and dh adds dh * dc_by_dh to dc.
+    by_dc = np.stack([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)], axis=1)
+    by_dh = tc * o * (1 - o)
+    dc_by_dh = o * (1 - tc * tc)
+    w_hh_t = cell.w_hh.values.T
+    dz = np.empty((steps, 4 * hs), dtype=c.dtype)
+    carry = np.zeros(hs, dtype=c.dtype) if d_end is None else d_end
+    dc = np.zeros(hs, dtype=c.dtype)
+    for t in range(steps - 1, -1, -1):
+        dh = d_hidden[t] + carry
+        dc += dh * dc_by_dh[t]
+        row = dz[t]
+        np.multiply(by_dc[t], dc, out=row[:3 * hs].reshape(3, hs))
+        np.multiply(dh, by_dh[t], out=row[3 * hs:])
+        carry = w_hh_t.dot(row)
+        dc = dc * f[t]
+    return dz

@@ -366,10 +366,11 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a matrix; repeated indices accumulate gradient."""
     if m.values.ndim != 2:
         raise DimensionError(f"take_rows: need a matrix, got shape {m.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(m.values[idx])
+    out = Tensor(m.values.take(indices, axis=0))    # fancy indexing at half the cost
     tape = _taping(m)
     if tape is not None:
+        idx = np.asarray(indices, dtype=np.intp)
+
         def vjp(g):
             delta = np.zeros_like(m.values)
             np.add.at(delta, idx, g)
@@ -403,6 +404,28 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             return deltas
 
         tape.record((out,), parts, vjp)
+    return out
+
+
+def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Concatenate matrices along ``axis``: 0 stacks their rows, 1 sets
+    them side by side. The decoder assembles its attention memory with
+    it in one tape entry."""
+    parts = list(parts)
+    if not parts:
+        raise ContractError("_join: need at least one part")
+    if any(p.values.ndim != 2 for p in parts):
+        raise DimensionError(f"_join: need matrices, got shapes {[p.shape for p in parts]}")
+    try:
+        values = np.concatenate([p.values for p in parts], axis=axis)
+    except ValueError as err:
+        raise DimensionError(f"_join: shapes {[p.shape for p in parts]} do not "
+                             f"line up along axis {axis}") from err
+    out = Tensor(values)
+    tape = _taping(*parts)
+    if tape is not None:
+        bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
+        tape.record((out,), parts, lambda g: np.split(g, bounds, axis=axis))
     return out
 
 

@@ -44,7 +44,7 @@ from dialsql.grammar import (
     sql_to_ast,
 )
 from dialsql.nn import LSTMCellParams, Parameter, Tensor, grad_check, lstm_cell, \
-    ops, run_bilstm, set_precision
+    lstm_sequence, ops, set_precision
 
 from sampling import QuerySampler
 from test_decoder import GRAMMAR, MINI_SCHEMA, VOCAB, make_model
@@ -140,18 +140,17 @@ def _layer_checks(rng) -> float:
 
     check(lstm_loss, [cell.w_ih, cell.w_hh, cell.b, x1, x2])
 
-    # bidirectional encoder over a short sequence
+    # bidirectional encoder over a short sequence: one fused pass
     fwd = LSTMCellParams(param(8, 3), param(8, 2), param(8))
     bwd = LSTMCellParams(param(8, 3), param(8, 2), param(8))
-    xs = [param(3) for _ in range(4)]
+    xs = param(4, 3)
 
     def bilstm_loss():
-        f_states, b_states = run_bilstm(fwd, bwd, xs)
-        joined = ops.concat(f_states + b_states)
-        return ops.reduce_sum(ops.mul(joined, joined))
+        states, _ = lstm_sequence([fwd, bwd], xs)
+        return ops.reduce_sum(ops.mul(states, states))
 
     check(bilstm_loss, [fwd.w_ih, fwd.w_hh, fwd.b,
-                        bwd.w_ih, bwd.w_hh, bwd.b, *xs])
+                        bwd.w_ih, bwd.w_hh, bwd.b, xs])
 
     # attention: scores, softmax, context
     we, states, query = param(3, 4), param(5, 3), param(4)

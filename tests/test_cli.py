@@ -327,6 +327,26 @@ class TestConvert:
         assert f"{tables}: entry 0: {expected}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("column_names_original", [[-1, "*"], [0]],
+         "column_names_original pair 1 is [0], expected two values"),
+        ("foreign_keys", [[3, 1], [3]], "foreign_keys pair 1 is [3], expected two values"),
+    ])
+    def test_short_pair_names_file_entry_and_pair(self, tmp_path, capsys, field, value,
+                                                  expected):
+        dialogues, tables = public_release(tmp_path)
+        raw = json.loads(tables.read_text())
+        raw[0][field] = value
+        if field == "column_names_original":
+            raw[0]["column_types"] = ["text"] * len(value)
+        tables.write_text(json.dumps(raw))
+        code = main(["convert", "--dialogues", str(dialogues),
+                     "--tables", str(tables), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tables}: entry 0: {expected}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("which, entry, expected", [
         ("tables", {"table_names_original": []}, "missing key 'db_id'"),
         ("tables", "concert_singer", "expected an object"),

@@ -70,8 +70,7 @@ def encode_for(model, segments, precedent=None):
 
 class TestAttend:
     def test_zero_matrix_uniform(self):
-        states = [[Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])),
-                   Tensor(np.array([5.0, 6.0]))]]
+        states = [Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))]
         ctx = attention_context(states, ["a", "b", "c"])
         a, c = attend(ctx, Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))))
         np.testing.assert_allclose(a.values, 1 / 3)
@@ -79,8 +78,7 @@ class TestAttend:
 
     def test_gate_coefficient_masks_turn(self):
         rng = np.random.default_rng(0)
-        states = [[Tensor(rng.uniform(-1, 1, 2)) for _ in range(2)],
-                  [Tensor(rng.uniform(-1, 1, 2)) for _ in range(3)]]
+        states = [Tensor(rng.uniform(-1, 1, (2, 2))), Tensor(rng.uniform(-1, 1, (3, 2)))]
         gate = Tensor(np.array([0.0, 1.0]))
         ctx = attention_context(states, list("abcde"), gate_weights=gate)
         a, _ = attend(ctx, Tensor(rng.uniform(-1, 1, 3)),
@@ -90,8 +88,7 @@ class TestAttend:
 
     def test_distance_augmented_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
-        states = [[Tensor(rng.uniform(-1, 1, 2)) for _ in range(3)],
-                  [Tensor(rng.uniform(-1, 1, 2)) for _ in range(3)]]
+        states = [Tensor(rng.uniform(-1, 1, (3, 2))), Tensor(rng.uniform(-1, 1, (3, 2)))]
         dist_table = Tensor(rng.uniform(-1, 1, (3, 2)))
         w_e = Tensor(rng.uniform(-1, 1, (4, 3)))
         dec = Tensor(rng.uniform(-1, 1, 3))
@@ -101,8 +98,8 @@ class TestAttend:
 
         rows = []
         for seg, t in zip(states, [1, 0]):
-            for s in seg:
-                rows.append(np.concatenate([s.values, dist_table.values[t]]))
+            for s in seg.values:
+                rows.append(np.concatenate([s, dist_table.values[t]]))
         rows = np.array(rows)
         scores = rows @ w_e.values @ dec.values
         expect = np.exp(scores - scores.max())
@@ -112,15 +109,14 @@ class TestAttend:
 
     def test_renormalized_gate_weights(self):
         rng = np.random.default_rng(2)
-        states = [[Tensor(rng.uniform(-1, 1, 2))],
-                  [Tensor(rng.uniform(-1, 1, 2)) for _ in range(2)]]
+        states = [Tensor(rng.uniform(-1, 1, (1, 2))), Tensor(rng.uniform(-1, 1, (2, 2)))]
         gate = Tensor(np.array([0.3, 0.7]))
         ctx = attention_context(states, list("abc"), gate_weights=gate)
         dec = Tensor(rng.uniform(-1, 1, 2))
         w_e = Tensor(rng.uniform(-1, 1, (2, 2)))
         a, _ = attend(ctx, dec, w_e)
 
-        rows = np.array([s.values for seg in states for s in seg])
+        rows = np.concatenate([seg.values for seg in states])
         scores = rows @ w_e.values @ dec.values
         base = np.exp(scores - scores.max())
         base /= base.sum()
@@ -129,8 +125,27 @@ class TestAttend:
         np.testing.assert_allclose(a.values, weighted, atol=1e-12)
         assert abs(a.values.sum() - 1.0) < 1e-9
 
+    def test_memory_is_one_tape_entry_and_differentiable(self):
+        rng = np.random.default_rng(3)
+        states = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True),
+                  Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)]
+        dist_table = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+        w_e = Tensor(rng.uniform(-1, 1, (4, 3)))
+        dec = Tensor(rng.uniform(-1, 1, 3))
+        with Tape() as tape:
+            attention_context(states, list("abcde"))
+        assert len(tape) == 1
+
+        def loss():
+            ctx = attention_context(states, list("abcde"), distances=[1, 0],
+                                    distance_table=dist_table)
+            _, c = attend(ctx, dec, w_e)
+            return ops.reduce_sum(ops.mul(c, c))
+
+        assert grad_check(loss, [*states, dist_table]).max_rel_error < 1e-6
+
     def test_dimension_mismatch(self):
-        ctx = attention_context([[Tensor(np.zeros(2))]], ["a"])
+        ctx = attention_context([Tensor(np.zeros((1, 2)))], ["a"])
         with pytest.raises(ContractError):
             attend(ctx, Tensor(np.zeros(3)), Tensor(np.zeros((3, 3))))
 

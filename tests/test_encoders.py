@@ -64,41 +64,40 @@ class TestEncodeQuestion:
         rng = np.random.default_rng(0)
         fwd, bwd = make_params(rng, 5, 3), make_params(rng, 5, 3)
         xs = [rng.uniform(-1, 1, 5) for _ in range(3)]
-        enc = encode_question([Tensor(x) for x in xs], fwd, bwd)
+        enc = encode_question(Tensor(np.array(xs)), fwd, bwd)
         f_ref, b_ref = unroll_bi(fwd, bwd, xs)
         for k in range(3):
-            np.testing.assert_allclose(enc.states[k].values,
+            np.testing.assert_allclose(enc.states.values[k],
                                        np.concatenate([f_ref[k], b_ref[k]]), atol=1e-14)
         np.testing.assert_allclose(enc.question_vector.values,
                                    np.concatenate([b_ref[0], f_ref[-1]]), atol=1e-14)
-        np.testing.assert_allclose(enc.final_state.values, enc.states[-1].values)
+        np.testing.assert_allclose(enc.final_state.values, enc.states.values[-1])
 
     def test_single_token(self):
         rng = np.random.default_rng(1)
         fwd, bwd = make_params(rng, 4, 2), make_params(rng, 4, 2)
         x = rng.uniform(-1, 1, 4)
-        enc = encode_question([Tensor(x)], fwd, bwd)
-        assert len(enc.states) == 1
+        enc = encode_question(Tensor(x[None, :]), fwd, bwd)
+        assert enc.states.shape == (1, 4)
         f_ref, b_ref = unroll_bi(fwd, bwd, [x])
         np.testing.assert_allclose(enc.question_vector.values,
                                    np.concatenate([b_ref[0], f_ref[0]]), atol=1e-14)
 
     def test_zero_params_zero_states(self):
         fwd, bwd = zero_params(4, 2), zero_params(4, 2)
-        enc = encode_question([Tensor(np.ones(4)) for _ in range(3)], fwd, bwd)
-        for s in enc.states:
-            np.testing.assert_array_equal(s.values, 0.0)
+        enc = encode_question(Tensor(np.ones((3, 4))), fwd, bwd)
+        np.testing.assert_array_equal(enc.states.values, 0.0)
 
     def test_turn_vector_concatenated_in_both_directions(self):
         rng = np.random.default_rng(2)
         fwd, bwd = make_params(rng, 7, 3), make_params(rng, 7, 3)
         xs = [rng.uniform(-1, 1, 4) for _ in range(2)]
         tv = rng.uniform(-1, 1, 3)
-        enc = encode_question([Tensor(x) for x in xs], fwd, bwd, turn_vec=Tensor(tv))
+        enc = encode_question(Tensor(np.array(xs)), fwd, bwd, turn_vec=Tensor(tv))
         cat = [np.concatenate([x, tv]) for x in xs]
         f_ref, b_ref = unroll_bi(fwd, bwd, cat)
         for k in range(2):
-            np.testing.assert_allclose(enc.states[k].values,
+            np.testing.assert_allclose(enc.states.values[k],
                                        np.concatenate([f_ref[k], b_ref[k]]), atol=1e-14)
 
     def test_zero_turn_vector_with_zero_block_reduces_to_base(self):
@@ -110,27 +109,36 @@ class TestEncodeQuestion:
             p.w_ih.values[:, 4:] = 0.0
         base_fwd = LSTMCellParams(Tensor(fwd.w_ih.values[:, :4]), fwd.w_hh, fwd.b)
         base_bwd = LSTMCellParams(Tensor(bwd.w_ih.values[:, :4]), bwd.w_hh, bwd.b)
-        xs = [Tensor(rng.uniform(-1, 1, 4)) for _ in range(3)]
+        xs = Tensor(np.array([rng.uniform(-1, 1, 4) for _ in range(3)]))
         aug = encode_question(xs, fwd, bwd, turn_vec=Tensor(np.zeros(3)))
         plain = encode_question(xs, base_fwd, base_bwd)
-        for a, b in zip(aug.states, plain.states):
-            np.testing.assert_allclose(a.values, b.values, atol=1e-15)
+        np.testing.assert_allclose(aug.states.values, plain.states.values, atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         fwd, bwd = zero_params(4, 2), zero_params(4, 2)
         with pytest.raises(ContractError):
-            encode_question([], fwd, bwd)
+            encode_question(Tensor(np.zeros((0, 4))), fwd, bwd)
+
+    def test_one_pass_one_tape_entry(self):
+        # the fused pass, then the question vector's concat; the state
+        # matrix is the pass's own output
+        rng = np.random.default_rng(17)
+        fwd, bwd = make_params(rng, 5, 2), make_params(rng, 5, 2)
+        with Tape() as tape:
+            encode_question(Tensor(rng.uniform(-1, 1, (4, 3))), fwd, bwd,
+                            turn_vec=Tensor(rng.uniform(-1, 1, 2)))
+        assert len(tape) == 2
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         fwd, bwd = make_params(rng, 3, 2), make_params(rng, 3, 2)
-        xs = [Tensor(rng.uniform(-1, 1, 3), requires_grad=True) for _ in range(2)]
+        xs = Tensor(np.array([rng.uniform(-1, 1, 3) for _ in range(2)]), requires_grad=True)
 
         def loss():
             enc = encode_question(xs, fwd, bwd)
             return ops.reduce_sum(ops.tanh(enc.question_vector))
 
-        params = fwd.tensors() + bwd.tensors() + xs
+        params = fwd.tensors() + bwd.tensors() + [xs]
         assert grad_check(loss, params).max_rel_error < 1e-6
 
 
@@ -246,11 +254,11 @@ class TestActionAndNameEncoders:
         rng = np.random.default_rng(13)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
         xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        enc = encode_actions([Tensor(x) for x in xs], fwd, bwd)
+        enc = encode_actions(Tensor(np.array(xs)), fwd, bwd)
         f_ref, b_ref = unroll_bi(fwd, bwd, xs)
-        assert len(enc.states) == 3
+        assert enc.states.shape == (3, 6)
         for k in range(3):
-            np.testing.assert_allclose(enc.states[k].values,
+            np.testing.assert_allclose(enc.states.values[k],
                                        np.concatenate([f_ref[k], b_ref[k]]), atol=1e-14)
         np.testing.assert_allclose(enc.final_state.values,
                                    np.concatenate([f_ref[-1], b_ref[0]]), atol=1e-14)
@@ -258,15 +266,15 @@ class TestActionAndNameEncoders:
     def test_single_action(self):
         rng = np.random.default_rng(14)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
-        enc = encode_actions([Tensor(rng.uniform(-1, 1, 4))], fwd, bwd)
-        assert len(enc.states) == 1
-        np.testing.assert_allclose(enc.final_state.values, enc.states[0].values)
+        enc = encode_actions(Tensor(rng.uniform(-1, 1, (1, 4))), fwd, bwd)
+        assert enc.states.shape == (1, 6)
+        np.testing.assert_allclose(enc.final_state.values, enc.states.values[0])
 
     def test_encode_name_unidirectional(self):
         rng = np.random.default_rng(15)
         cell = make_params(rng, 4, 4)
         xs = [rng.uniform(-1, 1, 4) for _ in range(2)]
-        out = encode_name([Tensor(x) for x in xs], cell)
+        out = encode_name(Tensor(np.array(xs)), cell)
         h, c = np.zeros(4), np.zeros(4)
         for x in xs:
             h, c = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values, x, h, c)
@@ -275,16 +283,16 @@ class TestActionAndNameEncoders:
     def test_empty_inputs_rejected(self):
         cell = zero_params(3, 3)
         with pytest.raises(ContractError):
-            encode_name([], cell)
+            encode_name(Tensor(np.zeros((0, 3))), cell)
         with pytest.raises(ContractError):
-            encode_actions([], cell, cell)
+            encode_actions(Tensor(np.zeros((0, 3))), cell, cell)
 
     def test_gradients_through_final_state(self):
         rng = np.random.default_rng(16)
         fwd, bwd = make_params(rng, 3, 2), make_params(rng, 3, 2)
-        xs = [Tensor(rng.uniform(-1, 1, 3), requires_grad=True) for _ in range(3)]
+        xs = Tensor(np.array([rng.uniform(-1, 1, 3) for _ in range(3)]), requires_grad=True)
 
         def loss():
             return ops.reduce_sum(encode_actions(xs, fwd, bwd).final_state)
 
-        assert grad_check(loss, fwd.tensors() + bwd.tensors() + xs).max_rel_error < 1e-6
+        assert grad_check(loss, fwd.tensors() + bwd.tensors() + [xs]).max_rel_error < 1e-6

@@ -100,6 +100,28 @@ class TestFit:
         assert len(p.history_) == 1
         assert "ques_match" in p.history_[0]
 
+    def test_one_batch_encodes_each_schema_production_once(self, corpus, monkeypatch):
+        from dialsql import decoder
+
+        encode_name, embed = decoder.encode_name, decoder.ActionEmbedder.__call__
+        encoded, requested = [], []
+
+        def counting_encode_name(*args):
+            encoded.append(args)
+            return encode_name(*args)
+
+        def recording_embed(self, production):
+            if production.schema_specific:
+                requested.append(production)
+            return embed(self, production)
+
+        monkeypatch.setattr(decoder, "encode_name", counting_encode_name)
+        monkeypatch.setattr(decoder.ActionEmbedder, "__call__", recording_embed)
+        batch = len(corpus.supported_examples())
+        quick_parser(method="action_copy", epochs=1, batch_size=batch).fit(corpus)
+        assert len(requested) > len(set(requested))      # names recur within the batch
+        assert len(encoded) == len(set(requested))
+
     def test_eval_every_skips_epochs(self, corpus):
         p = quick_parser(epochs=3, target_ques_match=1.0, eval_every=2).fit(corpus)
         flags = ["ques_match" in r for r in p.history_]

@@ -1,8 +1,11 @@
-"""LSTM cell and sequence runners against an independent reference."""
+"""LSTM cell and fused sequence pass against an independent reference."""
 
 import numpy as np
+import pytest
 
 from dialsql.nn import (
+    ContractError,
+    DimensionError,
     LSTMCellParams,
     Parameter,
     Tape,
@@ -10,9 +13,9 @@ from dialsql.nn import (
     grad_check,
     init_uniform,
     lstm_cell,
+    lstm_sequence,
     ops,
-    run_bilstm,
-    run_lstm,
+    set_precision,
 )
 
 
@@ -36,6 +39,27 @@ def make_params(rng, input_size, hidden, prefix="lstm"):
     )
 
 
+def columns(states, lo, hi):
+    """Columns lo:hi of a state matrix, as a differentiable product."""
+    sel = np.zeros((states.shape[1], hi - lo))
+    sel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+    return ops.matmul(states, Tensor(sel))
+
+
+def cell_unroll(params, rows, tail=None):
+    """Hidden states of :func:`lstm_cell` stepped over ``rows`` from zero
+    states: the reference the fused pass must match bit for bit."""
+    h = Tensor(np.zeros(params.hidden_size))
+    c = Tensor(np.zeros(params.hidden_size))
+    states = []
+    for x in rows:
+        if tail is not None:
+            x = ops.concat([x, tail])
+        h, c = lstm_cell(params, x, h, c)
+        states.append(h)
+    return states
+
+
 class TestForward:
     def test_single_step_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -54,32 +78,35 @@ class TestForward:
     def test_sequence_matches_unrolled_reference(self):
         rng = np.random.default_rng(1)
         params = make_params(rng, 3, 5)
-        xs = [Tensor(rng.normal(size=3)) for _ in range(6)]
-        states = run_lstm(params, xs)
+        xs = Tensor(np.array([rng.normal(size=3) for _ in range(6)]))
+        states, (end,) = lstm_sequence([params], xs)
+        assert states.shape == (6, 5)
 
         h = np.zeros(5)
         c = np.zeros(5)
-        for x, got in zip(xs, states):
+        for x, got in zip(xs.values, states.values):
             h, c = reference_lstm_step(
-                params.w_ih.values, params.w_hh.values, params.b.values,
-                x.values, h, c)
-            np.testing.assert_allclose(got.values, h, atol=1e-14)
+                params.w_ih.values, params.w_hh.values, params.b.values, x, h, c)
+            np.testing.assert_allclose(got, h, atol=1e-14)
+        np.testing.assert_array_equal(end.values, states.values[-1])
 
     def test_bilstm_backward_direction_indexing(self):
         rng = np.random.default_rng(2)
         fwd = make_params(rng, 2, 3, "fwd")
         bwd = make_params(rng, 2, 3, "bwd")
-        xs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-        f_states, b_states = run_bilstm(fwd, bwd, xs)
-        assert len(f_states) == len(b_states) == 4
+        xs = Tensor(np.array([rng.normal(size=2) for _ in range(4)]))
+        states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs)
+        assert states.shape == (4, 6)
 
-        # backward_states[0] must equal a manual reverse run's last state
+        # the backward state at row 0 must equal a manual reverse run's last state
         h = np.zeros(3)
         c = np.zeros(3)
-        for x in reversed(xs):
+        for x in xs.values[::-1]:
             h, c = reference_lstm_step(
-                bwd.w_ih.values, bwd.w_hh.values, bwd.b.values, x.values, h, c)
-        np.testing.assert_allclose(b_states[0].values, h, atol=1e-14)
+                bwd.w_ih.values, bwd.w_hh.values, bwd.b.values, x, h, c)
+        np.testing.assert_allclose(states.values[0, 3:], h, atol=1e-14)
+        np.testing.assert_array_equal(b_end.values, states.values[0, 3:])
+        np.testing.assert_array_equal(f_end.values, states.values[-1, :3])
 
 
 class TestBackward:
@@ -104,41 +131,27 @@ class TestBackward:
     def test_sequence_gradients(self):
         rng = np.random.default_rng(4)
         params = make_params(rng, 2, 3)
-        xs = []
-        for _ in range(4):
-            x = Tensor(rng.normal(size=2))
-            x.requires_grad = True
-            xs.append(x)
+        xs = Tensor(np.array([rng.normal(size=2) for _ in range(4)]), requires_grad=True)
 
         def loss():
-            states = run_lstm(params, xs)
-            total = ops.reduce_sum(states[0])
-            for s in states[1:]:
-                total = ops.add(total, ops.reduce_sum(s))
-            return total
+            states, _ = lstm_sequence([params], xs)
+            return ops.reduce_sum(states)
 
-        res = grad_check(loss, params.tensors() + xs)
+        res = grad_check(loss, params.tensors() + [xs])
         assert res.max_rel_error < 1e-6, res
 
     def test_bilstm_gradients(self):
         rng = np.random.default_rng(5)
         fwd = make_params(rng, 2, 2, "fwd")
         bwd = make_params(rng, 2, 2, "bwd")
-        xs = []
-        for _ in range(3):
-            x = Tensor(rng.normal(size=2))
-            x.requires_grad = True
-            xs.append(x)
+        xs = Tensor(np.array([rng.normal(size=2) for _ in range(3)]), requires_grad=True)
 
         def loss():
-            f_states, b_states = run_bilstm(fwd, bwd, xs)
-            total = None
-            for f, b in zip(f_states, b_states):
-                term = ops.dot(f, b)
-                total = term if total is None else ops.add(total, term)
-            return total
+            states, _ = lstm_sequence([fwd, bwd], xs)
+            # sum over positions of forward . backward
+            return ops.reduce_sum(ops.mul(columns(states, 0, 2), columns(states, 2, 4)))
 
-        res = grad_check(loss, fwd.tensors() + bwd.tensors() + xs)
+        res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs])
         assert res.max_rel_error < 1e-6, res
 
     def test_no_tape_no_recording(self):
@@ -155,3 +168,130 @@ class TestBackward:
             lstm_cell(params, Tensor(rng.normal(size=2)),
                       Tensor(np.zeros(2)), Tensor(np.zeros(2)))
         assert len(tape) == 1
+
+
+class TestSequencePass:
+    def test_gradients_with_tail(self):
+        rng = np.random.default_rng(20)
+        fwd = make_params(rng, 5, 3, "fwd")
+        bwd = make_params(rng, 5, 3, "bwd")
+        xs = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        tail = Tensor(rng.normal(size=2), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 6)))
+
+        def loss():
+            states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            return ops.add(ops.reduce_sum(ops.mul(states, weights)),
+                           ops.dot(f_end, b_end))
+
+        res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs, tail])
+        assert res.max_rel_error < 1e-6, res
+
+    def test_gradients_through_end_states_only(self):
+        # The state matrix reaches no loss: the vjp gets None for it.
+        rng = np.random.default_rng(22)
+        fwd = make_params(rng, 4, 3, "fwd")
+        bwd = make_params(rng, 4, 3, "bwd")
+        xs = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        tail = Tensor(rng.normal(size=2), requires_grad=True)
+        weights = Tensor(rng.normal(size=3))
+
+        def loss():
+            _, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            return ops.add(ops.dot(f_end, weights), ops.reduce_sum(ops.mul(b_end, b_end)))
+
+        res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs, tail])
+        assert res.max_rel_error < 1e-6, res
+
+    def test_gradients_match_cell_unroll(self):
+        rng = np.random.default_rng(23)
+        fwd = make_params(rng, 5, 3, "fwd")
+        bwd = make_params(rng, 5, 3, "bwd")
+        xs = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        tail = Tensor(rng.normal(size=2), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 6)))
+        leaves = fwd.tensors() + bwd.tensors() + [xs, tail]
+
+        def grads(loss_fn):
+            for t in leaves:
+                t.grad = None
+            with Tape() as tape:
+                tape.backward(loss_fn())
+            return [t.grad.copy() for t in leaves]
+
+        def fused():
+            states, _ = lstm_sequence([fwd, bwd], xs, tail=tail)
+            return ops.reduce_sum(ops.mul(states, weights))
+
+        def unrolled():
+            rows = [ops.row(xs, k) for k in range(4)]
+            f = cell_unroll(fwd, rows, tail)
+            b = cell_unroll(bwd, rows[::-1], tail)[::-1]
+            states = ops.stack_rows([ops.concat([s, t]) for s, t in zip(f, b)])
+            return ops.reduce_sum(ops.mul(states, weights))
+
+        for got, want in zip(grads(fused), grads(unrolled)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    def test_equals_cell_unroll_bit_for_bit(self, bits, dtype):
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(24)
+            fwd = make_params(rng, 6, 4, "fwd")
+            bwd = make_params(rng, 6, 4, "bwd")
+            xs = Tensor(rng.normal(size=(5, 4)))
+            tail = Tensor(rng.normal(size=2))
+            states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            rows = [ops.row(xs, k) for k in range(5)]
+            f = cell_unroll(fwd, rows, tail)
+            b = cell_unroll(bwd, rows[::-1], tail)[::-1]
+        finally:
+            set_precision(64)
+        want = np.array([np.concatenate([s.values, t.values]) for s, t in zip(f, b)])
+        assert states.values.dtype == dtype
+        assert f_end.values.dtype == b_end.values.dtype == dtype
+        assert want.dtype == dtype
+        np.testing.assert_array_equal(states.values, want)
+        np.testing.assert_array_equal(f_end.values, f[-1].values)
+        np.testing.assert_array_equal(b_end.values, b[0].values)
+
+    def test_one_tape_entry_per_pass(self):
+        rng = np.random.default_rng(25)
+        fwd = make_params(rng, 3, 2, "fwd")
+        bwd = make_params(rng, 3, 2, "bwd")
+        xs = Tensor(rng.normal(size=(6, 3)))
+        with Tape() as tape:
+            lstm_sequence([fwd, bwd], xs)
+        assert len(tape) == 1
+        with Tape() as tape:
+            lstm_sequence([fwd], xs)
+        assert len(tape) == 1
+
+    def test_nothing_recorded_without_a_tape(self):
+        rng = np.random.default_rng(26)
+        cell = make_params(rng, 3, 2)
+        states, (end,) = lstm_sequence([cell], Tensor(rng.normal(size=(3, 3))))
+        assert states.requires_grad is False and end.requires_grad is False
+        with Tape() as tape:      # a tape, but no input requires a gradient
+            frozen = LSTMCellParams(*(Tensor(t.values) for t in cell.tensors()))
+            lstm_sequence([frozen], Tensor(rng.normal(size=(3, 3))))
+        assert len(tape) == 0
+
+    def test_rejects_empty_or_misshaped_input(self):
+        rng = np.random.default_rng(27)
+        cell = make_params(rng, 3, 2)
+        with pytest.raises(ContractError):
+            lstm_sequence([cell], Tensor(np.zeros((0, 3))))
+        with pytest.raises(DimensionError):
+            lstm_sequence([cell], Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            lstm_sequence([cell], Tensor(np.zeros((2, 4))))
+        with pytest.raises(DimensionError):
+            lstm_sequence([cell], Tensor(np.zeros((2, 2))), tail=Tensor(np.zeros((1, 1))))
+        with pytest.raises(DimensionError):
+            lstm_sequence([cell], Tensor(np.zeros((2, 2))), tail=Tensor(np.zeros(2)))
+        with pytest.raises(ContractError):
+            lstm_sequence([], Tensor(np.zeros((2, 3))))
+        with pytest.raises(ContractError):
+            lstm_sequence([cell, cell, cell], Tensor(np.zeros((2, 3))))

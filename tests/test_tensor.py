@@ -378,6 +378,26 @@ class TestFiniteDifferences:
         res = grad_check(loss, [a, b, m])
         assert res.max_rel_error < 1e-6
 
+    def test_join_rows_and_columns(self):
+        rng = np.random.default_rng(14)
+        a = leaf(rng.normal(size=(2, 3)))
+        b = leaf(rng.normal(size=(1, 3)))
+        c = leaf(rng.normal(size=(3, 2)))
+        weights = Tensor(rng.normal(size=(3, 5)))
+        rows = ops._join([a, b], 0)
+        np.testing.assert_array_equal(rows.values, np.vstack([a.values, b.values]))
+        with pytest.raises(DimensionError):
+            ops._join([a, c], 0)
+        with pytest.raises(DimensionError):
+            ops._join([a, Tensor(np.zeros(3))], 0)
+
+        def loss():
+            joined = ops._join([ops._join([a, b], 0), c], 1)
+            return ops.reduce_sum(ops.tanh(ops.mul(joined, weights)))
+
+        res = grad_check(loss, [a, b, c])
+        assert res.max_rel_error < 1e-6
+
     def test_scalar_scaling_ops(self):
         rng = np.random.default_rng(11)
         a = leaf(rng.normal(size=4))

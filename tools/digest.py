@@ -1,20 +1,28 @@
-"""Print one SHA-256 over the program's observable outputs at 64 bits.
+"""Print one SHA-256 per section of the program's observable outputs at
+64 bits, then one over all sections.
 
-A refactor that claims unchanged behaviour prints the same digest before
-and after. Run it once against each source tree and compare::
+A refactor that claims unchanged behaviour prints the same digests
+before and after; a change that moves only gradients by summation order
+changes the ``gradients`` line alone. Run it once against each source
+tree and compare::
 
     PYTHONPATH=<tree>/src python tools/digest.py
 
-It hashes, in order:
+The sections, in order:
 
-- the dialogues and schemas JSON of ``gen_synthetic`` for seeds 0-15,
-  and the same files again after a round trip through ``load_corpus``;
-- for all 14 configurations at dims 6/8/4, on every turn of four
-  synthetic dialogues: the teacher-forced loss, the gradient of every
-  parameter, and the greedy action sequence (``max_steps`` 60, each
-  dialogue decoded on the model's own previous predictions);
-- the bytes of every checkpoint in ``bench/models`` loaded and saved
-  again.
+- ``corpora``: the dialogues and schemas JSON of ``gen_synthetic`` for
+  seeds 0-15;
+- ``round_trip``: the same files again after a round trip through
+  ``load_corpus``;
+- ``losses``, ``gradients``, ``greedy``: for all 14 configurations at
+  dims 6/8/4, on every turn of four synthetic dialogues, the
+  teacher-forced loss, the gradient of every parameter, and the greedy
+  action sequence (``max_steps`` 60, each dialogue decoded on the
+  model's own previous predictions);
+- ``checkpoints``: the bytes of every checkpoint in ``bench/models``
+  loaded and saved again.
+
+``total`` hashes the section digests in that order.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from dialsql.nn import Tape, set_precision
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "bench" / "models"
 DIMS = {"embedding": 6, "hidden": 8, "distance": 4}
+SECTIONS = ("corpora", "round_trip", "losses", "gradients", "greedy", "checkpoints")
 
 
 def _corpus_bytes(corpus, tmp: Path) -> bytes:
@@ -46,19 +55,20 @@ def _corpus_bytes(corpus, tmp: Path) -> bytes:
     return (tmp / "dialogues.json").read_bytes() + (tmp / "schemas.json").read_bytes()
 
 
-def corpora(h, tmp: Path) -> None:
+def corpora(h: dict, tmp: Path) -> None:
     for seed in range(16):
-        h.update(_corpus_bytes(gen_synthetic(seed=seed), tmp))
+        h["corpora"].update(_corpus_bytes(gen_synthetic(seed=seed), tmp))
         reread = load_corpus(tmp / "dialogues.json", tmp / "schemas.json")
-        h.update(_corpus_bytes(reread, tmp))
+        h["round_trip"].update(_corpus_bytes(reread, tmp))
 
 
-def models(h) -> None:
+def models(h: dict) -> None:
     corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=4)
     vocab = build_vocab(corpus)
     grammars = {db: build_grammar(s) for db, s in corpus.schemas.items()}
     for method in method_names():
-        h.update(method.encode())
+        for name in ("losses", "gradients", "greedy"):
+            h[name].update(method.encode())
         model = build_model(method_config(method, h=2, dims=DIMS), vocab, seed=0)
         params = model.parameters()
         for dialogue in corpus.dialogues:
@@ -74,9 +84,9 @@ def models(h) -> None:
                     loss = teacher_forced_loss(model, encoded, grammar,
                                                list(ex.gold_actions))
                     tape.backward(loss)
-                h.update(loss.values.tobytes())
+                h["losses"].update(loss.values.tobytes())
                 for p in params:      # None: the parameter took no part
-                    h.update(b"-" if p.grad is None else p.grad.tobytes())
+                    h["gradients"].update(b"-" if p.grad is None else p.grad.tobytes())
 
                 inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
                                         gold_mode=False, predictions=own)
@@ -84,27 +94,32 @@ def models(h) -> None:
                                       inputs.precedent)
                 result = greedy_parse(model, encoded, grammar, max_steps=60)
                 own[ex.turn_index] = result.actions if result.complete else None
-                h.update(f"{result.complete} {result.steps}\n".encode())
-                h.update(format_actions(result.actions).encode())
+                h["greedy"].update(f"{result.complete} {result.steps}\n".encode())
+                h["greedy"].update(format_actions(result.actions).encode())
 
 
-def checkpoints(h, tmp: Path) -> None:
+def checkpoints(h: dict, tmp: Path) -> None:
     for path in sorted(MODEL_DIR.glob("*.json")):
         if path.name in ("manifest.json", "expected_decode.json"):
             continue
-        h.update(path.name.encode())
+        h["checkpoints"].update(path.name.encode())
         save_checkpoint(load_checkpoint(path), tmp / "resaved.json")
-        h.update((tmp / "resaved.json").read_bytes())
+        h["checkpoints"].update((tmp / "resaved.json").read_bytes())
 
 
 def main() -> None:
     set_precision(64)
-    h = hashlib.sha256()
+    h = {name: hashlib.sha256() for name in SECTIONS}
     with tempfile.TemporaryDirectory() as tmp:
         corpora(h, Path(tmp))
         models(h)
         checkpoints(h, Path(tmp))
-    print(h.hexdigest())
+    total = hashlib.sha256()
+    for name in SECTIONS:
+        digest = h[name].hexdigest()
+        total.update(digest.encode())
+        print(f"{name:<12} {digest}")
+    print(f"{'total':<12} {total.hexdigest()}")
 
 
 if __name__ == "__main__":
