@@ -223,6 +223,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     corpus = apply_annotations(corpus, load_annotations(args.annotations))
     predictions = read_predictions(args.predictions, corpus)
     report = compute_metrics(predictions, corpus)
+    if not report.per_phenomenon:
+        raise ContractError(f"{args.annotations}: no scored turn carries a phenomenon label")
     for path in _write_reports(report, Path(args.out)):
         logger.info("wrote %s", path)
     print("phenomenon breakdown:")

@@ -30,7 +30,6 @@ __all__ = [
     "FINE_LABELS",
     "exact_set_match",
     "compute_metrics",
-    "phenomenon_breakdown",
     "load_annotations",
     "apply_annotations",
     "emit_report",
@@ -133,15 +132,6 @@ def compute_metrics(predictions: dict[tuple[str, int], AST | None],
 
     return MetricsReport(ques, CellStat(int_matched, int_total), turn_match,
                          _phenomenon_cells(matches, corpus))
-
-
-def phenomenon_breakdown(predictions: dict[tuple[str, int], AST | None],
-                         corpus: Corpus) -> dict[str, CellStat]:
-    """Per-fine-label accuracy over the annotated examples."""
-    cells = _phenomenon_cells(_matches(predictions, corpus), corpus)
-    if not cells:
-        raise ContractError("no labeled examples to break down")
-    return cells
 
 
 def _phenomenon_cells(matches: dict[tuple[str, int], bool],

@@ -112,7 +112,7 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
             dzg = dg * (1.0 - g * g)
             dzo = do * o * (1.0 - o)
             dz = np.concatenate([dzi, dzf, dzg, dzo])
-            return (np.outer(dz, x.values), np.outer(dz, h.values), dz,
+            return (dz[:, None] * x.values, dz[:, None] * h.values, dz,
                     params.w_ih.values.T.dot(dz), params.w_hh.values.T.dot(dz), dc_prev)
 
         tape.record((out_h, out_c), inputs, vjp)

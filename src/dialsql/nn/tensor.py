@@ -11,7 +11,15 @@ An operation's backward is a vector-Jacobian product (vjp): it takes
 the gradient of each output and returns one delta per input, in input
 order. It reads only values, never gradients, and writes nothing: the
 tape alone decides which entries run and adds each delta to the inputs
-that require a gradient.
+that require a gradient. A tensor's first delta is adopted as an owned
+copy; later ones are added to it.
+
+Three fused operations record a whole decoder composite as one entry:
+:func:`attention` (bilinear scores, softmax, optional gate rescaling,
+context), :func:`mixture` (generation softmax, masked copy softmax,
+sigmoid gate, mix) and :func:`nll` (a turn's summed negative
+log-likelihood). Their forward values equal those of the unfused ops
+bit for bit; their gradients differ only by summation order.
 """
 
 from __future__ import annotations
@@ -107,8 +115,13 @@ class Tensor:
 
     def accumulate_grad(self, delta: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += delta
+            # The first delta is adopted as an owned copy: deltas may be
+            # views of another tensor's gradient (``add`` passes one
+            # array to both inputs; ``concat`` and the stacking ops hand
+            # out slices), and a later ``+=`` must not write through.
+            self.grad = np.array(delta, dtype=self.values.dtype)
+        else:
+            self.grad += delta
 
     def zero_grad(self) -> None:
         if self.grad is None:
@@ -189,14 +202,18 @@ class Tape:
         if loss.shape != ():
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
         loss.accumulate_grad(np.asarray(1.0, dtype=loss.values.dtype))
+        skipped = []
         for outputs, inputs, vjp in reversed(self._entries):
             grads = [out.grad for out in outputs]
             if all(g is None for g in grads):
-                continue                    # no path from here to the loss
+                skipped.append(inputs)      # no path from here to the loss
+                continue
             for t, delta in zip(inputs, vjp(*grads)):
                 if t.requires_grad:
                     t.accumulate_grad(delta)
-        for _outputs, inputs, _vjp in self._entries:
+        # Every input of an entry that ran got a delta, so only the
+        # inputs of skipped entries can still lack a gradient.
+        for inputs in skipped:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
@@ -292,13 +309,16 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     """Overflow-free: 1 / (1 + exp(-v)) for v >= 0, exp(v) / (1 + exp(v))
     below, both from e = exp(-|v|) <= 1."""
-    v = a.values
     e = np.exp(-np.abs(v))
     d = 1.0 + e
-    out = Tensor(np.where(v >= 0, 1.0 / d, e / d))
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(_sigmoid_values(a.values))
     tape = _taping(a)
     if tape is not None:
         tape.record((out,), (a,), lambda g: (g * out.values * (1.0 - out.values),))
@@ -394,16 +414,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(values)
     tape = _taping(*parts)
     if tape is not None:
-        def vjp(g):
-            # Bounds from a running offset: cheaper than np.cumsum at these sizes.
-            deltas, lo = [], 0
-            for p in parts:
-                hi = lo + p.size
-                deltas.append(g[lo:hi])
-                lo = hi
-            return deltas
-
-        tape.record((out,), parts, vjp)
+        tape.record((out,), parts, lambda g: _split(g, parts))
     return out
 
 
@@ -514,9 +525,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if an == 2 and bn == 2:
                 return g.dot(b.values.T), a.values.T.dot(g)
             if an == 2:
-                return np.outer(g, b.values), a.values.T.dot(g)
+                return g[:, None] * b.values, a.values.T.dot(g)
             if bn == 2:
-                return b.values.dot(g), np.outer(a.values, g)
+                return b.values.dot(g), a.values[:, None] * g
             return g * b.values, g * a.values
 
         tape.record((out,), (a, b), vjp)
@@ -527,25 +538,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # softmax
 
 
+def _softmax_values(v: np.ndarray) -> np.ndarray:
+    """Shift-stabilized softmax of a score vector, all positions admissible."""
+    if v.ndim != 1:
+        raise DimensionError(f"softmax: need a vector, got shape {v.shape}")
+    if not v.size:
+        raise InvalidMaskError("softmax: no position to normalize over")
+    if not np.logical_and.reduce(np.isfinite(v)):
+        raise NumericError("softmax: non-finite score")
+    weights = np.exp(v - np.maximum.reduce(v))
+    return weights / np.add.reduce(weights)
+
+
+def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
+    """Shift-stabilized softmax over the positions ``mask`` admits;
+    the others get probability exactly 0."""
+    if v.ndim != 1:
+        raise DimensionError(f"softmax_masked: need a vector, got shape {v.shape}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != v.shape:
+        raise DimensionError(f"softmax_masked: mask shape {mask.shape} vs scores {v.shape}")
+    if not mask.any():
+        raise InvalidMaskError("softmax_masked: mask admits no position")
+    if not np.isfinite(v[mask]).all():
+        raise NumericError("softmax_masked: non-finite score at an unmasked position")
+    shifted = v - v[mask].max()
+    weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
+    return weights / weights.sum()
+
+
+def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Scores delta of a (masked) softmax with output ``probs``."""
+    return probs * (g - np.dot(probs, g))
+
+
 def softmax_masked(scores: Tensor, mask: Sequence[bool] | np.ndarray) -> Tensor:
     """Shift-stabilized softmax over the unmasked positions.
 
     Masked positions get probability exactly 0. Raises
     :class:`InvalidMaskError` when no position is admissible.
     """
-    if scores.values.ndim != 1:
-        raise DimensionError(f"softmax_masked: need a vector, got shape {scores.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise DimensionError(f"softmax_masked: mask shape {mask.shape} vs scores {scores.shape}")
-    if not mask.any():
-        raise InvalidMaskError("softmax_masked: mask admits no position")
-    if not np.isfinite(scores.values[mask]).all():
-        raise NumericError("softmax_masked: non-finite score at an unmasked position")
-
-    shifted = scores.values - scores.values[mask].max()
-    weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    return _softmax_result(scores, weights / weights.sum())
+    return _softmax_result(scores, _masked_softmax_values(scores.values, mask))
 
 
 def softmax(scores: Tensor) -> Tensor:
@@ -554,20 +587,178 @@ def softmax(scores: Tensor) -> Tensor:
     Equal bit for bit to :func:`softmax_masked` under an all-true mask,
     without building or applying the mask.
     """
-    if scores.values.ndim != 1:
-        raise DimensionError(f"softmax: need a vector, got shape {scores.shape}")
-    if not scores.size:
-        raise InvalidMaskError("softmax: no position to normalize over")
-    v = scores.values
-    if not np.logical_and.reduce(np.isfinite(v)):
-        raise NumericError("softmax: non-finite score")
-    weights = np.exp(v - np.maximum.reduce(v))
-    return _softmax_result(scores, weights / np.add.reduce(weights))
+    return _softmax_result(scores, _softmax_values(scores.values))
 
 
 def _softmax_result(scores: Tensor, probs: np.ndarray) -> Tensor:
     out = Tensor(probs)
     tape = _taping(scores)
     if tape is not None:
-        tape.record((out,), (scores,), lambda g: (out.values * (g - np.dot(out.values, g)),))
+        tape.record((out,), (scores,), lambda g: (_softmax_vjp(out.values, g),))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused decoder-step operations
+
+
+def attention(memory: Tensor, w_e: Tensor, h: Tensor,
+              coeffs: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """Bilinear attention as one tape entry; returns (weights, context).
+
+    ``scores = memory · (w_e · h)`` and ``weights = softmax(scores)``.
+    Per-row ``coeffs``, when given, rescale the weights, which are then
+    renormalized. The context is ``memoryᵀ · weights``, read through a
+    transposed view of the memory. Either output may be left off the
+    loss's path.
+    """
+    m = memory.values
+    if m.ndim != 2 or h.values.ndim != 1 or w_e.shape != (m.shape[1], h.shape[0]):
+        raise DimensionError(f"attention: memory {memory.shape}, matrix {w_e.shape} "
+                             f"and query {h.shape} do not line up")
+    if coeffs is not None and coeffs.shape != (m.shape[0],):
+        raise DimensionError(f"attention: {coeffs.shape} coefficients for "
+                             f"{m.shape[0]} memory rows")
+    u = w_e.values.dot(h.values)
+    base = _softmax_values(m.dot(u))
+    if coeffs is None:
+        weights = base
+    else:
+        weighted = base * coeffs.values
+        total = np.add.reduce(weighted, axis=None)
+        weights = weighted / total
+    out_a = Tensor(weights)
+    out_c = Tensor(m.T.dot(weights))
+
+    inputs = (memory, w_e, h) if coeffs is None else (memory, w_e, h, coeffs)
+    tape = _taping(*inputs)
+    if tape is not None:
+        def vjp(ga, gc):
+            if gc is None:
+                da = ga
+            else:
+                da = m.dot(gc) if ga is None else ga + m.dot(gc)
+            dbase = da
+            deltas = []
+            if coeffs is not None:
+                # The quotient rule in the order the unfused ops summed
+                # it: d(w / S) then the sum's broadcast delta.
+                dweighted = da / total + (-np.sum(da * weighted) / (total * total))
+                dbase = dweighted * coeffs.values
+                deltas.append(dweighted * base)
+            ds = _softmax_vjp(base, dbase)
+            du = m.T.dot(ds)
+            dm = ds[:, None] * u
+            if gc is not None:
+                dm += weights[:, None] * gc
+            return (dm, du[:, None] * h.values, w_e.values.T.dot(du), *deltas)
+
+        tape.record((out_a, out_c), inputs, vjp)
+    return out_a, out_c
+
+
+def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
+            copy_mask=None, copy_agg: np.ndarray | None = None,
+            gate: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
+    """The decoder's output distribution as one tape entry.
+
+    Returns ``(probs, gen_probs, copy_probs, p_copy)``. ``gen_probs`` is
+    the softmax over the concatenated ``logits`` parts (productions,
+    then subtrees). Without copy inputs it is also ``probs``, and the
+    copy outputs are None. With them, a softmax over ``copy_scores``
+    restricted to ``copy_mask`` is summed onto the support by the 0/1
+    matrix ``copy_agg`` into ``copy_probs``; ``p_copy = sigmoid(gate)``
+    and ``probs = p_copy · copy_probs + (1 - p_copy) · gen_probs``.
+    """
+    parts = list(logits)
+    if not parts:
+        raise ContractError("mixture: need at least one logits part")
+    if any(p.values.ndim != 1 for p in parts):
+        raise DimensionError(f"mixture: need logit vectors, got shapes {[p.shape for p in parts]}")
+    v = parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts])
+    gen = _softmax_values(v)
+    out_gen = Tensor(gen)
+
+    if copy_scores is None:
+        if not (copy_mask is None and copy_agg is None and gate is None):
+            raise ContractError("mixture: copy inputs need copy scores")
+        tape = _taping(*parts)
+        if tape is not None:
+            tape.record((out_gen,), parts, lambda g: _split(_softmax_vjp(gen, g), parts))
+        return out_gen, out_gen, None, None
+
+    if copy_mask is None or copy_agg is None or gate is None:
+        raise ContractError("mixture: copy scores need a mask, an aggregation and a gate")
+    if copy_agg.shape != (v.size, copy_scores.size) or gate.shape != ():
+        raise DimensionError(f"mixture: aggregation {copy_agg.shape} for {v.size} "
+                             f"candidates and {copy_scores.size} copy scores, gate {gate.shape}")
+    pos = _masked_softmax_values(copy_scores.values, copy_mask)
+    copy = copy_agg.dot(pos)
+    p = _sigmoid_values(gate.values)
+    q = -1.0 * p + 1.0
+    out_probs = Tensor(copy * p + gen * q)
+    out_copy = Tensor(copy)
+    out_p = Tensor(p)
+
+    inputs = (*parts, copy_scores, gate)
+    tape = _taping(*inputs)
+    if tape is not None:
+        def vjp(g, g_gen, g_copy, g_p):
+            if g is None:
+                g = np.zeros_like(out_probs.values)
+            dgen = g * q
+            dcopy = g * p
+            dp = np.sum(g * copy) - np.sum(g * gen)
+            if g_gen is not None:
+                dgen += g_gen
+            if g_copy is not None:
+                dcopy += g_copy
+            if g_p is not None:
+                dp += g_p
+            dpos = copy_agg.T.dot(dcopy)
+            return (*_split(_softmax_vjp(gen, dgen), parts),
+                    _softmax_vjp(pos, dpos), dp * p * (1.0 - p))
+
+        tape.record((out_probs, out_gen, out_copy, out_p), inputs, vjp)
+    return out_probs, out_gen, out_copy, out_p
+
+
+def _split(g: np.ndarray, parts: list[Tensor]) -> list[np.ndarray]:
+    """Slices of the vector ``g``, one per concatenated part. Bounds come
+    from a running offset: cheaper than np.cumsum at these sizes."""
+    if len(parts) == 1:
+        return [g]
+    deltas, lo = [], 0
+    for p in parts:
+        hi = lo + p.size
+        deltas.append(g[lo:hi])
+        lo = hi
+    return deltas
+
+
+def nll(probs: Sequence[Tensor], targets: Sequence[int]) -> Tensor:
+    """Summed negative log-likelihood ``-Σ_k log probs[k][targets[k]]``
+    as one tape entry; the terms are added left to right."""
+    probs = list(probs)
+    targets = list(targets)
+    if not probs or len(probs) != len(targets):
+        raise ContractError(f"nll: {len(probs)} distributions for {len(targets)} targets")
+    total = None
+    for p, t in zip(probs, targets):
+        if p.values.ndim != 1:
+            raise DimensionError(f"nll: need probability vectors, got shape {p.shape}")
+        term = 0.0 - np.log(p.values[t])
+        total = term if total is None else total + term
+    out = Tensor(total)
+    tape = _taping(*probs)
+    if tape is not None:
+        def vjp(g):
+            deltas = []
+            for p, t in zip(probs, targets):
+                delta = np.zeros_like(p.values)
+                delta[t] = -g / p.values[t]
+                deltas.append(delta)
+            return deltas
+
+        tape.record((out,), probs, vjp)
     return out

@@ -152,18 +152,16 @@ def _layer_checks(rng) -> float:
     check(bilstm_loss, [fwd.w_ih, fwd.w_hh, fwd.b,
                         bwd.w_ih, bwd.w_hh, bwd.b, xs])
 
-    # attention: scores, softmax, context
+    # attention: scores, softmax, context, one fused entry
     we, states, query = param(3, 4), param(5, 3), param(4)
 
     def attend_loss():
-        scores = ops.matmul(states, ops.matmul(we, query))
-        weights = ops.softmax(scores)
-        ctx = ops.matmul(ops.transpose(states), weights)
+        _, ctx = ops.attention(states, we, query)
         return ops.reduce_sum(ops.mul(ctx, ctx))
 
     check(attend_loss, [we, states, query])
 
-    # copy mixture: masked softmax, aggregation, sigmoid gate
+    # copy mixture: masked softmax, aggregation, sigmoid gate, one fused entry
     wl, h, mem = param(4), param(4), param(6, 4)
     agg = np.zeros((3, 6))
     for m in range(6):
@@ -171,13 +169,10 @@ def _layer_checks(rng) -> float:
     gen = param(3)
 
     def copy_loss():
-        pos = ops.softmax_masked(ops.matmul(mem, wl), [True, False, True,
-                                                       True, True, False])
-        copy = ops.matmul(Tensor(agg), pos)
-        p = ops.sigmoid(ops.dot(wl, h))
-        mixed = ops.add(ops.scale_by(copy, p),
-                        ops.scale_by(ops.softmax(gen), ops.affine(p, -1.0, 1.0)))
-        return ops.neg(ops.log(ops.pick(mixed, 1)))
+        mixed, _, _, _ = ops.mixture([gen], copy_scores=ops.matmul(mem, wl),
+                                     copy_mask=[True, False, True, True, True, False],
+                                     copy_agg=agg, gate=ops.dot(wl, h))
+        return ops.nll([mixed], [1])
 
     check(copy_loss, [wl, h, mem, gen])
 
@@ -190,7 +185,8 @@ def _layer_checks(rng) -> float:
         link = ops.add(ops.add(ops.scale_by(exact, w_exact),
                                ops.scale_by(partial, w_partial)),
                        ops.matmul(toks, ops.transpose(rules)))
-        return ops.neg(ops.log(ops.pick(ops.softmax(ops.matmul(a, link)), 0)))
+        probs, _, _, _ = ops.mixture([ops.matmul(a, link)])
+        return ops.nll([probs], [0])
 
     check(linking_loss, [w_exact, w_partial, toks, rules, a])
 
@@ -199,7 +195,8 @@ def _layer_checks(rng) -> float:
 
     def tree_loss():
         logits = ops.matmul(phis, ops.matmul(hvec, wt))
-        return ops.neg(ops.log(ops.pick(ops.softmax(ops.concat([gen, logits])), 3)))
+        probs, _, _, _ = ops.mixture([gen, logits])
+        return ops.nll([probs], [3])
 
     check(tree_loss, [wt, hvec, phis, gen])
     return worst

@@ -387,6 +387,21 @@ class TestAnalyze:
         assert set(report.per_phenomenon) == {"continuation", "one_anaphora"}
         assert "phenomenon breakdown" in capsys.readouterr().out
 
+    def test_no_labelled_turn_exits_1(self, data_args, checkpoint, tmp_path, capsys):
+        pred = tmp_path / "pred.tsv"
+        main(["predict", *data_args, "--checkpoint", str(checkpoint),
+              "--out", str(pred)])
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text("{}")
+        out = tmp_path / "pheno"
+        code = main(["analyze", *data_args, "--predictions", str(pred),
+                     "--annotations", str(ann_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{ann_path}: no scored turn carries a phenomenon label" in err
+        assert "Traceback" not in err
+        assert not out.with_suffix(".csv").exists()
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):

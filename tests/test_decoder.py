@@ -419,6 +419,52 @@ class TestOutputDistribution:
         assert all(isinstance(c, Production) for c in dist.support)
 
 
+class TestPerTurnConstants:
+    """What every step of a turn shares is built once per turn, and a
+    teacher-forced step costs a handful of tape entries."""
+
+    TOKENS = ["show", "alpha", "of", "t1"]
+    GOLD = "SELECT alpha, beta FROM t1"
+
+    def test_link_product_and_token_gather_recorded_once_per_turn(self, monkeypatch):
+        model = make_model("none", seed=2)
+        gold = list(actions_for(self.GOLD))
+        schema_steps = sum(a.lhs in (NonTerminal.COL, NonTerminal.TAB) for a in gold)
+        assert schema_steps == 4
+        gathers, products = [], []
+        real_embed, real_matmul = decoder._embed_tokens, ops.matmul
+
+        def embed(m, tokens):
+            out = real_embed(m, tokens)
+            if tokens == self.TOKENS:       # not a schema name's tokens
+                gathers.append(out)
+            return out
+
+        def matmul(a, b):
+            if any(a is g for g in gathers):
+                products.append(b.shape)
+            return real_matmul(a, b)
+
+        with Tape():
+            enc = encode_for(model, [self.TOKENS])
+            monkeypatch.setattr(decoder, "_embed_tokens", embed)
+            monkeypatch.setattr(ops, "matmul", matmul)
+            teacher_forced_loss(model, enc, GRAMMAR, gold)
+        # One gather of the question tokens' word embeddings for the
+        # turn, and one token-rule product per schema frontier kind.
+        assert len(gathers) == 1 and gathers[0].requires_grad
+        assert sorted(products) == [(3, 2), (3, 3)]     # tables, columns
+
+    def test_tape_entries_per_step_for_none(self):
+        model = make_model("none", seed=2)
+        gold = list(actions_for(self.GOLD))
+        with Tape() as tape:
+            enc = encode_for(model, [self.TOKENS])
+            encoder_entries = len(tape)
+            teacher_forced_loss(model, enc, GRAMMAR, gold)
+        assert (len(tape) - encoder_entries) / len(gold) <= 12.0
+
+
 class TestGreedyParse:
     def test_zero_params_first_production_everywhere(self):
         model = make_model("none", seed=14)

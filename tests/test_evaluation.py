@@ -18,7 +18,6 @@ from dialsql.evaluation import (
     emit_report,
     exact_set_match,
     load_annotations,
-    phenomenon_breakdown,
     read_report,
     report_schema,
 )
@@ -258,26 +257,26 @@ class TestPhenomenonBreakdown:
                               "d1": ["SELECT alpha FROM t2"]}, labels)
         predictions = gold_predictions(corpus)
         predictions[("d1", 1)] = None
-        breakdown = phenomenon_breakdown(predictions, corpus)
+        breakdown = compute_metrics(predictions, corpus).per_phenomenon
         assert breakdown == {"context_independent": CellStat(1, 1),
                              "demonstrative_pronoun": CellStat(1, 2)}
 
     def test_single_wrong_label(self):
         corpus = make_corpus({"d0": ["SELECT alpha FROM t1"]},
                              {("d0", 1): "one_anaphora"})
-        breakdown = phenomenon_breakdown({("d0", 1): None}, corpus)
+        breakdown = compute_metrics({("d0", 1): None}, corpus).per_phenomenon
         assert breakdown == {"one_anaphora": CellStat(0, 1)}
 
     def test_unknown_label_rejected(self):
         corpus = make_corpus({"d0": ["SELECT alpha FROM t1"]},
                              {("d0", 1): "sarcasm"})
         with pytest.raises(DataError, match="sarcasm"):
-            phenomenon_breakdown(gold_predictions(corpus), corpus)
+            compute_metrics(gold_predictions(corpus), corpus)
 
-    def test_no_labels_rejected(self):
+    def test_no_labels_empty_breakdown(self):
+        # The analyze command rejects this case (tests/test_cli.py).
         corpus = make_corpus({"d0": ["SELECT alpha FROM t1"]})
-        with pytest.raises(ContractError):
-            phenomenon_breakdown(gold_predictions(corpus), corpus)
+        assert compute_metrics(gold_predictions(corpus), corpus).per_phenomenon == {}
 
     def test_metrics_include_breakdown_when_labeled(self):
         corpus = make_corpus({"d0": ["SELECT alpha FROM t1"]},

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dialsql.nn import (
+    ContractError,
     InvalidMaskError,
     DimensionError,
     LSTMCellParams,
@@ -146,7 +147,10 @@ class TestFastPaths:
                 ops.pick(x, 0), ops.row(m, 1), ops.take_rows(m, [0, 0]),
                 ops.concat([x, x]), ops.stack_scalars([s, s]), ops.stack_rows([x, x]),
                 ops.expand_by_counts(x, [1, 2]), ops.transpose(m),
-                ops.matmul(m, x), ops.softmax(x), ops.softmax_masked(x, [True, False])]
+                ops.matmul(m, x), ops.softmax(x), ops.softmax_masked(x, [True, False]),
+                ops.attention(m, m, x, x)[1],
+                ops.mixture([x], x, [True, False], np.eye(2), s)[0],
+                ops.nll([x], [0])]
         return outs
 
     def test_every_op_covers_every_public_op(self, monkeypatch):
@@ -431,3 +435,143 @@ class TestFiniteDifferences:
             k = int(rng.integers(n_out))
             res = grad_check(lambda: _composition(x, w, b, k), [x, w, b])
             assert res.max_rel_error < 1e-5, f"trial {trial}: {res}"
+
+
+class TestFusedOps:
+    """The decoder step's fused entries: finite differences, and forward
+    values equal to the unfused ops they replace, bit for bit."""
+
+    @staticmethod
+    def _attention_inputs(rng, gated):
+        memory = leaf(rng.normal(size=(5, 3)))
+        w_e = leaf(rng.normal(size=(3, 4)))
+        h = leaf(rng.normal(size=4))
+        coeffs = leaf(rng.uniform(0.1, 1.0, size=5)) if gated else None
+        return memory, w_e, h, coeffs
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("reached", ["weights", "context", "both"])
+    def test_attention_gradients(self, gated, reached):
+        rng = np.random.default_rng(20 + gated)
+        memory, w_e, h, coeffs = self._attention_inputs(rng, gated)
+        ua, uc = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=3))
+
+        def loss():
+            a, c = ops.attention(memory, w_e, h, coeffs)
+            if reached == "weights":
+                return ops.dot(a, ua)
+            if reached == "context":
+                return ops.dot(c, uc)
+            return ops.add(ops.dot(a, ua), ops.reduce_sum(ops.mul(c, c)))
+
+        params = [memory, w_e, h] + ([coeffs] if gated else [])
+        res = grad_check(loss, params)
+        assert res.max_rel_error < 1e-6, res
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_attention_equals_unfused_ops_bit_for_bit(self, gated):
+        rng = np.random.default_rng(22)
+        memory, w_e, h, coeffs = self._attention_inputs(rng, gated)
+        a, c = ops.attention(memory, w_e, h, coeffs)
+        ref = ops.softmax(ops.matmul(memory, ops.matmul(w_e, h)))
+        if gated:
+            weighted = ops.mul(ref, coeffs)
+            ref = ops.div_by(weighted, ops.reduce_sum(weighted))
+        assert np.array_equal(a.values, ref.values)
+        assert np.array_equal(c.values, ops.matmul(ops.transpose(memory), ref).values)
+
+    def test_attention_checks_shapes(self):
+        with pytest.raises(DimensionError):
+            ops.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            ops.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)),
+                          Tensor(np.ones(3)))
+
+    @staticmethod
+    def _mixture_inputs(rng, subtrees, copy):
+        parts = [leaf(rng.normal(size=4))]
+        if subtrees:
+            parts.append(leaf(rng.normal(size=2)))
+        kwargs = {}
+        if copy:
+            n = sum(p.size for p in parts)
+            agg = np.zeros((n, 5))
+            for m in (0, 2, 3):
+                agg[m % n, m] = 1.0
+            kwargs = {"copy_scores": leaf(rng.normal(size=5)),
+                      "copy_mask": [True, False, True, True, False],
+                      "copy_agg": agg, "gate": leaf(0.3)}
+        return parts, kwargs
+
+    @pytest.mark.parametrize("subtrees", [False, True])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_mixture_gradients(self, subtrees, copy):
+        rng = np.random.default_rng(30 + 2 * subtrees + copy)
+        parts, kwargs = self._mixture_inputs(rng, subtrees, copy)
+        res = grad_check(lambda: ops.nll([ops.mixture(parts, **kwargs)[0]], [2]),
+                         parts + [kwargs[k] for k in ("copy_scores", "gate") if k in kwargs])
+        assert res.max_rel_error < 1e-6, res
+
+    def test_mixture_gradients_through_every_output(self):
+        rng = np.random.default_rng(34)
+        parts, kwargs = self._mixture_inputs(rng, True, True)
+        weights = [Tensor(rng.normal(size=6)) for _ in range(3)]
+
+        def loss():
+            probs, gen, copy, p = ops.mixture(parts, **kwargs)
+            return ops.add(ops.add(ops.dot(probs, weights[0]), ops.dot(gen, weights[1])),
+                           ops.add(ops.dot(copy, weights[2]), ops.affine(p, 2.0)))
+
+        res = grad_check(loss, parts + [kwargs["copy_scores"], kwargs["gate"]])
+        assert res.max_rel_error < 1e-6, res
+
+    @pytest.mark.parametrize("subtrees", [False, True])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_mixture_equals_unfused_ops_bit_for_bit(self, subtrees, copy):
+        rng = np.random.default_rng(35)
+        parts, kwargs = self._mixture_inputs(rng, subtrees, copy)
+        probs, gen, copy_probs, p_copy = ops.mixture(parts, **kwargs)
+        ref_gen = ops.softmax(ops.concat(parts))
+        assert np.array_equal(gen.values, ref_gen.values)
+        if not copy:
+            assert probs is gen and copy_probs is None and p_copy is None
+            return
+        ref_copy = ops.matmul(Tensor(kwargs["copy_agg"]),
+                              ops.softmax_masked(kwargs["copy_scores"], kwargs["copy_mask"]))
+        ref_p = ops.sigmoid(kwargs["gate"])
+        ref = ops.add(ops.scale_by(ref_copy, ref_p),
+                      ops.scale_by(ref_gen, ops.affine(ref_p, -1.0, 1.0)))
+        assert np.array_equal(copy_probs.values, ref_copy.values)
+        assert np.array_equal(p_copy.values, ref_p.values)
+        assert np.array_equal(probs.values, ref.values)
+
+    def test_mixture_checks_its_copy_inputs(self):
+        rng = np.random.default_rng(36)
+        parts, kwargs = self._mixture_inputs(rng, False, True)
+        with pytest.raises(ContractError):
+            ops.mixture(parts, gate=kwargs["gate"])
+        with pytest.raises(ContractError):
+            ops.mixture(parts, copy_scores=kwargs["copy_scores"])
+        with pytest.raises(DimensionError):
+            ops.mixture(parts, **{**kwargs, "copy_agg": np.zeros((3, 5))})
+        with pytest.raises(InvalidMaskError):
+            ops.mixture(parts, **{**kwargs, "copy_mask": [False] * 5})
+        with pytest.raises(ContractError):
+            ops.mixture([])
+
+    def test_nll(self):
+        rng = np.random.default_rng(37)
+        probs = [leaf(rng.uniform(0.1, 1.0, size=n)) for n in (3, 1, 4)]
+        targets = [2, 0, 1]
+        loss = ops.nll(probs, targets)
+        expected = None
+        for p, t in zip(probs, targets):     # the unfused ops, summed left to right
+            term = ops.neg(ops.log(ops.pick(p, t))).values
+            expected = term if expected is None else expected + term
+        assert loss.values == expected
+        res = grad_check(lambda: ops.nll(probs, targets), probs)
+        assert res.max_rel_error < 1e-6, res
+        with pytest.raises(ContractError):
+            ops.nll(probs, targets[:2])
+        with pytest.raises(ContractError):
+            ops.nll([], [])

@@ -19,6 +19,11 @@ The sections, in order:
   teacher-forced loss, the gradient of every parameter, and the greedy
   action sequence (``max_steps`` 60, each dialogue decoded on the
   model's own previous predictions);
+- ``forward``: on the same turns, without a tape, the attention memory,
+  the precedent's action states and subtree embeddings, and at every
+  teacher-forced step the attention weights and context vectors and the
+  output probabilities. A forward change of a few ulps can leave the
+  losses and greedy actions as they were, but it moves these values;
 - ``checkpoints``: the bytes of every checkpoint in ``bench/models``
   loaded and saved again.
 
@@ -40,13 +45,22 @@ from dialsql.context import (
     save_checkpoint,
 )
 from dialsql.data import build_vocab, gen_synthetic, load_corpus, write_dialogues, write_schemas
-from dialsql.decoder import encode_turn, greedy_parse, teacher_forced_loss
-from dialsql.grammar import build_grammar, format_actions
+from dialsql.decoder import (
+    ActionEmbedder,
+    advance_state,
+    encode_turn,
+    greedy_parse,
+    initial_state,
+    output_distribution,
+    teacher_forced_loss,
+)
+from dialsql.grammar import Derivation, build_grammar, format_actions
 from dialsql.nn import Tape, set_precision
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "bench" / "models"
 DIMS = {"embedding": 6, "hidden": 8, "distance": 4}
-SECTIONS = ("corpora", "round_trip", "losses", "gradients", "greedy", "checkpoints")
+SECTIONS = ("corpora", "round_trip", "losses", "gradients", "greedy", "forward",
+            "checkpoints")
 
 
 def _corpus_bytes(corpus, tmp: Path) -> bytes:
@@ -62,12 +76,34 @@ def corpora(h: dict, tmp: Path) -> None:
         h["round_trip"].update(_corpus_bytes(reread, tmp))
 
 
+def forward(h, model, encoded, grammar, gold) -> None:
+    """Hash the turn's encodings and, along the gold derivation, each
+    step's attention outputs and output probabilities."""
+    h.update(encoded.attention.memory.values.tobytes())
+    if encoded.copy.states is not None:
+        h.update(encoded.copy.states.values.tobytes())
+    for _root, _seq, phi in encoded.copy.subtrees:
+        h.update(phi.values.tobytes())
+    embedder = ActionEmbedder(model)
+    deriv = Derivation(grammar)
+    state = initial_state(model, encoded)
+    prev = model.params["bos_emb"]
+    for action in gold:
+        state, a = advance_state(model, encoded, state, prev)
+        dist = output_distribution(model, grammar, deriv.frontier(), state, a,
+                                   encoded, embedder)
+        for t in (a, state.context, state.sql_context, dist.probs):
+            h.update(b"-" if t is None else t.values.tobytes())
+        deriv.apply(action)
+        prev = embedder(action)
+
+
 def models(h: dict) -> None:
     corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=4)
     vocab = build_vocab(corpus)
     grammars = {db: build_grammar(s) for db, s in corpus.schemas.items()}
     for method in method_names():
-        for name in ("losses", "gradients", "greedy"):
+        for name in ("losses", "gradients", "greedy", "forward"):
             h[name].update(method.encode())
         model = build_model(method_config(method, h=2, dims=DIMS), vocab, seed=0)
         params = model.parameters()
@@ -87,6 +123,9 @@ def models(h: dict) -> None:
                 h["losses"].update(loss.values.tobytes())
                 for p in params:      # None: the parameter took no part
                     h["gradients"].update(b"-" if p.grad is None else p.grad.tobytes())
+                encoded = encode_turn(model, inputs.segments, inputs.distances,
+                                      inputs.precedent)
+                forward(h["forward"], model, encoded, grammar, ex.gold_actions)
 
                 inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
                                         gold_mode=False, predictions=own)
