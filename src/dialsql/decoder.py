@@ -14,12 +14,10 @@ memory (the questions, and the precedent query under ``sql_attn``),
 the logit products, and one :func:`ops.mixture` entry for the whole
 output distribution. A turn's loss is one :func:`ops.nll` entry. What
 every step of a turn shares is built once per turn: the ``sql_attn``
-context, the question tokens' word embeddings, each schema-specific
-frontier's linking matrix, each agnostic frontier's action-embedding
-rows, and the copy maps and stacked subtree embeddings (see
-``EncodedTurn.memo``). Forward values equal those of the unfused,
-per-step computation bit for bit; gradients differ only by summation
-order (relative differences up to about 2e-14 at 64 bits).
+context, the question tokens' word embeddings, and for each frontier
+one :class:`FrontierRecord` holding its support list, its linking
+matrix or action-embedding rows, its stacked subtree embeddings and
+its copy mask and aggregation (see ``EncodedTurn.memo``).
 """
 
 from __future__ import annotations
@@ -195,12 +193,9 @@ class EncodedTurn:
     sql_attention: AttentionContext | None = None   # over the precedent's action states
     # What every decoder step of this turn shares, built on first use
     # and, under a tape, recorded once per turn: "tokens" -> the
-    # question tokens' word embeddings; and per frontier, ("link", f)
-    # -> a schema-specific frontier's linking matrix, ("rows", f) -> a
-    # schema-agnostic one's action-embedding rows, ("trees", f) -> the
-    # copyable subtrees rooted at it, ("copy", f) -> its action-copy
-    # mask and aggregation. A turn is decoded against one grammar,
-    # with fixed parameters.
+    # question tokens' word embeddings, and each frontier -> its
+    # FrontierRecord. A turn is decoded against one grammar, with fixed
+    # parameters.
     memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -334,7 +329,7 @@ class SubtreeCandidate:
 class OutputDistribution:
     """Probabilities over every legal candidate at one step."""
 
-    support: list                  # Production and SubtreeCandidate entries
+    support: list                  # Production, then SubtreeCandidate entries (shared: read only)
     probs: Tensor
     gen_probs: Tensor
     copy_probs: Tensor | None
@@ -359,67 +354,64 @@ def linking_matrix(tokens: list[str], names: tuple[str, ...]) -> tuple[np.ndarra
     return exact, partial
 
 
-def _per_turn(encoded: EncodedTurn, key, build):
-    """``build()``, computed on the turn's first request for ``key``."""
+@dataclass
+class FrontierRecord:
+    """What every step of a turn at one frontier shares.
+
+    A Col/Tab frontier's ``scorer`` is its linking matrix, one row per
+    question token; the others' is their action-embedding rows. Under
+    ``action_copy``, ``copy_mask`` marks the precedent actions that
+    expand the frontier, and ``copy_agg`` adds each one's copy
+    probability to its support entry; both are None when none does.
+    """
+
+    support: list                  # productions, then the precedent's subtrees rooted here
+    scorer: Tensor
+    subtrees: Tensor | None = None            # the subtrees' embeddings, one per row
+    copy_mask: np.ndarray | None = None
+    copy_agg: np.ndarray | None = None
+
+
+def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
+                     productions: list[Production],
+                     embedder: ActionEmbedder) -> FrontierRecord:
+    """The turn's record for ``frontier``, built on its first request."""
     memo = encoded.memo
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
-def _turn_link(model, encoded: EncodedTurn, frontier: NonTerminal,
-               productions: list[Production], embedder: ActionEmbedder) -> Tensor:
-    """The linking matrix of a schema-specific frontier: one row per
-    question token, one column per production, weighting the exact and
-    partial :func:`linking_matrix` features and adding the token-rule
-    embedding products."""
-    def build():
-        params = model.params
+    record = memo.get(frontier)
+    if record is not None:
+        return record
+    params = model.params
+    if productions[0].schema_specific:
         tokens = encoded.attention.tokens
-        tok_embs = _per_turn(encoded, "tokens", lambda: _embed_tokens(model, tokens))
+        if "tokens" not in memo:
+            memo["tokens"] = _embed_tokens(model, tokens)
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
         rule_embs = ops.stack_rows([embedder(p) for p in productions])
-        return ops.add(
+        scorer = ops.add(
             ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
                     ops.scale_by(Tensor(partial), params["link.w_partial"])),
-            ops.matmul(tok_embs, ops.transpose(rule_embs)))
+            ops.matmul(memo["tokens"], ops.transpose(rule_embs)))
+    else:
+        scorer = ops.take_rows(params["action_emb"],
+                               [model.agnostic_index[p] for p in productions])
+    record = FrontierRecord(list(productions), scorer)
 
-    return _per_turn(encoded, ("link", frontier), build)
-
-
-def _turn_rows(model, encoded: EncodedTurn, frontier: NonTerminal,
-               productions: list[Production]) -> Tensor:
-    """The action-embedding rows of a schema-agnostic frontier's productions."""
-    return _per_turn(encoded, ("rows", frontier), lambda: ops.take_rows(
-        model.params["action_emb"], [model.agnostic_index[p] for p in productions]))
-
-
-def _turn_subtrees(encoded: EncodedTurn, frontier: NonTerminal):
-    """The precedent's subtrees rooted at ``frontier`` as (action
-    sequences, embeddings stacked one per row), or None when there are none."""
-    def build():
-        rows = [(seq, phi) for root, seq, phi in encoded.copy.subtrees if root == frontier]
-        if not rows:
-            return None
-        return [seq for seq, _ in rows], ops.stack_rows([phi for _, phi in rows])
-
-    return _per_turn(encoded, ("trees", frontier), build)
-
-
-def _turn_copy_map(encoded: EncodedTurn, frontier: NonTerminal,
-                   support: list) -> tuple[np.ndarray, np.ndarray]:
-    """Which precedent actions expand ``frontier`` (the mask), and the
-    0/1 matrix that adds each one's copy probability to its support entry."""
-    def build():
-        actions = encoded.copy.actions
-        mask = np.array([act.lhs == frontier for act in actions])
-        agg = np.zeros((len(support), len(actions)), dtype=ops.active_dtype())
-        for m, act in enumerate(actions):
-            if mask[m]:
-                agg[support.index(act), m] = 1.0
-        return mask, agg
-
-    return _per_turn(encoded, ("copy", frontier), build)
+    copy_ctx = encoded.copy
+    sql_methods = model.config.sql_methods
+    if "tree_copy" in sql_methods:
+        rows = [(seq, phi) for root, seq, phi in copy_ctx.subtrees if root == frontier]
+        if rows:
+            record.support.extend(SubtreeCandidate(frontier, seq) for seq, _ in rows)
+            record.subtrees = ops.stack_rows([phi for _, phi in rows])
+    if "action_copy" in sql_methods and not copy_ctx.empty:
+        mask = np.array([act.lhs == frontier for act in copy_ctx.actions])
+        if mask.any():
+            agg = np.zeros((len(record.support), len(mask)), dtype=ops.active_dtype())
+            for m in np.flatnonzero(mask):
+                agg[record.support.index(copy_ctx.actions[m]), m] = 1.0
+            record.copy_mask, record.copy_agg = mask, agg
+    memo[frontier] = record
+    return record
 
 
 def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
@@ -439,32 +431,23 @@ def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
         raise FrontierError(f"no production expands {frontier}")
 
     params = model.params
-    config = model.config
-    copy_ctx = encoded.copy
-    support: list = list(productions)
+    record = _frontier_record(model, encoded, frontier, productions, embedder)
     if productions[0].schema_specific:
-        logits = [ops.matmul(a, _turn_link(model, encoded, frontier, productions, embedder))]
+        logits = [ops.matmul(a, record.scorer)]
     else:
         proj = ops.tanh(ops.matmul(ops.concat([state.h, state.context]), params["out.wo"]))
-        logits = [ops.matmul(_turn_rows(model, encoded, frontier, productions), proj)]
-
-    if "tree_copy" in config.sql_methods and copy_ctx.subtrees:
-        trees = _turn_subtrees(encoded, frontier)
-        if trees is not None:
-            seqs, phis = trees
-            support.extend(SubtreeCandidate(frontier, seq) for seq in seqs)
-            logits.append(ops.matmul(phis, ops.matmul(state.h, params["tree.wt"])))
+        logits = [ops.matmul(record.scorer, proj)]
+    if record.subtrees is not None:
+        logits.append(ops.matmul(record.subtrees, ops.matmul(state.h, params["tree.wt"])))
 
     copy = {}
-    if "action_copy" in config.sql_methods and not copy_ctx.empty:
-        mask, agg = _turn_copy_map(encoded, frontier, support)
-        if mask.any():
-            copy = {"copy_scores": ops.matmul(copy_ctx.states,
-                                              ops.matmul(state.h, params["copy.wl"])),
-                    "copy_mask": mask, "copy_agg": agg,
-                    "gate": ops.add(ops.dot(params["copy.wc"], state.h), params["copy.bc"])}
+    if record.copy_mask is not None:
+        copy = {"copy_scores": ops.matmul(encoded.copy.states,
+                                          ops.matmul(state.h, params["copy.wl"])),
+                "copy_mask": record.copy_mask, "copy_agg": record.copy_agg,
+                "gate": ops.add(ops.dot(params["copy.wc"], state.h), params["copy.bc"])}
     probs, gen_probs, copy_probs, p_copy = ops.mixture(logits, **copy)
-    return OutputDistribution(support, probs, gen_probs, copy_probs, p_copy)
+    return OutputDistribution(record.support, probs, gen_probs, copy_probs, p_copy)
 
 
 # ---------------------------------------------------------------------------

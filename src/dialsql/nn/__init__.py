@@ -15,7 +15,6 @@ from .tensor import (
     get_precision,
     set_precision,
     softmax,
-    softmax_masked,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "get_precision",
     "set_precision",
     "softmax",
-    "softmax_masked",
 ]

@@ -1,17 +1,15 @@
 """LSTM cells and fused sequence passes on top of the tensor tape.
 
 Two operations share one step kernel, :func:`_step`, so a step computes
-the same values bit for bit in both:
+the same values bit for bit in both, and one backward, :func:`_bptt`:
 
-- :func:`lstm_cell` is one step and one tape entry, with a hand-derived
-  vjp. Like every tape entry, the vjp returns one delta per input
-  (``w_ih, w_hh, b, x, h, c``) and the tape adds them; either of
+- :func:`lstm_cell` is one step and one tape entry. Its vjp runs
+  :func:`_bptt` over a one-step pass from the given states; either of
   ``dh'`` and ``dc'`` may be missing and then counts as zero.
-- :func:`lstm_sequence` runs a whole encoder pass, one or two
-  directions over the rows of an input matrix, as one tape entry. Its
-  vjp is backpropagation through time: the recurrence is walked step by
-  step, and each direction's weight gradients are then one ``dZᵀX`` and
-  one ``dZᵀH_prev`` product over all steps.
+- :func:`lstm_sequence` runs a whole encoder pass from zero states, one
+  or two directions over the rows of an input matrix, as one tape
+  entry. Each direction's weight gradients are one ``dZᵀX`` and one
+  ``dZᵀH_prev`` product over all steps.
 """
 
 from __future__ import annotations
@@ -93,27 +91,14 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     inputs = (params.w_ih, params.w_hh, params.b, x, h, c)
     tape = _taping(*inputs)
     if tape is not None:
-        def vjp(dh, dc_in):
+        def vjp(dh, dc):
             # An output no path to the loss reached has no gradient.
-            if dh is None:
-                dh = np.zeros_like(out_h.values)
-            if dc_in is None:
-                dc_in = np.zeros_like(out_c.values)
-            i, f, o = sig[:hs], sig[hs:2 * hs], sig[3 * hs:]
-            t = np.tanh(c_new)
-            do = dh * t
-            dc = dc_in + dh * o * (1.0 - t * t)
-            di = dc * g
-            df = dc * c.values
-            dg = dc * i
-            dc_prev = dc * f
-            dzi = di * i * (1.0 - i)
-            dzf = df * f * (1.0 - f)
-            dzg = dg * (1.0 - g * g)
-            dzo = do * o * (1.0 - o)
-            dz = np.concatenate([dzi, dzf, dzg, dzo])
+            d_hidden = np.zeros((1, hs), dtype=h_new.dtype) if dh is None else dh[None]
+            dz, dh_prev, dc_prev = _bptt(params, (c_new[None], sig[None], g[None]),
+                                         c.values, d_hidden, dc_end=dc)
+            dz = dz[0]
             return (dz[:, None] * x.values, dz[:, None] * h.values, dz,
-                    params.w_ih.values.T.dot(dz), params.w_hh.values.T.dot(dz), dc_prev)
+                    params.w_ih.values.T.dot(dz), dh_prev, dc_prev)
 
         tape.record((out_h, out_c), inputs, vjp)
     return out_h, out_c
@@ -171,7 +156,7 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], xs: Tensor,
                 dh = (np.zeros_like(hidden) if d_states is None
                       else d_states[order, col:col + hs])
                 col += hs
-                dz = _bptt(cell, kept, dh, d_end)
+                dz, _, _ = _bptt(cell, kept, np.zeros(hs, dtype=x.dtype), dh, d_end)
                 h_prev = np.concatenate([np.zeros_like(hidden[:1]), hidden[:-1]])
                 deltas += [dz.T.dot(x[order]), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
                 dx += dz.dot(cell.w_ih.values)[order]
@@ -202,34 +187,39 @@ def _unroll(cell: LSTMCellParams, rows: np.ndarray,
     return np.array(hidden), kept
 
 
-def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray,
-          d_end: np.ndarray | None) -> np.ndarray:
-    """Gradient of one pass's gate pre-activations, one row per step.
+def _bptt(cell: LSTMCellParams, kept: tuple, c0: np.ndarray, d_hidden: np.ndarray,
+          d_end: np.ndarray | None = None,
+          dc_end: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagation through one pass; returns ``(dz, dh0, dc0)``.
 
-    ``kept`` is what :func:`_unroll` kept, ``d_hidden`` the gradient of
-    each step's hidden state through the state matrix, and ``d_end``
-    that of the last step's through the end state.
+    ``kept`` is what :func:`_unroll` kept and ``c0`` the cell state the
+    pass started from. ``d_hidden`` is the gradient of each step's hidden
+    state through the state matrix; ``d_end`` and ``dc_end`` are those of
+    the last step's hidden and cell states through the end states.
+    ``dz`` holds the gradient of the gate pre-activations, one row per
+    step, and ``dh0`` and ``dc0`` those of the initial states.
     """
     c, sig, g = kept
     steps, hs = c.shape
     i, f, o = sig[:, :hs], sig[:, hs:2 * hs], sig[:, 3 * hs:]
     tc = np.tanh(c)
-    c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
+    c_prev = np.concatenate([c0[None], c[:-1]])
     # Step-local factors: dz's i, f and g blocks are dc times by_dc,
     # its o block is dh times by_dh, and dh adds dh * dc_by_dh to dc.
-    by_dc = np.stack([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)], axis=1)
+    by_dc = np.concatenate([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)],
+                           axis=1).reshape(steps, 3, hs)
     by_dh = tc * o * (1 - o)
     dc_by_dh = o * (1 - tc * tc)
     w_hh_t = cell.w_hh.values.T
     dz = np.empty((steps, 4 * hs), dtype=c.dtype)
     carry = np.zeros(hs, dtype=c.dtype) if d_end is None else d_end
-    dc = np.zeros(hs, dtype=c.dtype)
+    dc = np.zeros(hs, dtype=c.dtype) if dc_end is None else dc_end
     for t in range(steps - 1, -1, -1):
         dh = d_hidden[t] + carry
-        dc += dh * dc_by_dh[t]
+        dc = dc + dh * dc_by_dh[t]
         row = dz[t]
         np.multiply(by_dc[t], dc, out=row[:3 * hs].reshape(3, hs))
         np.multiply(dh, by_dh[t], out=row[3 * hs:])
         carry = w_hh_t.dot(row)
         dc = dc * f[t]
-    return dz
+    return dz, carry, dc

@@ -18,8 +18,10 @@ Three fused operations record a whole decoder composite as one entry:
 :func:`attention` (bilinear scores, softmax, optional gate rescaling,
 context), :func:`mixture` (generation softmax, masked copy softmax,
 sigmoid gate, mix) and :func:`nll` (a turn's summed negative
-log-likelihood). Their forward values equal those of the unfused ops
-bit for bit; their gradients differ only by summation order.
+log-likelihood); the array helpers ``_softmax_values``,
+``_masked_softmax_values`` and ``_sigmoid_values`` compute their parts.
+The parser calls every public op but :func:`mul` and :func:`reduce_sum`,
+the tests' loss algebra: no other op sums a matrix against weights.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "set_precision",
     "get_precision",
     "active_dtype",
-    "softmax_masked",
 ]
 
 
@@ -270,10 +271,6 @@ def affine(a: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    return affine(a, -1.0, 0.0)
-
-
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
     """Multiply an array by a scalar tensor; differentiable in both."""
     if s.shape != ():
@@ -282,18 +279,6 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     tape = _taping(a, s)
     if tape is not None:
         tape.record((out,), (a, s), lambda g: (g * s.values, np.sum(g * a.values)))
-    return out
-
-
-def div_by(a: Tensor, s: Tensor) -> Tensor:
-    """Divide an array by a scalar tensor."""
-    if s.shape != ():
-        raise DimensionError(f"div_by: divisor must be scalar, got {s.shape}")
-    out = Tensor(a.values / s.values)
-    tape = _taping(a, s)
-    if tape is not None:
-        tape.record((out,), (a, s), lambda g: (
-            g / s.values, -np.sum(g * a.values) / (s.values * s.values)))
     return out
 
 
@@ -317,22 +302,6 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_values(a.values))
-    tape = _taping(a)
-    if tape is not None:
-        tape.record((out,), (a,), lambda g: (g * out.values * (1.0 - out.values),))
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.values))
-    tape = _taping(a)
-    if tape is not None:
-        tape.record((out,), (a,), lambda g: (g / a.values,))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions, indexing, shaping
 
@@ -351,17 +320,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return matmul(a, b)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one entry of a vector as a scalar."""
-    if a.values.ndim != 1:
-        raise DimensionError(f"pick: need a vector, got shape {a.shape}")
-    out = Tensor(a.values[index])
-    tape = _taping(a)
-    if tape is not None:
-        tape.record((out,), (a,), _scatter(a, index))
-    return out
-
-
 def row(m: Tensor, index: int) -> Tensor:
     """Select one row of a matrix as a vector."""
     if m.values.ndim != 2:
@@ -369,17 +327,13 @@ def row(m: Tensor, index: int) -> Tensor:
     out = Tensor(m.values[index])
     tape = _taping(m)
     if tape is not None:
-        tape.record((out,), (m,), _scatter(m, index))
+        def vjp(g):
+            delta = np.zeros_like(m.values)
+            delta[index] = g
+            return (delta,)
+
+        tape.record((out,), (m,), vjp)
     return out
-
-
-def _scatter(m: Tensor, index: int) -> Callable:
-    """vjp of ``m.values[index]``: the gradient put back at ``index``."""
-    def vjp(g):
-        delta = np.zeros_like(m.values)
-        delta[index] = g
-        return (delta,)
-    return vjp
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -484,11 +438,15 @@ def expand_by_counts(v: Tensor, counts: Sequence[int]) -> Tensor:
     out = Tensor(np.repeat(v.values, counts))
     tape = _taping(v)
     if tape is not None:
+        # reduceat would hand a zero-count entry the element at its
+        # offset, so only entries with segments take part.
+        nonempty = counts > 0
+        starts = (np.cumsum(counts) - counts)[nonempty]
+
         def vjp(g):
-            if not g.size:
-                return (np.zeros_like(v.values),)
-            offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            return (np.add.reduceat(g, offsets),)
+            delta = np.zeros_like(v.values)
+            delta[nonempty] = np.add.reduceat(g, starts)
+            return (delta,)
 
         tape.record((out,), (v,), vjp)
     return out
@@ -552,16 +510,17 @@ def _softmax_values(v: np.ndarray) -> np.ndarray:
 
 def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
     """Shift-stabilized softmax over the positions ``mask`` admits;
-    the others get probability exactly 0."""
+    the others get probability exactly 0. :func:`mixture` takes its
+    copy distribution from it."""
     if v.ndim != 1:
-        raise DimensionError(f"softmax_masked: need a vector, got shape {v.shape}")
+        raise DimensionError(f"masked softmax: need a vector, got shape {v.shape}")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != v.shape:
-        raise DimensionError(f"softmax_masked: mask shape {mask.shape} vs scores {v.shape}")
+        raise DimensionError(f"masked softmax: mask shape {mask.shape} vs scores {v.shape}")
     if not mask.any():
-        raise InvalidMaskError("softmax_masked: mask admits no position")
+        raise InvalidMaskError("masked softmax: mask admits no position")
     if not np.isfinite(v[mask]).all():
-        raise NumericError("softmax_masked: non-finite score at an unmasked position")
+        raise NumericError("masked softmax: non-finite score at an unmasked position")
     shifted = v - v[mask].max()
     weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
     return weights / weights.sum()
@@ -572,26 +531,9 @@ def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return probs * (g - np.dot(probs, g))
 
 
-def softmax_masked(scores: Tensor, mask: Sequence[bool] | np.ndarray) -> Tensor:
-    """Shift-stabilized softmax over the unmasked positions.
-
-    Masked positions get probability exactly 0. Raises
-    :class:`InvalidMaskError` when no position is admissible.
-    """
-    return _softmax_result(scores, _masked_softmax_values(scores.values, mask))
-
-
 def softmax(scores: Tensor) -> Tensor:
-    """Softmax with all positions admissible.
-
-    Equal bit for bit to :func:`softmax_masked` under an all-true mask,
-    without building or applying the mask.
-    """
-    return _softmax_result(scores, _softmax_values(scores.values))
-
-
-def _softmax_result(scores: Tensor, probs: np.ndarray) -> Tensor:
-    out = Tensor(probs)
+    """Shift-stabilized softmax with all positions admissible."""
+    out = Tensor(_softmax_values(scores.values))
     tape = _taping(scores)
     if tape is not None:
         tape.record((out,), (scores,), lambda g: (_softmax_vjp(out.values, g),))
@@ -641,8 +583,8 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
             dbase = da
             deltas = []
             if coeffs is not None:
-                # The quotient rule in the order the unfused ops summed
-                # it: d(w / S) then the sum's broadcast delta.
+                # The quotient rule as d(w / S) plus the sum's broadcast
+                # delta; (da - da·a) / S loses digits to cancellation.
                 dweighted = da / total + (-np.sum(da * weighted) / (total * total))
                 dbase = dweighted * coeffs.values
                 deltas.append(dweighted * base)

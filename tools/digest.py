@@ -98,18 +98,23 @@ def forward(h, model, encoded, grammar, gold) -> None:
         prev = embedder(action)
 
 
-def models(h: dict) -> None:
+def teacher_forced_turns():
+    """Every digest turn after its teacher-forced backward.
+
+    For all 14 configurations at dims 6/8/4, on every turn of four
+    synthetic dialogues, yields ``(method, model, grammar, dialogue,
+    ex, inputs, loss)``. Each parameter's ``grad`` then holds that
+    turn's gradient, or None where the parameter took no part.
+    ``tools/grad_drift.py`` compares these gradients across two trees.
+    """
     corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=4)
     vocab = build_vocab(corpus)
     grammars = {db: build_grammar(s) for db, s in corpus.schemas.items()}
     for method in method_names():
-        for name in ("losses", "gradients", "greedy", "forward"):
-            h[name].update(method.encode())
         model = build_model(method_config(method, h=2, dims=DIMS), vocab, seed=0)
         params = model.parameters()
         for dialogue in corpus.dialogues:
             grammar = grammars[dialogue.db_id]
-            own: dict = {}
             for ex in dialogue.turns:
                 inputs = prepare_inputs(dialogue, ex.turn_index, model.config)
                 for p in params:
@@ -120,21 +125,30 @@ def models(h: dict) -> None:
                     loss = teacher_forced_loss(model, encoded, grammar,
                                                list(ex.gold_actions))
                     tape.backward(loss)
-                h["losses"].update(loss.values.tobytes())
-                for p in params:      # None: the parameter took no part
-                    h["gradients"].update(b"-" if p.grad is None else p.grad.tobytes())
-                encoded = encode_turn(model, inputs.segments, inputs.distances,
-                                      inputs.precedent)
-                forward(h["forward"], model, encoded, grammar, ex.gold_actions)
+                yield method, model, grammar, dialogue, ex, inputs, loss
 
-                inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
-                                        gold_mode=False, predictions=own)
-                encoded = encode_turn(model, inputs.segments, inputs.distances,
-                                      inputs.precedent)
-                result = greedy_parse(model, encoded, grammar, max_steps=60)
-                own[ex.turn_index] = result.actions if result.complete else None
-                h["greedy"].update(f"{result.complete} {result.steps}\n".encode())
-                h["greedy"].update(format_actions(result.actions).encode())
+
+def models(h: dict) -> None:
+    current = None
+    for method, model, grammar, dialogue, ex, inputs, loss in teacher_forced_turns():
+        if method != current:
+            for name in ("losses", "gradients", "greedy", "forward"):
+                h[name].update(method.encode())
+            current, predicted = method, {}     # dialogue -> the model's own predictions
+        h["losses"].update(loss.values.tobytes())
+        for p in model.parameters():      # None: the parameter took no part
+            h["gradients"].update(b"-" if p.grad is None else p.grad.tobytes())
+        encoded = encode_turn(model, inputs.segments, inputs.distances, inputs.precedent)
+        forward(h["forward"], model, encoded, grammar, ex.gold_actions)
+
+        own = predicted.setdefault(id(dialogue), {})
+        inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
+                                gold_mode=False, predictions=own)
+        encoded = encode_turn(model, inputs.segments, inputs.distances, inputs.precedent)
+        result = greedy_parse(model, encoded, grammar, max_steps=60)
+        own[ex.turn_index] = result.actions if result.complete else None
+        h["greedy"].update(f"{result.complete} {result.steps}\n".encode())
+        h["greedy"].update(format_actions(result.actions).encode())
 
 
 def checkpoints(h: dict, tmp: Path) -> None:

@@ -1,0 +1,108 @@
+"""Compare the digest's per-turn gradients between two source trees.
+
+Runs the teacher-forced gradient loop of ``tools/digest.py`` (14
+configurations at dims 6/8/4, every turn of four synthetic dialogues,
+64 bits) once per tree, each in its own subprocess, and prints how many
+per-turn parameter gradients moved and the largest relative difference
+``max|Δ| / max|g|`` with its configuration and parameter::
+
+    python tools/grad_drift.py <old tree>/src <new tree>/src
+
+A refactor that changes only summation order moves gradients by a few
+ulps; one that changes the model moves them by far more, or changes
+which parameters take part.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def dump(path: Path) -> None:
+    """Save every non-None per-turn gradient, keyed
+    ``method|dialogue|turn|parameter``, and the keys of the None ones."""
+    from digest import teacher_forced_turns
+
+    from dialsql.nn import set_precision
+
+    set_precision(64)
+    grads, absent = {}, []
+    for method, model, _grammar, dialogue, ex, _inputs, _loss in teacher_forced_turns():
+        for name, p in model.params.items():
+            key = f"{method}|{dialogue.dialogue_id}|{ex.turn_index}|{name}"
+            if p.grad is None:
+                absent.append(key)
+            else:
+                grads[key] = p.grad
+    np.savez(path, __absent__=np.array(absent, dtype=str), **grads)
+
+
+def run_tree(src: Path, out: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    subprocess.run([sys.executable, __file__, "--dump", str(out), "--expect", str(src)],
+                   env=env, check=True)
+    with np.load(out) as data:
+        return {k: data[k] for k in data.files}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", nargs="?", type=Path, help="the old tree's src directory")
+    ap.add_argument("new", nargs="?", type=Path, help="the new tree's src directory")
+    ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--expect", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.dump is not None:
+        import dialsql
+
+        where = Path(dialsql.__file__).resolve()
+        if args.expect is not None and args.expect.resolve() not in where.parents:
+            sys.exit(f"grad_drift: imported {where}, not from {args.expect}")
+        dump(args.dump)
+        return 0
+    if args.old is None or args.new is None:
+        ap.error("need the old and the new src directory")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_tree(args.old, Path(tmp) / "old.npz")
+        new = run_tree(args.new, Path(tmp) / "new.npz")
+    old_absent, new_absent = set(old.pop("__absent__")), set(new.pop("__absent__"))
+    if old.keys() != new.keys() or old_absent != new_absent:
+        differ = sorted(set(old) ^ set(new))
+        print(f"the trees differ in which gradients exist: {len(differ)} keys, "
+              f"first {differ[:3]}")
+        return 1
+    moved, worst, where = 0, 0.0, None
+    for key, g in old.items():
+        h = new[key]
+        if g.shape != h.shape:
+            print(f"{key}: shape {g.shape} -> {h.shape}")
+            return 1
+        if np.array_equal(g, h):
+            continue
+        moved += 1
+        scale = np.abs(g).max()
+        rel = np.abs(h - g).max() / scale if scale else np.inf
+        if rel > worst:
+            worst, where = rel, key
+    print(f"moved    {moved} of {len(old)} per-turn parameter gradients "
+          f"({len(old_absent)} None on both)")
+    if where is None:
+        print("largest  0")
+    else:
+        method, dialogue, turn, param = where.split("|")
+        print(f"largest  {worst:.2g} max|Δ|/max|g| ({method}, {param}; "
+              f"dialogue {dialogue}, turn {turn})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
