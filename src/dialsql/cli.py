@@ -267,6 +267,7 @@ def write_predictions(predictions: dict, corpus: Corpus, path) -> None:
 def read_predictions(path, corpus: Corpus) -> dict:
     """Inverse of write_predictions; invalid rows map to None."""
     schemas = {d.dialogue_id: corpus.schemas[d.db_id] for d in corpus.dialogues}
+    turns = {ex.key() for ex in corpus.examples()}
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != "dialogue_id\tturn_index\tsql\tvalid":
@@ -281,7 +282,13 @@ def read_predictions(path, corpus: Corpus) -> dict:
             raise DataError(f"{path} line {n}: unknown dialogue {dialogue_id!r}")
         if valid not in ("0", "1"):
             raise DataError(f"{path} line {n}: validity flag must be 0 or 1")
+        if not (turn.isascii() and turn.isdigit()):
+            raise DataError(f"{path} line {n}: turn index {turn!r} is not an integer")
         key = (dialogue_id, int(turn))
+        if key not in turns:
+            raise DataError(f"{path} line {n}: dialogue {dialogue_id!r} has no turn {turn}")
+        if key in out:
+            raise DataError(f"{path} line {n}: repeats dialogue {dialogue_id!r} turn {turn}")
         if valid == "0":
             out[key] = None
             continue
@@ -326,6 +333,27 @@ def _pairs(where: str, key: str, raw) -> list:
     return raw
 
 
+def _read_json(path):
+    """The parsed JSON of ``path``; a syntax error is a DataError naming
+    the file and line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise DataError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+
+
+def _string(where: str, key: str, value) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{where}: {key} is {value!r}, expected a string")
+    return value
+
+
+def _strings(where: str, key: str, raw) -> list[str]:
+    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
+        raise DataError(f"{where}: {key} must be a list of strings")
+    return raw
+
+
 def _check_index(where: str, what: str, idx, size: int) -> None:
     if type(idx) is not int or not 0 <= idx < size:
         raise DataError(f"{where}: {what} index {idx!r} is not in range({size})")
@@ -341,21 +369,18 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
     question, query -> sql). The goal-oriented "final" entry is dropped;
     it restates the interaction, it is not an extra turn.
     """
-    try:
-        raw_tables = json.loads(Path(tables_path).read_text(encoding="utf-8"))
-        raw_dialogues = json.loads(Path(dialogues_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataError(f"invalid JSON at line {err.lineno}: {err.msg}") from err
+    raw_tables = _read_json(tables_path)
+    raw_dialogues = _read_json(dialogues_path)
 
     schemas = []
     known = set()
     for k, entry in enumerate(_entries(tables_path, raw_tables, _TABLE_KEYS)):
         where = f"{tables_path}: entry {k}"
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
+        db_id = _string(where, "db_id", entry["db_id"])
+        table_names = _strings(where, "table_names_original", entry["table_names_original"])
         tables: list[dict] = [{"name": name, "columns": []} for name in table_names]
         columns = _pairs(where, "column_names_original", entry["column_names_original"])
-        types = entry["column_types"]
+        types = _strings(where, "column_types", entry["column_types"])
         if len(columns) != len(types):
             raise DataError(f"{where}: column_names_original and column_types"
                             " lengths differ")
@@ -365,6 +390,7 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
                 qualified.append(None)
                 continue
             _check_index(where, "table", table_idx, len(tables))
+            column = _string(where, "column name", column)
             tables[table_idx]["columns"].append({"name": column, "type": kind})
             qualified.append(f"{table_names[table_idx]}.{column}")
         foreign_keys = []
@@ -381,14 +407,17 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
     records = []
     n_turns = 0
     for i, entry in enumerate(_entries(dialogues_path, raw_dialogues, _DIALOGUE_KEYS)):
-        db_id = entry["database_id"]
+        where = f"{dialogues_path}: entry {i}"
+        db_id = _string(where, "database_id", entry["database_id"])
         if db_id not in known:
-            raise DataError(f"{dialogues_path}: entry {i}: unknown database_id {db_id!r}")
+            raise DataError(f"{where}: unknown database_id {db_id!r}")
         turns = []
-        for item in _entries(f"{dialogues_path}: entry {i}: interaction",
-                             entry["interaction"], _ITEM_KEYS):
-            turns.append({"question": item["utterance"].strip(),
-                          "sql": item["query"].strip()})
+        items = _entries(f"{where}: interaction", entry["interaction"], _ITEM_KEYS)
+        for j, item in enumerate(items):
+            item_where = f"{where}: interaction: entry {j}"
+            question = _string(item_where, "utterance", item["utterance"])
+            sql = _string(item_where, "query", item["query"])
+            turns.append({"question": question.strip(), "sql": sql.strip()})
             n_turns += 1
         if not turns:
             continue

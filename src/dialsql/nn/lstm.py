@@ -1,15 +1,21 @@
 """LSTM cells and fused sequence passes on top of the tensor tape.
 
 Two operations share one step kernel, :func:`_step`, so a step computes
-the same values bit for bit in both, and one backward, :func:`_bptt`:
+the same values bit for bit in both. Their backwards share one
+derivation: :func:`_gate_factors` holds a step's local derivatives and
+:func:`_back_step` applies the chain rule through one step.
 
-- :func:`lstm_cell` is one step and one tape entry. Its vjp runs
-  :func:`_bptt` over a one-step pass from the given states; either of
-  ``dh'`` and ``dc'`` may be missing and then counts as zero.
+- :func:`lstm_cell` is one step and one tape entry. Its vjp is one
+  :func:`_back_step`; either of ``dh'`` and ``dc'`` may be missing and
+  then counts as zero. The weight deltas are returned as factors
+  (``dz`` with the step's input, and with its previous hidden state),
+  so the tape forms the decoder cell's weight gradients as one
+  ``dZᵀX`` and one ``dZᵀH`` product per backward.
 - :func:`lstm_sequence` runs a whole encoder pass from zero states, one
   or two directions over the rows of an input matrix, as one tape
-  entry. Each direction's weight gradients are one ``dZᵀX`` and one
-  ``dZᵀH_prev`` product over all steps.
+  entry. :func:`_bptt` runs :func:`_back_step` over the pass, and each
+  direction's weight gradients are one ``dZᵀX`` and one ``dZᵀH_prev``
+  product over all steps.
 """
 
 from __future__ import annotations
@@ -93,12 +99,12 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     if tape is not None:
         def vjp(dh, dc):
             # An output no path to the loss reached has no gradient.
-            d_hidden = np.zeros((1, hs), dtype=h_new.dtype) if dh is None else dh[None]
-            dz, dh_prev, dc_prev = _bptt(params, (c_new[None], sig[None], g[None]),
-                                         c.values, d_hidden, dc_end=dc)
-            dz = dz[0]
-            return (dz[:, None] * x.values, dz[:, None] * h.values, dz,
-                    params.w_ih.values.T.dot(dz), dh_prev, dc_prev)
+            zero = np.zeros(hs, dtype=h_new.dtype)
+            dz = np.empty(4 * hs, dtype=h_new.dtype)
+            dc_prev = _back_step(zero if dh is None else dh, zero if dc is None else dc,
+                                 *_gate_factors(sig, g, c_new, c.values), dz)
+            return ((dz, x.values), (dz, h.values), dz, params.w_ih.values.T.dot(dz),
+                    params.w_hh.values.T.dot(dz), dc_prev)
 
         tape.record((out_h, out_c), inputs, vjp)
     return out_h, out_c
@@ -156,7 +162,7 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], xs: Tensor,
                 dh = (np.zeros_like(hidden) if d_states is None
                       else d_states[order, col:col + hs])
                 col += hs
-                dz, _, _ = _bptt(cell, kept, np.zeros(hs, dtype=x.dtype), dh, d_end)
+                dz = _bptt(cell, kept, dh, d_end)
                 h_prev = np.concatenate([np.zeros_like(hidden[:1]), hidden[:-1]])
                 deltas += [dz.T.dot(x[order]), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
                 dx += dz.dot(cell.w_ih.values)[order]
@@ -187,39 +193,58 @@ def _unroll(cell: LSTMCellParams, rows: np.ndarray,
     return np.array(hidden), kept
 
 
-def _bptt(cell: LSTMCellParams, kept: tuple, c0: np.ndarray, d_hidden: np.ndarray,
-          d_end: np.ndarray | None = None,
-          dc_end: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagation through one pass; returns ``(dz, dh0, dc0)``.
+def _gate_factors(sig: np.ndarray, g: np.ndarray, c: np.ndarray,
+                  c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A step's local derivatives, from what :func:`_step` returned and
+    the cell state it started from; returns ``(by_dc, by_dh, dc_by_dh, f)``.
 
-    ``kept`` is what :func:`_unroll` kept and ``c0`` the cell state the
-    pass started from. ``d_hidden`` is the gradient of each step's hidden
-    state through the state matrix; ``d_end`` and ``dc_end`` are those of
-    the last step's hidden and cell states through the end states.
-    ``dz`` holds the gradient of the gate pre-activations, one row per
-    step, and ``dh0`` and ``dc0`` those of the initial states.
+    The gradient of the gate pre-activations has i, f and g blocks
+    ``dc * by_dc`` (``by_dc`` holds one row per block) and an o block
+    ``dh * by_dh``, where ``dc`` already includes ``dh * dc_by_dh``; the
+    gradient of the previous cell state is ``dc * f``. The arrays hold
+    one step, or one row per step of a pass.
+    """
+    hs = c.shape[-1]
+    i, f, o = sig[..., :hs], sig[..., hs:2 * hs], sig[..., 3 * hs:]
+    tc = np.tanh(c)
+    by_dc = np.empty(c.shape[:-1] + (3, hs), dtype=c.dtype)
+    np.multiply(g * i, 1 - i, out=by_dc[..., 0, :])
+    np.multiply(c_prev * f, 1 - f, out=by_dc[..., 1, :])
+    np.multiply(i, 1 - g * g, out=by_dc[..., 2, :])
+    return by_dc, tc * o * (1 - o), o * (1 - tc * tc), f
+
+
+def _back_step(dh: np.ndarray, dc: np.ndarray, by_dc: np.ndarray, by_dh: np.ndarray,
+               dc_by_dh: np.ndarray, f: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The chain rule through one step, given the gradients ``dh`` and
+    ``dc`` of its hidden and cell states and its :func:`_gate_factors`.
+    Writes the gate pre-activations' gradient into ``dz`` and returns
+    that of the previous cell state."""
+    hs = dh.shape[0]
+    dc = dc + dh * dc_by_dh
+    np.multiply(by_dc, dc, out=dz[:3 * hs].reshape(3, hs))
+    np.multiply(dh, by_dh, out=dz[3 * hs:])
+    return dc * f
+
+
+def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray,
+          d_end: np.ndarray | None = None) -> np.ndarray:
+    """Backpropagation through one pass from zero states; returns the
+    gradient of the gate pre-activations, one row per step.
+
+    ``kept`` is what :func:`_unroll` kept. ``d_hidden`` is the gradient
+    of each step's hidden state through the state matrix and ``d_end``
+    that of the last step's hidden state through the end state.
     """
     c, sig, g = kept
     steps, hs = c.shape
-    i, f, o = sig[:, :hs], sig[:, hs:2 * hs], sig[:, 3 * hs:]
-    tc = np.tanh(c)
-    c_prev = np.concatenate([c0[None], c[:-1]])
-    # Step-local factors: dz's i, f and g blocks are dc times by_dc,
-    # its o block is dh times by_dh, and dh adds dh * dc_by_dh to dc.
-    by_dc = np.concatenate([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)],
-                           axis=1).reshape(steps, 3, hs)
-    by_dh = tc * o * (1 - o)
-    dc_by_dh = o * (1 - tc * tc)
+    c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
+    by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, c, c_prev)
     w_hh_t = cell.w_hh.values.T
     dz = np.empty((steps, 4 * hs), dtype=c.dtype)
     carry = np.zeros(hs, dtype=c.dtype) if d_end is None else d_end
-    dc = np.zeros(hs, dtype=c.dtype) if dc_end is None else dc_end
+    dc = np.zeros(hs, dtype=c.dtype)
     for t in range(steps - 1, -1, -1):
-        dh = d_hidden[t] + carry
-        dc = dc + dh * dc_by_dh[t]
-        row = dz[t]
-        np.multiply(by_dc[t], dc, out=row[:3 * hs].reshape(3, hs))
-        np.multiply(dh, by_dh[t], out=row[3 * hs:])
-        carry = w_hh_t.dot(row)
-        dc = dc * f[t]
-    return dz, carry, dc
+        dc = _back_step(d_hidden[t] + carry, dc, by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz[t])
+        carry = w_hh_t.dot(dz[t])
+    return dz

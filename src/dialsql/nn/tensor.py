@@ -11,8 +11,17 @@ An operation's backward is a vector-Jacobian product (vjp): it takes
 the gradient of each output and returns one delta per input, in input
 order. It reads only values, never gradients, and writes nothing: the
 tape alone decides which entries run and adds each delta to the inputs
-that require a gradient. A tensor's first delta is adopted as an owned
-copy; later ones are added to it.
+that require a gradient. A delta is an array of the input's shape, or,
+for a matrix input, a tuple of vectors ``(u1, v1, u2, v2, ...)``
+standing for the sum of outer products ``Σ u_k v_kᵀ``. The tape adds an
+array at once: a tensor's first array delta is adopted as an owned copy
+and later ones are added to it. It keeps the factors of a tensor
+pending and adds them as one product ``UᵀV`` of the stacked factors when
+the gradient is first read: by the vjp of the entry that produced the
+tensor, or at the end of :meth:`Tape.backward` for the leaves. A weight
+matrix that every decoder step multiplies (the LSTM cell's, the
+attention matrices, the output projections) thus gets one matrix
+product per backward instead of one outer product per step.
 
 Three fused operations record a whole decoder composite as one entry:
 :func:`attention` (bilinear scores, softmax, optional gate rescaling,
@@ -114,16 +123,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        if self.grad is None:
-            # The first delta is adopted as an owned copy: deltas may be
-            # views of another tensor's gradient (``add`` passes one
-            # array to both inputs; ``concat`` and the stacking ops hand
-            # out slices), and a later ``+=`` must not write through.
-            self.grad = np.array(delta, dtype=self.values.dtype)
-        else:
-            self.grad += delta
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
@@ -158,7 +157,8 @@ class Tape:
 
     Entries are (outputs, inputs, vjp). Construction order is a
     topological order, so :meth:`backward` replays entries reversed.
-    ``vjp(*output_grads)`` returns one delta per input. A single-output
+    ``vjp(*output_grads)`` returns one delta per input: an array, or
+    factors ``(u1, v1, ...)`` (see the module docstring). A single-output
     entry always receives its output's gradient; an entry with several
     outputs receives None for each output no path to the loss reached.
     """
@@ -197,27 +197,61 @@ class Tape:
 
         Entries none of whose outputs lie on a path to ``loss`` are
         skipped. Deltas are added in input order, so a tensor used twice
-        sums its deltas in a fixed order. Tensors recorded on the tape
-        but not on any path to ``loss`` end up with zero gradients.
+        sums its deltas in a fixed order; factored deltas are summed by
+        one product when the tensor's gradient is first read. Tensors
+        recorded on the tape but not on any path to ``loss`` end up with
+        zero gradients.
         """
         if loss.shape != ():
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
-        loss.accumulate_grad(np.asarray(1.0, dtype=loss.values.dtype))
+        one = np.ones((), dtype=loss.values.dtype)
+        loss.grad = one if loss.grad is None else loss.grad + one
+        pending: dict[Tensor, list] = {}    # tensor -> its factors [u1, v1, u2, v2, ...]
         skipped = []
         for outputs, inputs, vjp in reversed(self._entries):
+            for out in outputs:         # every later reader of out has run
+                factors = pending.pop(out, None)
+                if factors is not None:
+                    _add_factors(out, factors)
             grads = [out.grad for out in outputs]
             if all(g is None for g in grads):
                 skipped.append(inputs)      # no path from here to the loss
                 continue
             for t, delta in zip(inputs, vjp(*grads)):
-                if t.requires_grad:
-                    t.accumulate_grad(delta)
+                if not t.requires_grad:
+                    continue
+                if type(delta) is tuple:
+                    factors = pending.get(t)
+                    if factors is None:
+                        pending[t] = list(delta)
+                    else:
+                        factors.extend(delta)
+                elif t.grad is None:
+                    # Adopt an owned copy: deltas may be views of another
+                    # tensor's gradient (``add`` passes one array to both
+                    # inputs; ``concat`` and the stacking ops hand out
+                    # slices), and a later ``+=`` must not write through.
+                    t.grad = np.array(delta, dtype=t.values.dtype)
+                else:
+                    t.grad += delta
+        for t, factors in pending.items():
+            _add_factors(t, factors)
         # Every input of an entry that ran got a delta, so only the
         # inputs of skipped entries can still lack a gradient.
         for inputs in skipped:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
+
+
+def _add_factors(t: Tensor, factors: list) -> None:
+    """Add ``Σ u_k v_kᵀ`` to ``t``'s gradient, given ``factors`` as
+    ``[u1, v1, u2, v2, ...]``, as one product of the stacked factors."""
+    delta = np.array(factors[0::2]).T.dot(np.array(factors[1::2]))
+    if t.grad is None:
+        t.grad = delta.astype(t.values.dtype, copy=False)
+    else:
+        t.grad += delta
 
 
 def _taping(*inputs: Tensor) -> "Tape | None":
@@ -483,9 +517,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if an == 2 and bn == 2:
                 return g.dot(b.values.T), a.values.T.dot(g)
             if an == 2:
-                return g[:, None] * b.values, a.values.T.dot(g)
+                return (g, b.values), a.values.T.dot(g)
             if bn == 2:
-                return b.values.dot(g), a.values[:, None] * g
+                return b.values.dot(g), (a.values, g)
             return g * b.values, g * a.values
 
         tape.record((out,), (a, b), vjp)
@@ -590,10 +624,8 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
                 deltas.append(dweighted * base)
             ds = _softmax_vjp(base, dbase)
             du = m.T.dot(ds)
-            dm = ds[:, None] * u
-            if gc is not None:
-                dm += weights[:, None] * gc
-            return (dm, du[:, None] * h.values, w_e.values.T.dot(du), *deltas)
+            dm = (ds, u) if gc is None else (ds, u, weights, gc)
+            return (dm, (du, h.values), w_e.values.T.dot(du), *deltas)
 
         tape.record((out_a, out_c), inputs, vjp)
     return out_a, out_c

@@ -154,6 +154,27 @@ class TestPredict:
         with pytest.raises(DataError, match="header"):
             read_predictions(bad, corpus)
 
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda rows: rows[:1] + [rows[1].replace("\t1\t", "\tone\t", 1)] + rows[2:],
+         "line 2: turn index 'one' is not an integer"),
+        (lambda rows: rows[:1] + [rows[1].replace("\t1\t", "\t99\t", 1)] + rows[2:],
+         "line 2: dialogue {first!r} has no turn 99"),
+        (lambda rows: rows[:2] + [rows[1]] + rows[2:],
+         "line 3: repeats dialogue {first!r} turn 1"),
+    ], ids=["not_an_integer", "not_in_dialogue", "repeated"])
+    def test_read_predictions_rejects_bad_turns(self, data_dir, tmp_path, edit, expected):
+        corpus = load_corpus(data_dir / "dialogues.json", data_dir / "schemas.json")
+        path = tmp_path / "p.tsv"
+        write_predictions({}, corpus, path)
+        rows = path.read_text().splitlines()
+        assert rows[1].startswith(f"{corpus.dialogues[0].dialogue_id}\t1\t")
+        path.write_text("\n".join(edit(rows)) + "\n")
+        from dialsql.data import DataError
+        with pytest.raises(DataError) as err:
+            read_predictions(path, corpus)
+        assert str(err.value) == f"{path} " + expected.format(
+            first=corpus.dialogues[0].dialogue_id)
+
     def test_incoherent_tree_flagged_invalid(self, data_dir, tmp_path):
         # A grammar tree may pair a column with a table that does not
         # contain it; the writer flags such rows 0 and the reader maps
@@ -365,6 +386,48 @@ class TestConvert:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{paths[which]}: entry 1" in err and expected in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("which", ["dialogues", "tables"])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, which):
+        paths = dict(zip(("dialogues", "tables"), public_release(tmp_path)))
+        paths[which].write_text("[\n{oops")
+        code = main(["convert", "--dialogues", str(paths["dialogues"]),
+                     "--tables", str(paths["tables"]), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{paths[which]}: invalid JSON at line 2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which, edit, expected", [
+        ("dialogues", lambda raw: raw[0]["interaction"][1].update(utterance=None),
+         "entry 0: interaction: entry 1: utterance is None, expected a string"),
+        ("dialogues", lambda raw: raw[0]["interaction"][0].update(query=None),
+         "entry 0: interaction: entry 0: query is None, expected a string"),
+        ("dialogues", lambda raw: raw[0].update(database_id=["concert_singer"]),
+         "entry 0: database_id is ['concert_singer'], expected a string"),
+        ("tables", lambda raw: raw[0].update(db_id=["concert_singer"]),
+         "entry 0: db_id is ['concert_singer'], expected a string"),
+        ("tables", lambda raw: raw[0].update(table_names_original=5),
+         "entry 0: table_names_original must be a list of strings"),
+        ("tables", lambda raw: raw[0].update(column_types=None),
+         "entry 0: column_types must be a list of strings"),
+        ("tables", lambda raw: raw[0]["column_names_original"][2].__setitem__(1, None),
+         "entry 0: column name is None, expected a string"),
+    ], ids=["null_utterance", "null_query", "list_database_id", "list_db_id",
+            "int_table_names", "null_column_types", "null_column_name"])
+    def test_non_string_field_names_file_and_entry(self, tmp_path, capsys, which, edit,
+                                                   expected):
+        paths = dict(zip(("dialogues", "tables"), public_release(tmp_path)))
+        raw = json.loads(paths[which].read_text())
+        edit(raw)
+        paths[which].write_text(json.dumps(raw))
+        code = main(["convert", "--dialogues", str(paths["dialogues"]),
+                     "--tables", str(paths["tables"]), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{paths[which]}: {expected}" in err
         assert "Traceback" not in err
 
 

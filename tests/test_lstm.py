@@ -169,6 +169,55 @@ class TestBackward:
                       Tensor(np.zeros(2)), Tensor(np.zeros(2)))
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("reached", ["h", "c"])
+    def test_cell_gradients_with_one_output_reached(self, reached):
+        # The other output's gradient reaches the vjp as None.
+        rng = np.random.default_rng(9)
+        params = make_params(rng, 3, 4)
+        x, h, c = (Tensor(rng.normal(size=n), requires_grad=True) for n in (3, 4, 4))
+        weights = Tensor(rng.normal(size=4))
+
+        def loss():
+            nh, nc = lstm_cell(params, x, h, c)
+            return ops.dot(nh if reached == "h" else nc, weights)
+
+        res = grad_check(loss, params.tensors() + [x, h, c])
+        assert res.max_rel_error < 1e-6, res
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    def test_one_step_backward_equals_one_row_pass_bit_for_bit(self, bits, dtype):
+        # From zero states, a cell step and a one-row pass are the same
+        # step, and their backwards must give the same weight gradients.
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(8)
+            params = make_params(rng, 5, 4)
+            xs = Tensor(rng.normal(size=(1, 5)))
+            weights = Tensor(rng.normal(size=4))
+
+            def grads(loss_fn):
+                for t in params.tensors():
+                    t.grad = None
+                with Tape() as tape:
+                    tape.backward(loss_fn())
+                return [t.grad.copy() for t in params.tensors()]
+
+            def cell():
+                zero = Tensor(np.zeros(4))
+                h, _ = lstm_cell(params, ops.row(xs, 0), zero, zero)
+                return ops.dot(h, weights)
+
+            def one_row_pass():
+                _, (end,) = lstm_sequence([params], xs)
+                return ops.dot(end, weights)
+
+            got, want = grads(cell), grads(one_row_pass)
+        finally:
+            set_precision(64)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype
+            np.testing.assert_array_equal(g, w)
+
 
 class TestSequencePass:
     def test_gradients_with_tail(self):

@@ -56,3 +56,48 @@ def test_every_public_op_has_a_caller_in_the_package():
             elif isinstance(fn, ast.Name) and fn.id in imported:
                 called.add(fn.id)
     assert public - called == set(TEST_ONLY_OPS)
+
+
+# Functions in ``dialsql.nn`` that still form a dense outer product,
+# each kept for a reason. A vjp returns a matrix input's rank-1 delta as
+# its factors ``(u, v)``; the tape forms the sum of a backward's factors
+# as one matrix product. None is kept today.
+DENSE_OUTER_PRODUCTS: dict[str, str] = {}
+
+
+def _dense_outer_products(source: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that form
+    ``u[:, None] * v`` or call ``np.outer``."""
+    found = set()
+
+    def is_column(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and len(node.slice.elts) == 2
+                and isinstance(node.slice.elts[0], ast.Slice)
+                and isinstance(node.slice.elts[1], ast.Constant)
+                and node.slice.elts[1].value is None)
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            scope = scope + [getattr(node, "name", "<lambda>")]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and (is_column(node.left) or is_column(node.right)):
+            found.add(".".join(scope))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "outer"):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_no_vjp_forms_a_dense_outer_product():
+    sample = "def op(a, b):\n    def vjp(g):\n        return g[:, None] * b, np.outer(a, g)\n"
+    assert _dense_outer_products(sample) == {"op.vjp"}
+    found = set()
+    for path in sorted((Path(dialsql.__file__).parent / "nn").glob("*.py")):
+        found |= {f"{path.stem}.{name}"
+                  for name in _dense_outer_products(path.read_text(encoding="utf-8"))}
+    assert found == set(DENSE_OUTER_PRODUCTS)

@@ -20,6 +20,7 @@ from dialsql.nn import (
     Tensor,
     grad_check,
     lstm_cell,
+    lstm_sequence,
     ops,
     softmax,
 )
@@ -249,10 +250,13 @@ class TestBackwardBasics:
     def test_unreached_leaf_gets_zero_grad(self):
         x = leaf([1.0, 1.0])
         y = leaf([5.0])
+        w = leaf(np.ones((2, 3)))       # its vjp would return factors
         with Tape() as tape:
             _unused = ops.affine(y, 3.0)
+            _unused_too = ops.matmul(w, Tensor([1.0, 0.0, 0.0]))
             tape.backward(ops.reduce_sum(x))
         np.testing.assert_array_equal(y.grad, [0.0])
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))
 
     def test_constant_input_gets_no_grad(self):
         x = leaf([1.0, 2.0])
@@ -589,3 +593,148 @@ class TestFusedOps:
             ops.nll(probs, targets[:2])
         with pytest.raises(ContractError):
             ops.nll([], [])
+
+
+def _dense(delta):
+    """A factored delta ``(u1, v1, u2, v2, ...)`` as its dense sum of
+    outer products, added step by step; other deltas unchanged."""
+    if type(delta) is not tuple:
+        return delta
+    total = delta[0][:, None] * delta[1]
+    for u, v in zip(delta[2::2], delta[3::2]):
+        total = total + u[:, None] * v
+    return total
+
+
+class TestFactoredDeltas:
+    """Matrix inputs of ``matmul``, ``attention`` and ``lstm_cell`` get
+    their deltas as factors, which the tape sums with one product when
+    the gradient is first read."""
+
+    def test_parameter_with_dense_and_factored_deltas(self):
+        rng = np.random.default_rng(40)
+        w = leaf(rng.normal(size=(3, 4)))
+        u, v = leaf(rng.normal(size=3)), leaf(rng.normal(size=4))
+        weights = Tensor(rng.normal(size=(3, 4)))
+
+        def loss():
+            factored = ops.add(ops.dot(ops.matmul(w, v), u),        # w gets (·, v)
+                               ops.reduce_sum(ops.matmul(u, w)))    # and (u, ·)
+            return ops.add(factored, ops.reduce_sum(ops.mul(w, weights)))  # and a dense delta
+
+        res = grad_check(loss, [w, u, v])
+        assert res.max_rel_error < 1e-6, res
+        w.grad = None
+        with Tape() as tape:
+            tape.backward(loss())
+        want = np.outer(u.values, v.values) + np.outer(u.values, np.ones(4)) + weights.values
+        np.testing.assert_allclose(w.grad, want, rtol=1e-14)
+
+    def test_non_leaf_factors_are_formed_for_its_producer(self):
+        rng = np.random.default_rng(41)
+        w = leaf(rng.normal(size=(4, 3)))
+        h = leaf(rng.normal(size=2))
+        w_e = leaf(rng.normal(size=(3, 2)))
+        xs = [Tensor(rng.normal(size=3)) for _ in range(3)]
+
+        def loss():
+            memory = ops.tanh(w)        # a non-leaf matrix read by three ops
+            _, ctx = ops.attention(memory, w_e, h)
+            total = ops.reduce_sum(ctx)
+            for x in xs:
+                total = ops.add(total, ops.reduce_sum(ops.tanh(ops.matmul(memory, x))))
+            return total
+
+        res = grad_check(loss, [w, h, w_e])
+        assert res.max_rel_error < 1e-6, res
+
+        seen = []
+        with Tape() as tape:
+            doubled = Tensor(2.0 * w.values)
+            tape.record((doubled,), (w,), lambda g: (seen.append(g) or 2.0 * g,))
+            tape.backward(ops.add(ops.dot(ops.matmul(doubled, xs[0]), Tensor(np.arange(4.0))),
+                                  ops.dot(ops.matmul(Tensor(np.ones(4)), doubled), xs[1])))
+        [g] = seen
+        assert type(g) is np.ndarray
+        want = np.outer(np.arange(4.0), xs[0].values) + np.outer(np.ones(4), xs[1].values)
+        np.testing.assert_allclose(g, want, rtol=1e-14)
+
+    def test_multi_output_entry_reached_only_through_factors_runs(self):
+        rng = np.random.default_rng(42)
+        cell = LSTMCellParams(leaf(rng.normal(size=(8, 3)) * 0.5),
+                              leaf(rng.normal(size=(8, 2)) * 0.5),
+                              leaf(rng.normal(size=8) * 0.1))
+        xs = leaf(rng.normal(size=(4, 3)))
+        v = Tensor(rng.normal(size=2))
+
+        def loss():
+            states, _ends = lstm_sequence([cell], xs)    # the end state is not reached
+            return ops.reduce_sum(ops.tanh(ops.matmul(states, v)))
+
+        res = grad_check(loss, cell.tensors() + [xs])
+        assert res.max_rel_error < 1e-6, res
+
+        seen = []
+
+        def vjp(g_reached, g_unreached):
+            seen.append((g_reached, g_unreached))
+            return (g_reached,)
+
+        x = leaf(rng.normal(size=(2, 3)))
+        reached, unreached = Tensor(x.values.copy()), Tensor([0.0])
+        with Tape() as tape:
+            tape.record((reached, unreached), (x,), vjp)
+            tape.backward(ops.dot(ops.matmul(reached, Tensor([1.0, 2.0, 3.0])),
+                                  Tensor([1.0, -1.0])))
+        [(g_reached, g_unreached)] = seen
+        np.testing.assert_array_equal(g_reached, [[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])
+        assert g_unreached is None
+        np.testing.assert_array_equal(x.grad, g_reached)
+
+    def test_decoder_cell_weights_formed_once_per_backward(self, monkeypatch):
+        from dialsql.context import build_model, method_config, prepare_inputs
+        from dialsql.data import build_vocab, gen_synthetic
+        from dialsql.decoder import encode_turn, teacher_forced_loss
+        from dialsql.grammar import build_grammar
+
+        corpus = gen_synthetic(seed=5, n_dialogues=2, max_turns=3)
+        dialogue = corpus.dialogues[0]
+        ex = dialogue.turns[-1]
+        grammar = build_grammar(corpus.schemas[dialogue.db_id])
+        model = build_model(method_config("turn+sql_attn+action_copy", h=2,
+                                          dims={"embedding": 6, "hidden": 8, "distance": 4}),
+                            build_vocab(corpus), seed=0)
+        w_ih = model.params["dec.w_ih"]
+
+        def gradient(densify):
+            for p in model.parameters():
+                p.grad = None
+            with Tape() as tape:
+                inputs = prepare_inputs(dialogue, ex.turn_index, model.config)
+                encoded = encode_turn(model, inputs.segments, inputs.distances,
+                                      inputs.precedent)
+                loss = teacher_forced_loss(model, encoded, grammar, list(ex.gold_actions))
+                if densify:
+                    tape._entries = [(outs, ins, lambda *g, vjp=vjp: [_dense(d) for d in vjp(*g)])
+                                     for outs, ins, vjp in tape._entries]
+                tape.backward(loss)
+            return w_ih.grad.copy()
+
+        formed = []
+        add_factors = ops._add_factors
+
+        def counting(t, factors):
+            formed.append((t, len(factors) // 2))
+            add_factors(t, factors)
+
+        monkeypatch.setattr(ops, "_add_factors", counting)
+        factored = gradient(densify=False)
+        assert [n for t, n in formed if t is w_ih] == [len(ex.gold_actions)]
+        formed.clear()
+        dense = gradient(densify=True)
+        assert formed == []
+        assert not np.array_equal(factored, np.zeros_like(factored))
+        # Relative to the gradient's scale, as tools/grad_drift.py measures:
+        # an entry whose per-step terms cancel moves by more than 1e-13 of itself.
+        np.testing.assert_allclose(factored, dense, rtol=1e-13,
+                                   atol=1e-13 * np.abs(dense).max())
