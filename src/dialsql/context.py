@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Dialogue, Vocabulary
+from .data import DataError, Dialogue, Vocabulary
 from .grammar import Production, agnostic_productions
 from .nn import ContractError, LSTMCellParams, Parameter, get_precision, init_uniform
 
@@ -311,22 +311,45 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelBundle:
-    """Rebuild a bundle; array bytes are restored exactly as saved."""
+    """Rebuild a bundle; array bytes are restored exactly as saved.
+
+    The parameters must be exactly those :func:`build_model` makes for
+    the saved config, with the same shapes, at the active precision.
+    """
     try:
         blob = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not a checkpoint ({err.msg})") from err
-    if blob.get("format") != _FORMAT:
+    if not isinstance(blob, dict) or blob.get("format") != _FORMAT:
         raise ConfigError(f"{path}: unrecognized checkpoint format")
     if blob.get("precision") != get_precision():
         raise ConfigError(f"{path}: saved at {blob.get('precision')}-bit precision, "
                           f"but the active precision is {get_precision()}-bit")
-    config = ContextConfig.from_dict(blob["config"])
-    vocab = Vocabulary.from_list(blob["vocab"])
+    for key, kind in (("config", dict), ("vocab", list), ("params", dict)):
+        if not isinstance(blob.get(key), kind):
+            raise ConfigError(f"{path}: missing or malformed {key!r}")
+    try:
+        config = ContextConfig.from_dict(blob["config"])
+        vocab = Vocabulary.from_list(blob["vocab"])
+    except (ConfigError, DataError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: bad config or vocab: {err}") from err
+    expected = {name: p.shape for name, p in build_model(config, vocab, 0).params.items()}
+    missing = sorted(set(expected) - set(blob["params"]))
+    if missing:
+        raise ConfigError(f"{path}: parameter {missing[0]!r} is missing")
+    dtype = np.dtype(f"float{get_precision()}")
     params: dict[str, Parameter] = {}
     for name, spec in blob["params"].items():
-        raw = base64.b64decode(spec["data"])
-        values = np.frombuffer(raw, dtype=np.dtype(spec["dtype"])).reshape(spec["shape"])
+        if name not in expected:
+            raise ConfigError(f"{path}: unexpected parameter {name!r}")
+        try:
+            if spec["dtype"] != dtype.name or tuple(spec["shape"]) != expected[name]:
+                raise ValueError(f"expected {dtype.name} of shape {expected[name]}, "
+                                 f"got {spec['dtype']} of shape {spec['shape']}")
+            raw = base64.b64decode(spec["data"], validate=True)
+            values = np.frombuffer(raw, dtype=dtype).reshape(expected[name])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: parameter {name!r}: {err}") from err
         p = Parameter(name, np.zeros(values.shape, dtype=values.dtype))
         p.values = values.copy()
         params[name] = p

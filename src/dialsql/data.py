@@ -235,6 +235,7 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
         raise DataError(f"{dialogues_path}: expected a list of dialogues")
 
     dialogues = []
+    first_record: dict[str, int] = {}    # dialogue id -> its record number
     unsupported = 0
     total = 0
     for rec_no, rec in enumerate(records):
@@ -247,7 +248,12 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
             raw_turns = rec["turns"]
         except KeyError as err:
             raise DataError(f"{where}: missing key {err}") from err
-        if db_id not in schemas:
+        dialogue_id = str(dialogue_id)
+        if dialogue_id in first_record:
+            raise DataError(f"{where}: dialogue_id {dialogue_id!r} repeats "
+                            f"dialogue #{first_record[dialogue_id]}")
+        first_record[dialogue_id] = rec_no
+        if not isinstance(db_id, str) or db_id not in schemas:
             raise DataError(f"{where}: unknown db_id {db_id!r}")
         schema = schemas[db_id]
         if not isinstance(raw_turns, list):
@@ -258,10 +264,11 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 raise DataError(f"{where}, turn {t}: expected an object")
             if "question" not in raw or "sql" not in raw:
                 raise DataError(f"{where}, turn {t}: needs question and sql")
-            for key in ("question", "sql"):
-                if not isinstance(raw[key], str):
+            for key in ("question", "sql", "phenomenon"):     # phenomenon is optional
+                value = raw.get(key)
+                if not (isinstance(value, str) or key == "phenomenon" and value is None):
                     raise DataError(f"{where}, turn {t}: {key} must be a string, "
-                                    f"got {type(raw[key]).__name__}")
+                                    f"got {type(value).__name__}")
             total += 1
             sql = raw["sql"]
             actions: tuple[Production, ...] | None
@@ -274,7 +281,7 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 supported = False
                 unsupported += 1
             turns.append(Example(
-                dialogue_id=str(dialogue_id),
+                dialogue_id=dialogue_id,
                 turn_index=t,
                 question=tuple(tokenize(raw["question"])),
                 gold_sql=sql,
@@ -282,7 +289,7 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 phenomenon=raw.get("phenomenon"),
                 supported=supported,
             ))
-        dialogues.append(Dialogue(str(dialogue_id), db_id, turns))
+        dialogues.append(Dialogue(dialogue_id, db_id, turns))
 
     corpus = Corpus(dialogues, schemas)
     if total:

@@ -9,15 +9,17 @@ config and vocabulary) rather than owning parameters, so the same code
 drives every method configuration.
 
 A teacher-forced step records a handful of tape entries: the LSTM
-input and cell, one fused :func:`ops.attention` entry per attended
-memory (the questions, and the precedent query under ``sql_attn``),
-the logit products, and one :func:`ops.mixture` entry for the whole
-output distribution. A turn's loss is one :func:`ops.nll` entry. What
-every step of a turn shares is built once per turn: the ``sql_attn``
-context, the question tokens' word embeddings, and for each frontier
-one :class:`FrontierRecord` holding its support list, its linking
-matrix or action-embedding rows, its stacked subtree embeddings and
-its copy mask and aggregation (see ``EncodedTurn.memo``).
+input (one :func:`ops.concat`) and one :func:`lstm_cell` step, one
+fused :func:`ops.attention` entry per attended memory (the questions,
+and under ``sql_attn`` the precedent query's action states), the logit
+products, and one :func:`ops.mixture` entry for the whole output
+distribution. A turn's loss is one :func:`ops.nll` entry. What every
+step of a turn shares is built once per turn: the precedent's action
+states (the ``sql_attn`` memory), the question tokens' word
+embeddings, and for each frontier one :class:`FrontierRecord` holding
+its support list, its linking matrix or action-embedding rows, its
+stacked subtree embeddings and its copy mask and aggregation (see
+``EncodedTurn.memo``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .encoders import (
     encode_name,
     encode_question,
     gate_importances,
-    turn_state_init,
-    turn_state_update,
 )
 from .grammar import (
     Derivation,
@@ -45,7 +45,7 @@ from .grammar import (
     Production,
     extract_subtrees,
 )
-from .nn import ContractError, LSTMCellParams, Tensor, lstm_cell, ops
+from .nn import ContractError, Tensor, lstm_cell, ops
 from .schema import linking_features, name_tokens
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "SubtreeCandidate",
     "ActionEmbedder",
     "attention_context",
-    "attend",
-    "decode_step",
     "initial_state",
     "advance_state",
     "encode_turn",
@@ -140,29 +138,16 @@ def attention_context(segment_states: list[Tensor], tokens: list[str],
     counts = [s.shape[0] for s in segment_states]
     if not sum(counts):
         raise ContractError("attention needs at least one encoder state")
-    memory = segment_states[0] if len(segment_states) == 1 else ops._join(segment_states, 0)
+    memory = segment_states[0] if len(segment_states) == 1 else ops.concat(segment_states, 0)
     if distance_table is not None:
         dist_rows = ops.take_rows(distance_table, np.repeat(distances, counts))
-        memory = ops._join([memory, dist_rows], 1)
+        memory = ops.concat([memory, dist_rows], 1)
     if len(tokens) != memory.shape[0]:
         raise ContractError("token list must align with attention rows")
     coeffs = None
     if gate_weights is not None:
         coeffs = ops.expand_by_counts(gate_weights, counts)
     return AttentionContext(memory, tokens, coeffs)
-
-
-def attend(ctx: AttentionContext, dec_state: Tensor, w_e: Tensor) -> tuple[Tensor, Tensor]:
-    """Bilinear attention; returns (weights, context vector).
-
-    Gate coefficients, when present, scale the softmax weights and the
-    result is renormalized.
-    """
-    if w_e.shape != (ctx.memory.shape[1], dec_state.shape[0]):
-        raise ContractError(
-            f"attention matrix {w_e.shape} does not bridge memory width "
-            f"{ctx.memory.shape[1]} and decoder dim {dec_state.shape[0]}")
-    return ops.attention(ctx.memory, w_e, dec_state, ctx.gate_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +174,7 @@ EMPTY_COPY_CONTEXT = CopyContext((), None, [])
 class EncodedTurn:
     attention: AttentionContext
     init_state: Tensor             # decoder hidden initialization
-    copy: CopyContext
-    sql_attention: AttentionContext | None = None   # over the precedent's action states
+    copy: CopyContext              # its states are the sql_attn memory
     # What every decoder step of this turn shares, built on first use
     # and, under a tape, recorded once per turn: "tokens" -> the
     # question tokens' word embeddings, and each frontier -> its
@@ -207,12 +191,12 @@ def encode_precedent(model, actions: tuple[Production, ...],
         return EMPTY_COPY_CONTEXT
     fwd = model.cell("sql_enc.fwd")
     bwd = model.cell("sql_enc.bwd")
-    states = encode_actions(ops.stack_rows([embedder(a) for a in actions]), fwd, bwd).states
+    states, _ = encode_actions(ops.stack([embedder(a) for a in actions]), fwd, bwd)
     subtrees = []
     if with_subtrees:
         for root, seq in extract_subtrees(list(actions)):
-            embedded = ops.stack_rows([embedder(a) for a in seq])
-            subtrees.append((root, seq, encode_actions(embedded, fwd, bwd).final_state))
+            _, final = encode_actions(ops.stack([embedder(a) for a in seq]), fwd, bwd)
+            subtrees.append((root, seq, final))
     return CopyContext(tuple(actions), states, subtrees)
 
 
@@ -235,13 +219,14 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
 
     encodings: list[QuestionEncoding] = []
     if config.question_method == "turn":
+        # The turn-level encoder: one LSTM step per question vector.
         turn_cell = model.cell("turn_enc")
-        state = turn_state_init(turn_cell.hidden_size)
+        h = Tensor(np.zeros(turn_cell.hidden_size))
+        c = Tensor(np.zeros(turn_cell.hidden_size))
         for tokens in segments:
-            enc = encode_question(_embed_tokens(model, tokens), fwd, bwd,
-                                  turn_vec=state.h)
+            enc = encode_question(_embed_tokens(model, tokens), fwd, bwd, turn_vec=h)
             encodings.append(enc)
-            state = turn_state_update(enc.question_vector, state, turn_cell)
+            h, c = lstm_cell(turn_cell, enc.question_vector, h, c)
     else:
         for tokens in segments:
             encodings.append(encode_question(_embed_tokens(model, tokens), fwd, bwd))
@@ -260,13 +245,10 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
                             gate_weights=gate_weights)
 
     copy_ctx = EMPTY_COPY_CONTEXT
-    sql_ctx = None
     if config.sql_methods and precedent:
         copy_ctx = encode_precedent(model, tuple(precedent), embedder,
                                     with_subtrees="tree_copy" in config.sql_methods)
-        if "sql_attn" in config.sql_methods:
-            sql_ctx = AttentionContext(copy_ctx.states, [""] * copy_ctx.states.shape[0])
-    return EncodedTurn(ctx, encodings[-1].final_state, copy_ctx, sql_ctx)
+    return EncodedTurn(ctx, encodings[-1].final_state, copy_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +273,20 @@ def initial_state(model, encoded: EncodedTurn) -> DecoderState:
     return DecoderState(encoded.init_state, Tensor(np.zeros(hidden)), context, sql_context)
 
 
-def decode_step(prev_action_embed: Tensor, prev_context: Tensor,
-                state: DecoderState, cell: LSTMCellParams,
-                sql_context: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """One LSTM step on [previous action; previous context(s)]."""
-    parts = [prev_action_embed, prev_context]
-    if sql_context is not None:
-        parts.append(sql_context)
-    x = ops.concat(parts)
-    return lstm_cell(cell, x, state.h, state.cell)
-
-
 def advance_state(model, encoded: EncodedTurn, state: DecoderState,
                   prev_embed: Tensor) -> tuple[DecoderState, Tensor]:
-    """LSTM update then attention; returns the new state and the
-    question-attention weights (reused by linking scores)."""
-    h, cell_state = decode_step(prev_embed, state.context, state,
-                                model.cell("dec"), state.sql_context)
-    a, c = attend(encoded.attention, h, model.params["attn.we"])
+    """One LSTM step on [previous action; previous context(s)], then
+    attention; returns the new state and the question-attention weights
+    (reused by linking scores)."""
+    parts = [prev_embed, state.context]
     sql_c = state.sql_context
-    if sql_c is not None and encoded.sql_attention is not None:
-        _, sql_c = attend(encoded.sql_attention, h, model.params["sql_attn.we"])
+    if sql_c is not None:
+        parts.append(sql_c)
+    h, cell_state = lstm_cell(model.cell("dec"), ops.concat(parts), state.h, state.cell)
+    ctx = encoded.attention
+    a, c = ops.attention(ctx.memory, model.params["attn.we"], h, ctx.gate_coeffs)
+    if sql_c is not None and encoded.copy.states is not None:
+        _, sql_c = ops.attention(encoded.copy.states, model.params["sql_attn.we"], h)
     return DecoderState(h, cell_state, c, sql_c), a
 
 
@@ -386,7 +361,7 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
         if "tokens" not in memo:
             memo["tokens"] = _embed_tokens(model, tokens)
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
-        rule_embs = ops.stack_rows([embedder(p) for p in productions])
+        rule_embs = ops.stack([embedder(p) for p in productions])
         scorer = ops.add(
             ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
                     ops.scale_by(Tensor(partial), params["link.w_partial"])),
@@ -402,7 +377,7 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
         rows = [(seq, phi) for root, seq, phi in copy_ctx.subtrees if root == frontier]
         if rows:
             record.support.extend(SubtreeCandidate(frontier, seq) for seq, _ in rows)
-            record.subtrees = ops.stack_rows([phi for _, phi in rows])
+            record.subtrees = ops.stack([phi for _, phi in rows])
     if "action_copy" in sql_methods and not copy_ctx.empty:
         mask = np.array([act.lhs == frontier for act in copy_ctx.actions])
         if mask.any():

@@ -4,27 +4,23 @@ All functions take already-embedded inputs, one row per position of a
 matrix, so the embedding lookup policy stays with the model. Each
 encoder runs one fused :func:`~dialsql.nn.lstm_sequence` pass, one tape
 entry, and returns its per-position states as one matrix. Question and
-action encoders are bidirectional; the turn-level and schema-name
-encoders run one direction only.
+action encoders are bidirectional; the schema-name encoder runs one
+direction only. The turn-level encoder is one
+:func:`~dialsql.nn.lstm_cell` step per question, taken by the decoder's
+``encode_turn``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .nn import ContractError, LSTMCellParams, Tensor, lstm_cell, lstm_sequence, ops, softmax
+from .nn import ContractError, LSTMCellParams, Tensor, lstm_sequence, ops, softmax
 
 __all__ = [
     "QuestionEncoding",
-    "SqlEncoding",
     "encode_question",
     "encode_actions",
     "encode_name",
-    "TurnState",
-    "turn_state_init",
-    "turn_state_update",
     "gate_importances",
 ]
 
@@ -42,12 +38,6 @@ class QuestionEncoding:
         return ops.row(self.states, self.states.shape[0] - 1)
 
 
-@dataclass
-class SqlEncoding:
-    states: Tensor                # one row per action: [forward; backward]
-    final_state: Tensor           # [forward at last; backward at first]
-
-
 def encode_question(embedded: Tensor, fwd: LSTMCellParams,
                     bwd: LSTMCellParams, turn_vec: Tensor | None = None) -> QuestionEncoding:
     """BiLSTM over token embeddings, one row per token.
@@ -60,15 +50,16 @@ def encode_question(embedded: Tensor, fwd: LSTMCellParams,
 
 
 def encode_actions(embedded: Tensor, fwd: LSTMCellParams,
-                   bwd: LSTMCellParams) -> SqlEncoding:
-    """BiLSTM over action embeddings, one row per action.
+                   bwd: LSTMCellParams) -> tuple[Tensor, Tensor]:
+    """BiLSTM over action embeddings; returns ``(states, final)``.
 
-    ``final_state`` concatenates the two directions' final states and
-    doubles as the subtree embedding when the input is one subtree's
-    action sequence.
+    ``states`` holds one row per action, [forward; backward]. ``final``
+    is [forward at last; backward at first], the two directions' final
+    states, and doubles as the subtree embedding when the input is one
+    subtree's action sequence.
     """
     states, ends = lstm_sequence([fwd, bwd], embedded)
-    return SqlEncoding(states, ops.concat(ends))
+    return states, ops.concat(ends)
 
 
 def encode_name(embedded: Tensor, cell: LSTMCellParams) -> Tensor:
@@ -76,26 +67,6 @@ def encode_name(embedded: Tensor, cell: LSTMCellParams) -> Tensor:
     row per token."""
     _, (h,) = lstm_sequence([cell], embedded)
     return h
-
-
-@dataclass
-class TurnState:
-    h: Tensor
-    c: Tensor
-
-
-def turn_state_init(hidden_size: int) -> TurnState:
-    return TurnState(Tensor(np.zeros(hidden_size)), Tensor(np.zeros(hidden_size)))
-
-
-def turn_state_update(prev_qvec: Tensor, state: TurnState,
-                      cell: LSTMCellParams) -> TurnState:
-    """Advance the turn-level encoder by one question vector."""
-    if prev_qvec.shape != (cell.input_size,):
-        raise ContractError(
-            f"turn encoder expects input of dim {cell.input_size}, got {prev_qvec.shape}")
-    h, c = lstm_cell(cell, prev_qvec, state.h, state.c)
-    return TurnState(h, c)
 
 
 def gate_importances(history_qvecs: list[Tensor], current_qvec: Tensor,
@@ -110,4 +81,4 @@ def gate_importances(history_qvecs: list[Tensor], current_qvec: Tensor,
     anchor = ops.matmul(w, current_qvec)
     scores = [ops.dot(v, ops.tanh(ops.add(ops.matmul(u, q), anchor)))
               for q in history_qvecs]
-    return softmax(ops.stack_scalars(scores))
+    return softmax(ops.stack(scores))

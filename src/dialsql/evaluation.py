@@ -174,7 +174,7 @@ def load_annotations(path: str | Path) -> dict[str, dict[int, str]]:
             except ValueError as err:
                 raise DataError(
                     f"{path}: {dialogue_id!r}: bad turn index {turn_key!r}") from err
-            if label not in COARSE_OF:
+            if not isinstance(label, str) or label not in COARSE_OF:
                 raise DataError(
                     f"{path}: {dialogue_id!r} turn {turn}: unknown label {label!r}")
             entry[turn] = label

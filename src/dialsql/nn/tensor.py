@@ -229,8 +229,8 @@ class Tape:
                 elif t.grad is None:
                     # Adopt an owned copy: deltas may be views of another
                     # tensor's gradient (``add`` passes one array to both
-                    # inputs; ``concat`` and the stacking ops hand out
-                    # slices), and a later ``+=`` must not write through.
+                    # inputs; ``concat`` and ``stack`` hand out slices),
+                    # and a later ``+=`` must not write through.
                     t.grad = np.array(delta, dtype=t.values.dtype)
                 else:
                     t.grad += delta
@@ -388,80 +388,42 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     return out
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join vectors end to end, or matrices along ``axis``: 0 stacks
+    their rows, 1 sets them side by side."""
     parts = list(parts)
     if not parts:
         raise ContractError("concat: need at least one part")
     try:
-        values = np.concatenate([p.values for p in parts])
-    except ValueError as err:     # a part of another rank, or a scalar
-        raise DimensionError(f"concat: need vectors, got shapes {[p.shape for p in parts]}") from err
-    if values.ndim != 1:
-        raise DimensionError(f"concat: need vectors, got shapes {[p.shape for p in parts]}")
-    out = Tensor(values)
-    tape = _taping(*parts)
-    if tape is not None:
-        tape.record((out,), parts, lambda g: _split(g, parts))
-    return out
-
-
-def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate matrices along ``axis``: 0 stacks their rows, 1 sets
-    them side by side. The decoder assembles its attention memory with
-    it in one tape entry."""
-    parts = list(parts)
-    if not parts:
-        raise ContractError("_join: need at least one part")
-    if any(p.values.ndim != 2 for p in parts):
-        raise DimensionError(f"_join: need matrices, got shapes {[p.shape for p in parts]}")
-    try:
         values = np.concatenate([p.values for p in parts], axis=axis)
-    except ValueError as err:
-        raise DimensionError(f"_join: shapes {[p.shape for p in parts]} do not "
+    except ValueError as err:     # scalars, mixed ranks, or no such axis (an AxisError)
+        raise DimensionError(f"concat: shapes {[p.shape for p in parts]} do not "
                              f"line up along axis {axis}") from err
+    if values.ndim > 2:
+        raise DimensionError(f"concat: need vectors or matrices, got shape {parts[0].shape}")
     out = Tensor(values)
     tape = _taping(*parts)
     if tape is not None:
-        bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
-        tape.record((out,), parts, lambda g: np.split(g, bounds, axis=axis))
+        tape.record((out,), parts, lambda g: _split(g, parts, axis))
     return out
 
 
-def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
-    """Collect scalar tensors into one vector."""
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape scalars into a vector, or vectors into a matrix."""
     parts = list(parts)
     if not parts:
-        raise ContractError("stack_scalars: need at least one part")
-    for p in parts:
-        if p.values.ndim != 0:
-            raise DimensionError(f"stack_scalars: need scalars, got shape {p.shape}")
-    out = Tensor(np.array([p.values for p in parts], dtype=active_dtype()))
+        raise ContractError("stack: need at least one part")
+    try:
+        values = np.array([p.values for p in parts])    # np.stack, at a fifth of the cost
+    except ValueError as err:     # parts of unequal shapes
+        raise DimensionError(f"stack: need equal shapes, got {[p.shape for p in parts]}") from err
+    if values.ndim > 2:
+        raise DimensionError(f"stack: need scalars or vectors, got shape {parts[0].shape}")
+    out = Tensor(values)
     tape = _taping(*parts)
     if tape is not None:
-        tape.record((out,), parts, _unstack)
+        tape.record((out,), parts, lambda g: g)    # g[k] is part k's delta
     return out
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    rows = list(rows)
-    if not rows:
-        raise ContractError("stack_rows: need at least one row")
-    width = rows[0].size
-    for r in rows:
-        if r.values.ndim != 1 or r.size != width:
-            raise DimensionError("stack_rows: rows must be equal-length vectors")
-    out = Tensor(np.array([r.values for r in rows]))    # np.stack, at a fifth of the cost
-    tape = _taping(*rows)
-    if tape is not None:
-        tape.record((out,), rows, _unstack)
-    return out
-
-
-def _unstack(g: np.ndarray) -> np.ndarray:
-    """vjp of the two stacking ops: iterating ``g`` yields ``g[k]``, part k's delta."""
-    return g
 
 
 def expand_by_counts(v: Tensor, counts: Sequence[int]) -> Tensor:
@@ -697,15 +659,15 @@ def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
     return out_probs, out_gen, out_copy, out_p
 
 
-def _split(g: np.ndarray, parts: list[Tensor]) -> list[np.ndarray]:
-    """Slices of the vector ``g``, one per concatenated part. Bounds come
-    from a running offset: cheaper than np.cumsum at these sizes."""
+def _split(g: np.ndarray, parts: list[Tensor], axis: int = 0) -> list[np.ndarray]:
+    """Slices of ``g`` along ``axis``, one per concatenated part. Bounds
+    come from a running offset: cheaper than np.cumsum at these sizes."""
     if len(parts) == 1:
         return [g]
     deltas, lo = [], 0
     for p in parts:
-        hi = lo + p.size
-        deltas.append(g[lo:hi])
+        hi = lo + p.shape[axis]
+        deltas.append(g[lo:hi] if axis == 0 else g[:, lo:hi])
         lo = hi
     return deltas
 

@@ -8,7 +8,7 @@ indices and FROM-clause synthesis are derived from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "Table",
     "DatabaseSchema",
     "SchemaError",
-    "load_schema",
     "load_schemas",
     "schema_from_dict",
     "name_tokens",
@@ -127,45 +126,70 @@ class DatabaseSchema:
         }
 
 
-def _parse_endpoint(spec: str, where: str) -> tuple[str, str]:
-    parts = spec.split(".")
+def _parse_endpoint(spec, where: str) -> tuple[str, str]:
+    parts = spec.split(".") if isinstance(spec, str) else []
     if len(parts) != 2 or not all(parts):
         raise SchemaError(f"{where}: foreign-key endpoint must be 'table.column', got {spec!r}")
     return parts[0], parts[1]
 
 
+def _name_of(entry, what: str, where: str) -> str:
+    """The string ``name`` of a table or column object."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{where}: {what} must be an object, got {entry!r}")
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise SchemaError(f"{where}: {what} needs a string 'name', got {name!r}")
+    return name
+
+
+def _parse_table(raw, k: int, where: str) -> Table:
+    name = _name_of(raw, f"table {k}", where)
+    where = f"{where}, table {name!r}"
+    raw_cols = raw.get("columns", [])
+    if not isinstance(raw_cols, list) or not raw_cols:
+        raise SchemaError(f"{where}: needs a non-empty list of columns")
+    cols = []
+    for j, c in enumerate(raw_cols):
+        col_name = _name_of(c, f"column {j}", where)
+        col_type = c.get("type", "text")
+        if not isinstance(col_type, str):
+            raise SchemaError(f"{where}: column {col_name!r} has type {col_type!r}, "
+                              f"not a string")
+        cols.append(Column(col_name, col_type))
+    return Table(name, tuple(cols))
+
+
 def schema_from_dict(data: dict, where: str = "<memory>") -> DatabaseSchema:
+    """Build a schema from its JSON object; ``where`` names the source
+    in errors, which also name the schema and the table."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: a schema must be an object, got {data!r}")
     try:
         db_id = data["db_id"]
         raw_tables = data["tables"]
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise SchemaError(f"{where}: missing required field {err}") from err
+    if not isinstance(db_id, str):
+        raise SchemaError(f"{where}: db_id must be a string, got {db_id!r}")
+    source, where = where, f"{where}: schema {db_id!r}"
     if not isinstance(raw_tables, list) or not raw_tables:
-        raise SchemaError(f"{where}: schema {db_id!r} needs at least one table")
-    tables = []
-    for t in raw_tables:
-        cols = tuple(Column(c["name"], c.get("type", "text")) for c in t.get("columns", []))
-        if not cols:
-            raise SchemaError(f"{where}: table {t.get('name')!r} has no columns")
-        tables.append(Table(t["name"], cols))
+        raise SchemaError(f"{where}: needs at least one table")
+    tables = [_parse_table(t, k, where) for k, t in enumerate(raw_tables)]
+    raw_fks = data.get("foreign_keys", [])
+    if not isinstance(raw_fks, list):
+        raise SchemaError(f"{where}: foreign_keys must be a list, got {raw_fks!r}")
     fks = []
-    for pair in data.get("foreign_keys", []):
-        if len(pair) != 2:
-            raise SchemaError(f"{where}: foreign key must be a 2-element list, got {pair!r}")
+    for k, pair in enumerate(raw_fks):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SchemaError(f"{where}: foreign key {k} must be a 2-element list, got {pair!r}")
         (t1, c1) = _parse_endpoint(pair[0], where)
         (t2, c2) = _parse_endpoint(pair[1], where)
         fks.append(ForeignKey(t1, c1, t2, c2))
-    return DatabaseSchema(db_id, tables, fks)
-
-
-def load_schema(path: str | Path) -> DatabaseSchema:
-    """Read one schema from a JSON file."""
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    return schema_from_dict(data, where=str(path))
+        return DatabaseSchema(db_id, tables, fks)
+    except SchemaError as err:     # a duplicate name or a dangling foreign key
+        raise SchemaError(f"{source}: {err}") from err
 
 
 def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
@@ -177,8 +201,9 @@ def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
         raise SchemaError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
     entries = data if isinstance(data, list) else [data]
     out: dict[str, DatabaseSchema] = {}
-    for entry in entries:
-        schema = schema_from_dict(entry, where=str(path))
+    for k, entry in enumerate(entries):
+        where = f"{path}, entry {k}" if isinstance(data, list) else str(path)
+        schema = schema_from_dict(entry, where=where)
         if schema.db_id in out:
             raise SchemaError(f"{path}: duplicate db_id {schema.db_id!r}")
         out[schema.db_id] = schema

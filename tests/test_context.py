@@ -299,7 +299,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         assert loaded.vocab.to_list() == model.vocab.to_list()
-        assert set(loaded.params) == set(model.params)
+        assert list(loaded.params) == sorted(model.params)      # the order as saved
         for name, p in model.params.items():
             got = loaded.params[name].values
             assert got.dtype == p.values.dtype
@@ -353,6 +353,38 @@ class TestCheckpoint:
         finally:
             set_precision(64)
         assert {p.values.dtype for p in loaded.parameters()} == {np.dtype(np.float32)}
+
+    @staticmethod
+    def _broken(blob):
+        """Break one part of a saved checkpoint; returns what the error names."""
+        params = blob["params"]
+        return [
+            ([1], "format"),
+            ({k: v for k, v in blob.items() if k != "config"}, "'config'"),
+            ({k: v for k, v in blob.items() if k != "params"}, "'params'"),
+            ({**blob, "vocab": 5}, "'vocab'"),
+            ({**blob, "config": {**blob["config"], "dims": 5}}, "config"),
+            ({**blob, "params": {k: v for k, v in params.items() if k != "out.wo"}},
+             "'out.wo'"),
+            ({**blob, "params": {**params, "out.wo": {**params["out.wo"], "shape": [3, 4]}}},
+             "'out.wo'"),
+            ({**blob, "params": {**params, "out.wo": params["bos_emb"]}}, "'out.wo'"),
+            ({**blob, "params": {**params, "out.wo": {**params["out.wo"], "dtype": "int64"}}},
+             "'out.wo'"),
+            ({**blob, "params": {**params, "out.wo": 5}}, "'out.wo'"),
+            ({**blob, "params": {**params, "extra": params["bos_emb"]}}, "'extra'"),
+        ]
+
+    def test_malformed_checkpoint_names_file_and_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(tiny_model("none", seed=17), path)
+        blob = json.loads(path.read_text())
+        for k, (broken, name) in enumerate(self._broken(blob)):
+            bad = tmp_path / f"bad{k}.json"
+            bad.write_text(json.dumps(broken))
+            with pytest.raises(ConfigError) as exc:
+                load_checkpoint(bad)
+            assert str(bad) in str(exc.value) and name in str(exc.value), exc.value
 
     def test_loaded_model_decodes_identically(self, tmp_path):
         from dialsql.decoder import greedy_parse

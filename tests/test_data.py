@@ -218,6 +218,35 @@ class TestLoadCorpus:
                                             r"must be a string, got int"):
             load_corpus(dialogues, schemas)
 
+    @pytest.mark.parametrize("first_id, second_id", [("a", "a"), (1, "1")])
+    def test_repeated_dialogue_id_names_both_records(self, tmp_path, first_id, second_id):
+        turn = {"question": "show capacity", "sql": "SELECT capacity FROM trucks"}
+        records = [{"dialogue_id": first_id, "db_id": "fleet", "turns": [turn]},
+                   {"dialogue_id": second_id, "db_id": "fleet", "turns": [turn]}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        with pytest.raises(DataError, match=r"dialogues\.json: dialogue #1: dialogue_id "
+                                            r"'(a|1)' repeats dialogue #0"):
+            load_corpus(dialogues, schemas)
+
+    def test_db_id_not_a_string_rejected(self, tmp_path):
+        records = [{"dialogue_id": "d0", "db_id": ["fleet"], "turns": []}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        with pytest.raises(DataError, match=r"dialogue #0: unknown db_id \['fleet'\]"):
+            load_corpus(dialogues, schemas)
+
+    @pytest.mark.parametrize("value, ok", [(None, True), ("superlative", True),
+                                           (3, False), (["superlative"], False)])
+    def test_phenomenon_must_be_a_string(self, tmp_path, value, ok):
+        turn = {"question": "show capacity", "sql": "SELECT capacity FROM trucks",
+                "phenomenon": value}
+        records = [{"dialogue_id": "d0", "db_id": "fleet", "turns": [turn]}]
+        dialogues, schemas = self.write_inputs(tmp_path, records)
+        if ok:
+            assert load_corpus(dialogues, schemas).dialogues[0].turns[0].phenomenon == value
+            return
+        with pytest.raises(DataError, match=r"dialogue #0, turn 1: phenomenon must be a string"):
+            load_corpus(dialogues, schemas)
+
     def test_invalid_json_rejected(self, tmp_path):
         dialogues = tmp_path / "dialogues.json"
         dialogues.write_text("[{broken")

@@ -11,7 +11,6 @@ from dialsql.decoder import (
     AttentionContext,
     SubtreeCandidate,
     advance_state,
-    attend,
     attention_context,
     encode_turn,
     greedy_parse,
@@ -30,7 +29,7 @@ from dialsql.grammar import (
     build_grammar,
     sql_to_ast,
 )
-from dialsql.nn import ContractError, Tape, Tensor, grad_check, ops
+from dialsql.nn import ContractError, DimensionError, Tape, Tensor, grad_check, ops
 from dialsql.schema import linking_features, schema_from_dict
 
 from test_encoders import reference_step
@@ -69,10 +68,13 @@ def encode_for(model, segments, precedent=None):
 
 
 class TestAttend:
+    """The decoder's attention: :func:`ops.attention` over the memory and
+    gate coefficients that :func:`attention_context` assembles."""
+
     def test_zero_matrix_uniform(self):
         states = [Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))]
         ctx = attention_context(states, ["a", "b", "c"])
-        a, c = attend(ctx, Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))))
+        a, c = ops.attention(ctx.memory, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         np.testing.assert_allclose(a.values, 1 / 3)
         np.testing.assert_allclose(c.values, [3.0, 4.0])
 
@@ -81,8 +83,9 @@ class TestAttend:
         states = [Tensor(rng.uniform(-1, 1, (2, 2))), Tensor(rng.uniform(-1, 1, (3, 2)))]
         gate = Tensor(np.array([0.0, 1.0]))
         ctx = attention_context(states, list("abcde"), gate_weights=gate)
-        a, _ = attend(ctx, Tensor(rng.uniform(-1, 1, 3)),
-                      Tensor(rng.uniform(-1, 1, (2, 3))))
+        dec = Tensor(rng.uniform(-1, 1, 3))
+        w_e = Tensor(rng.uniform(-1, 1, (2, 3)))
+        a, _ = ops.attention(ctx.memory, w_e, dec, ctx.gate_coeffs)
         np.testing.assert_array_equal(a.values[:2], 0.0)
         assert abs(a.values[2:].sum() - 1.0) < 1e-12
 
@@ -94,7 +97,7 @@ class TestAttend:
         dec = Tensor(rng.uniform(-1, 1, 3))
         ctx = attention_context(states, list("abcdef"), distances=[1, 0],
                                 distance_table=dist_table)
-        a, c = attend(ctx, dec, w_e)
+        a, c = ops.attention(ctx.memory, w_e, dec)
 
         rows = []
         for seg, t in zip(states, [1, 0]):
@@ -114,7 +117,7 @@ class TestAttend:
         ctx = attention_context(states, list("abc"), gate_weights=gate)
         dec = Tensor(rng.uniform(-1, 1, 2))
         w_e = Tensor(rng.uniform(-1, 1, (2, 2)))
-        a, _ = attend(ctx, dec, w_e)
+        a, _ = ops.attention(ctx.memory, w_e, dec, ctx.gate_coeffs)
 
         rows = np.concatenate([seg.values for seg in states])
         scores = rows @ w_e.values @ dec.values
@@ -139,15 +142,15 @@ class TestAttend:
         def loss():
             ctx = attention_context(states, list("abcde"), distances=[1, 0],
                                     distance_table=dist_table)
-            _, c = attend(ctx, dec, w_e)
+            _, c = ops.attention(ctx.memory, w_e, dec)
             return ops.reduce_sum(ops.mul(c, c))
 
         assert grad_check(loss, [*states, dist_table]).max_rel_error < 1e-6
 
     def test_dimension_mismatch(self):
         ctx = attention_context([Tensor(np.zeros((1, 2)))], ["a"])
-        with pytest.raises(ContractError):
-            attend(ctx, Tensor(np.zeros(3)), Tensor(np.zeros((3, 3))))
+        with pytest.raises(DimensionError):
+            ops.attention(ctx.memory, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)))
 
     def test_empty_memory_rejected(self):
         with pytest.raises(ContractError):

@@ -8,10 +8,17 @@ from dialsql.encoders import (
     encode_name,
     encode_question,
     gate_importances,
-    turn_state_init,
-    turn_state_update,
 )
-from dialsql.nn import ContractError, LSTMCellParams, Tape, Tensor, grad_check, ops
+from dialsql.nn import (
+    ContractError,
+    DimensionError,
+    LSTMCellParams,
+    Tape,
+    Tensor,
+    grad_check,
+    lstm_cell,
+    ops,
+)
 
 
 def reference_step(w_ih, w_hh, b, x, h, c):
@@ -142,39 +149,47 @@ class TestEncodeQuestion:
         assert grad_check(loss, params).max_rel_error < 1e-6
 
 
+def zero_state(hidden):
+    return Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden))
+
+
 class TestTurnState:
+    """The turn-level encoder: :func:`lstm_cell` stepped once per
+    question vector, from zero states."""
+
     def test_single_step_matches_cell(self):
         rng = np.random.default_rng(5)
         cell = make_params(rng, 4, 4)
         q = rng.uniform(-1, 1, 4)
-        state = turn_state_update(Tensor(q), turn_state_init(4), cell)
+        h, c = lstm_cell(cell, Tensor(q), *zero_state(4))
         h_ref, c_ref = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values,
                                       q, np.zeros(4), np.zeros(4))
-        np.testing.assert_allclose(state.h.values, h_ref, atol=1e-12)
-        np.testing.assert_allclose(state.c.values, c_ref, atol=1e-12)
+        np.testing.assert_allclose(h.values, h_ref, atol=1e-12)
+        np.testing.assert_allclose(c.values, c_ref, atol=1e-12)
 
     def test_zero_params_stay_zero(self):
         cell = zero_params(4, 4)
-        state = turn_state_init(4)
+        h, c = zero_state(4)
         for _ in range(3):
-            state = turn_state_update(Tensor(np.ones(4)), state, cell)
-            np.testing.assert_array_equal(state.h.values, 0.0)
+            h, c = lstm_cell(cell, Tensor(np.ones(4)), h, c)
+            np.testing.assert_array_equal(h.values, 0.0)
 
     def test_three_updates_sequential(self):
         rng = np.random.default_rng(6)
         cell = make_params(rng, 4, 4)
         qs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        state = turn_state_init(4)
-        h, c = np.zeros(4), np.zeros(4)
+        h, c = zero_state(4)
+        h_ref, c_ref = np.zeros(4), np.zeros(4)
         for q in qs:
-            state = turn_state_update(Tensor(q), state, cell)
-            h, c = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values, q, h, c)
-            np.testing.assert_allclose(state.h.values, h, atol=1e-12)
+            h, c = lstm_cell(cell, Tensor(q), h, c)
+            h_ref, c_ref = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values,
+                                          q, h_ref, c_ref)
+            np.testing.assert_allclose(h.values, h_ref, atol=1e-12)
 
     def test_dim_mismatch(self):
         cell = zero_params(4, 4)
-        with pytest.raises(ContractError):
-            turn_state_update(Tensor(np.ones(5)), turn_state_init(4), cell)
+        with pytest.raises(DimensionError):
+            lstm_cell(cell, Tensor(np.ones(5)), *zero_state(4))
 
 
 class TestGate:
@@ -254,21 +269,21 @@ class TestActionAndNameEncoders:
         rng = np.random.default_rng(13)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
         xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        enc = encode_actions(Tensor(np.array(xs)), fwd, bwd)
+        states, final = encode_actions(Tensor(np.array(xs)), fwd, bwd)
         f_ref, b_ref = unroll_bi(fwd, bwd, xs)
-        assert enc.states.shape == (3, 6)
+        assert states.shape == (3, 6)
         for k in range(3):
-            np.testing.assert_allclose(enc.states.values[k],
+            np.testing.assert_allclose(states.values[k],
                                        np.concatenate([f_ref[k], b_ref[k]]), atol=1e-14)
-        np.testing.assert_allclose(enc.final_state.values,
+        np.testing.assert_allclose(final.values,
                                    np.concatenate([f_ref[-1], b_ref[0]]), atol=1e-14)
 
     def test_single_action(self):
         rng = np.random.default_rng(14)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
-        enc = encode_actions(Tensor(rng.uniform(-1, 1, (1, 4))), fwd, bwd)
-        assert enc.states.shape == (1, 6)
-        np.testing.assert_allclose(enc.final_state.values, enc.states.values[0])
+        states, final = encode_actions(Tensor(rng.uniform(-1, 1, (1, 4))), fwd, bwd)
+        assert states.shape == (1, 6)
+        np.testing.assert_allclose(final.values, states.values[0])
 
     def test_encode_name_unidirectional(self):
         rng = np.random.default_rng(15)
@@ -293,6 +308,6 @@ class TestActionAndNameEncoders:
         xs = Tensor(np.array([rng.uniform(-1, 1, 3) for _ in range(3)]), requires_grad=True)
 
         def loss():
-            return ops.reduce_sum(encode_actions(xs, fwd, bwd).final_state)
+            return ops.reduce_sum(encode_actions(xs, fwd, bwd)[1])
 
         assert grad_check(loss, fwd.tensors() + bwd.tensors() + [xs]).max_rel_error < 1e-6

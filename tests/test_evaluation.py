@@ -324,6 +324,13 @@ class TestAnnotations:
         with pytest.raises(DataError, match="vibes"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("label", [["continuation"], 3, None])
+    def test_non_string_label_in_file(self, tmp_path, label):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"d0": {"1": label}}))
+        with pytest.raises(DataError, match=r"labels\.json: 'd0' turn 1: unknown label"):
+            load_annotations(path)
+
     def test_bad_turn_key(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"d0": {"two": "continuation"}}))

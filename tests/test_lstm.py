@@ -276,7 +276,7 @@ class TestSequencePass:
             rows = [ops.row(xs, k) for k in range(4)]
             f = cell_unroll(fwd, rows, tail)
             b = cell_unroll(bwd, rows[::-1], tail)[::-1]
-            states = ops.stack_rows([ops.concat([s, t]) for s, t in zip(f, b)])
+            states = ops.stack([ops.concat([s, t]) for s, t in zip(f, b)])
             return ops.reduce_sum(ops.mul(states, weights))
 
         for got, want in zip(grads(fused), grads(unrolled)):

@@ -58,6 +58,27 @@ def test_every_public_op_has_a_caller_in_the_package():
     assert public - called == set(TEST_ONLY_OPS)
 
 
+def _private_op_uses(source: str) -> set[str]:
+    """The ``ops._<name>`` attributes that ``source`` reaches."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ops" and node.attr.startswith("_")}
+
+
+def test_no_module_reaches_a_private_op():
+    """``ops._<name>`` is private to ``nn/tensor.py``: another module
+    calls a public op, or the helper becomes one."""
+    assert _private_op_uses("x = ops._join(parts, 0) + ops.concat(parts)") == {"_join"}
+    found = {}
+    for path in sorted(Path(dialsql.__file__).parent.rglob("*.py")):
+        if path.name == "tensor.py" and path.parent.name == "nn":
+            continue
+        names = _private_op_uses(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = sorted(names)
+    assert found == {}
+
+
 # Functions in ``dialsql.nn`` that still form a dense outer product,
 # each kept for a reason. A vjp returns a matrix input's rank-1 delta as
 # its factors ``(u, v)``; the tape forms the sum of a backward's factors

@@ -7,7 +7,6 @@ import pytest
 from dialsql.schema import (
     SchemaError,
     linking_features,
-    load_schema,
     load_schemas,
     name_tokens,
     schema_from_dict,
@@ -59,8 +58,37 @@ class TestLoading:
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"db_id\": \"x\",\n  oops\n}")
         with pytest.raises(SchemaError) as exc:
-            load_schema(path)
+            load_schemas(path)
         assert "line" in str(exc.value)
+
+    @pytest.mark.parametrize("data, names", [
+        ({"db_id": "d", "tables": [1]}, ["schema 'd'", "table 0"]),
+        ({"db_id": "d", "tables": [{"columns": [{"name": "c"}]}]}, ["schema 'd'", "table 0"]),
+        ({"db_id": "d", "tables": [{"name": 3, "columns": [{"name": "c"}]}]},
+         ["schema 'd'", "table 0"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": [{"type": "text"}]}]},
+         ["schema 'd'", "table 't'", "column 0"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": ["c"]}]},
+         ["schema 'd'", "table 't'", "column 0"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]}],
+          "foreign_keys": [5]}, ["schema 'd'", "foreign key 0"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]}],
+          "foreign_keys": [[1, "t.c"]]}, ["schema 'd'", "endpoint"]),
+        ({"db_id": ["d"], "tables": [{"name": "t", "columns": [{"name": "c"}]}]}, ["db_id"]),
+        ([1], ["entry 0", "must be an object"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]},
+                                   {"name": "T", "columns": [{"name": "c"}]}]},
+         ["d: duplicate table name 'T'"]),
+        ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]}],
+          "foreign_keys": [["t.c", "u.c"]]}, ["d: foreign key references missing table 'u'"]),
+    ])
+    def test_malformed_schema_names_file_schema_and_table(self, tmp_path, data, names):
+        path = tmp_path / "schemas.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as exc:
+            load_schemas(path)
+        for name in [str(path), *names]:
+            assert name in str(exc.value)
 
     def test_load_schemas_list(self, tmp_path):
         path = tmp_path / "schemas.json"

@@ -154,7 +154,7 @@ class TestFastPaths:
         outs = [v, ops.mul(x, v), ops.affine(x, 2.0, 1.0),
                 ops.scale_by(x, s), ops.tanh(x), ops.reduce_sum(x), ops.dot(x, x),
                 ops.row(m, 1), ops.take_rows(m, [0, 0]),
-                ops.concat([x, x]), ops.stack_scalars([s, s]), ops.stack_rows([x, x]),
+                ops.concat([x, x]), ops.stack([s, s]), ops.stack([x, x]),
                 ops.expand_by_counts(x, [1, 2]), ops.transpose(m),
                 ops.matmul(m, x), ops.softmax(x),
                 ops.attention(m, m, x, x)[1],
@@ -374,7 +374,7 @@ class TestFiniteDifferences:
 
         def loss():
             joined = ops.concat([a, b])
-            stacked = ops.stack_rows([b, b])
+            stacked = ops.stack([b, b])
             got = ops.take_rows(ops.transpose(stacked), [0, 2, 2])
             mixed = ops.matmul(got, ops.take_rows(m, [1, 0]))
             return ops.add(
@@ -404,19 +404,64 @@ class TestFiniteDifferences:
         b = leaf(rng.normal(size=(1, 3)))
         c = leaf(rng.normal(size=(3, 2)))
         weights = Tensor(rng.normal(size=(3, 5)))
-        rows = ops._join([a, b], 0)
+        rows = ops.concat([a, b], 0)
         np.testing.assert_array_equal(rows.values, np.vstack([a.values, b.values]))
+        np.testing.assert_array_equal(ops.concat([rows, c], 1).values,
+                                      np.hstack([rows.values, c.values]))
         with pytest.raises(DimensionError):
-            ops._join([a, c], 0)
+            ops.concat([a, c], 0)
         with pytest.raises(DimensionError):
-            ops._join([a, Tensor(np.zeros(3))], 0)
+            ops.concat([a, Tensor(np.zeros(3))], 0)
 
         def loss():
-            joined = ops._join([ops._join([a, b], 0), c], 1)
+            joined = ops.concat([ops.concat([a, b], 0), c], 1)
             return ops.reduce_sum(ops.tanh(ops.mul(joined, weights)))
 
         res = grad_check(loss, [a, b, c])
         assert res.max_rel_error < 1e-6
+
+    def test_concat_side_by_side(self):
+        rng = np.random.default_rng(17)
+        a = leaf(rng.normal(size=(3, 1)))
+        b = leaf(rng.normal(size=(3, 4)))
+        c = leaf(rng.normal(size=(3, 2)))
+        weights = Tensor(rng.normal(size=(3, 7)))
+        res = grad_check(lambda: ops.reduce_sum(ops.tanh(ops.mul(ops.concat([a, b, c], 1),
+                                                                 weights))), [a, b, c])
+        assert res.max_rel_error < 1e-6, res
+
+    def test_stack_scalars_and_vectors(self):
+        rng = np.random.default_rng(18)
+        s = [leaf(v) for v in rng.normal(size=3)]
+        v = [leaf(rng.normal(size=4)) for _ in range(3)]
+        assert ops.stack(s).shape == (3,) and ops.stack(v).shape == (3, 4)
+        np.testing.assert_array_equal(ops.stack(v).values, np.vstack([x.values for x in v]))
+        w_s = Tensor(rng.normal(size=3))
+        w_v = Tensor(rng.normal(size=(3, 4)))
+        res = grad_check(lambda: ops.dot(ops.tanh(ops.stack(s)), w_s), s)
+        assert res.max_rel_error < 1e-6, res
+        res = grad_check(lambda: ops.reduce_sum(ops.tanh(ops.mul(ops.stack(v), w_v))), v)
+        assert res.max_rel_error < 1e-6, res
+
+    def test_joining_ops_reject_bad_shapes(self):
+        s, v, m = Tensor(1.0), Tensor(np.zeros(2)), Tensor(np.zeros((2, 2)))
+        cases = [
+            lambda: ops.concat([s, s]),                     # scalar parts
+            lambda: ops.concat([v, m]),                     # mixed ranks
+            lambda: ops.concat([m, v], 1),
+            lambda: ops.concat([v, v], 1),                  # no axis 1 on vectors
+            lambda: ops.concat([m, m], 2),
+            lambda: ops.concat([Tensor(np.zeros((1, 2, 2)))] * 2),   # beyond matrices
+            lambda: ops.stack([s, v]),                      # mixed shapes
+            lambda: ops.stack([v, Tensor(np.zeros(3))]),
+            lambda: ops.stack([m, m]),                      # beyond scalars and vectors
+        ]
+        for case in cases:
+            with pytest.raises(DimensionError):
+                case()
+        for op in (ops.concat, ops.stack):
+            with pytest.raises(ContractError):
+                op([])
 
     def test_scalar_scaling_ops(self):
         rng = np.random.default_rng(11)
