@@ -14,6 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
+from . import checks
 from .context import ConfigError, config_hash, load_checkpoint
 from .data import Corpus, DataError, gen_synthetic, load_corpus, ood_split, \
     write_dialogues, write_schemas
@@ -42,6 +43,7 @@ _OPTIONAL_KEYS = ("embeddings", "target_ques_match")
 
 
 def _usage_error(message: str) -> "SystemExit":
+    """Print ``message``; returns the exit to raise (the --config reader's error)."""
     print(f"usage error: {message}", file=sys.stderr)
     return SystemExit(2)
 
@@ -52,13 +54,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     merged.update(SqlParser().get_params())
     if getattr(args, "config", None):
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = checks.read_json(_usage_error, args.config)
         except OSError as err:
             raise _usage_error(f"cannot read config file: {err}")
-        except json.JSONDecodeError as err:
-            raise _usage_error(f"{args.config}: invalid JSON: {err.msg}")
-        if not isinstance(loaded, dict):
-            raise _usage_error(f"{args.config}: expected a JSON object")
+        checks.of_type(_usage_error, args.config, loaded, dict)
         unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise _usage_error(
@@ -66,10 +65,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for key, value in loaded.items():
             if value is None and key in _OPTIONAL_KEYS:
                 continue
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
-                raise _usage_error(
-                    f"{args.config}: {key} must be "
-                    f"{getattr(_CONFIG_TYPES[key], '__name__', 'a number')}")
+            checks.of_type(_usage_error, f"{args.config}: {key}", value, _CONFIG_TYPES[key])
         merged.update(loaded)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -282,9 +278,7 @@ def read_predictions(path, corpus: Corpus) -> dict:
             raise DataError(f"{path} line {n}: unknown dialogue {dialogue_id!r}")
         if valid not in ("0", "1"):
             raise DataError(f"{path} line {n}: validity flag must be 0 or 1")
-        if not (turn.isascii() and turn.isdigit()):
-            raise DataError(f"{path} line {n}: turn index {turn!r} is not an integer")
-        key = (dialogue_id, int(turn))
+        key = (dialogue_id, checks.digits(DataError, f"{path} line {n}: turn index", turn))
         if key not in turns:
             raise DataError(f"{path} line {n}: dialogue {dialogue_id!r} has no turn {turn}")
         if key in out:
@@ -308,57 +302,6 @@ _DIALOGUE_KEYS = ("database_id", "interaction")
 _ITEM_KEYS = ("utterance", "query")
 
 
-def _entries(where, raw, keys: tuple[str, ...]) -> list[dict]:
-    """``raw`` as a list of objects that all carry ``keys``; otherwise a
-    DataError naming ``where`` and the entry index."""
-    if not isinstance(raw, list):
-        raise DataError(f"{where}: expected a list of entries")
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DataError(f"{where}: entry {i}: expected an object")
-        missing = [k for k in keys if k not in entry]
-        if missing:
-            raise DataError(f"{where}: entry {i}: missing key {missing[0]!r}")
-    return raw
-
-
-def _pairs(where: str, key: str, raw) -> list:
-    """``raw`` as a list of two-element lists; otherwise a DataError
-    naming ``where``, ``key`` and the pair index."""
-    if not isinstance(raw, list):
-        raise DataError(f"{where}: {key} must be a list")
-    for j, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DataError(f"{where}: {key} pair {j} is {pair!r}, expected two values")
-    return raw
-
-
-def _read_json(path):
-    """The parsed JSON of ``path``; a syntax error is a DataError naming
-    the file and line."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-
-
-def _string(where: str, key: str, value) -> str:
-    if not isinstance(value, str):
-        raise DataError(f"{where}: {key} is {value!r}, expected a string")
-    return value
-
-
-def _strings(where: str, key: str, raw) -> list[str]:
-    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise DataError(f"{where}: {key} must be a list of strings")
-    return raw
-
-
-def _check_index(where: str, what: str, idx, size: int) -> None:
-    if type(idx) is not int or not 0 <= idx < size:
-        raise DataError(f"{where}: {what} index {idx!r} is not in range({size})")
-
-
 def convert_public(dialogues_path, tables_path, out_dir: Path,
                    prefix: str) -> tuple[int, int]:
     """Reshape a SParC/CoSQL release (interactions + tables.json) into the
@@ -369,18 +312,20 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
     question, query -> sql). The goal-oriented "final" entry is dropped;
     it restates the interaction, it is not an extra turn.
     """
-    raw_tables = _read_json(tables_path)
-    raw_dialogues = _read_json(dialogues_path)
+    raw_tables = checks.read_json(DataError, tables_path)
+    raw_dialogues = checks.read_json(DataError, dialogues_path)
 
     schemas = []
     known = set()
-    for k, entry in enumerate(_entries(tables_path, raw_tables, _TABLE_KEYS)):
+    for k, entry in enumerate(checks.objects(DataError, tables_path, raw_tables, _TABLE_KEYS)):
         where = f"{tables_path}: entry {k}"
-        db_id = _string(where, "db_id", entry["db_id"])
-        table_names = _strings(where, "table_names_original", entry["table_names_original"])
+        db_id = checks.field(DataError, where, entry, "db_id", str)
+        table_names = checks.strings(DataError, f"{where}: table_names_original",
+                                     entry["table_names_original"])
         tables: list[dict] = [{"name": name, "columns": []} for name in table_names]
-        columns = _pairs(where, "column_names_original", entry["column_names_original"])
-        types = _strings(where, "column_types", entry["column_types"])
+        columns = checks.pairs(DataError, f"{where}: column_names_original",
+                               entry["column_names_original"])
+        types = checks.strings(DataError, f"{where}: column_types", entry["column_types"])
         if len(columns) != len(types):
             raise DataError(f"{where}: column_names_original and column_types"
                             " lengths differ")
@@ -389,14 +334,15 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
             if table_idx == -1:                  # the "*" pseudo-column
                 qualified.append(None)
                 continue
-            _check_index(where, "table", table_idx, len(tables))
-            column = _string(where, "column name", column)
+            checks.index(DataError, f"{where}: table index", table_idx, len(tables))
+            column = checks.of_type(DataError, f"{where}: column name", column, str)
             tables[table_idx]["columns"].append({"name": column, "type": kind})
             qualified.append(f"{table_names[table_idx]}.{column}")
         foreign_keys = []
-        for here, there in _pairs(where, "foreign_keys", entry.get("foreign_keys", [])):
+        for here, there in checks.pairs(DataError, f"{where}: foreign_keys",
+                                        entry.get("foreign_keys", [])):
             for idx in (here, there):
-                _check_index(where, "foreign-key column", idx, len(qualified))
+                checks.index(DataError, f"{where}: foreign-key column index", idx, len(qualified))
             if qualified[here] is None or qualified[there] is None:
                 raise DataError(f"{where}: foreign key references the * column")
             foreign_keys.append([qualified[here], qualified[there]])
@@ -406,17 +352,19 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
 
     records = []
     n_turns = 0
-    for i, entry in enumerate(_entries(dialogues_path, raw_dialogues, _DIALOGUE_KEYS)):
+    for i, entry in enumerate(checks.objects(DataError, dialogues_path, raw_dialogues,
+                                             _DIALOGUE_KEYS)):
         where = f"{dialogues_path}: entry {i}"
-        db_id = _string(where, "database_id", entry["database_id"])
+        db_id = checks.field(DataError, where, entry, "database_id", str)
         if db_id not in known:
             raise DataError(f"{where}: unknown database_id {db_id!r}")
         turns = []
-        items = _entries(f"{where}: interaction", entry["interaction"], _ITEM_KEYS)
+        items = checks.objects(DataError, f"{where}: interaction", entry["interaction"],
+                               _ITEM_KEYS)
         for j, item in enumerate(items):
             item_where = f"{where}: interaction: entry {j}"
-            question = _string(item_where, "utterance", item["utterance"])
-            sql = _string(item_where, "query", item["query"])
+            question = checks.field(DataError, item_where, item, "utterance", str)
+            sql = checks.field(DataError, item_where, item, "query", str)
             turns.append({"question": question.strip(), "sql": sql.strip()})
             n_turns += 1
         if not turns:

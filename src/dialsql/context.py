@@ -19,6 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import checks
 from .data import DataError, Dialogue, Vocabulary
 from .grammar import Production, agnostic_productions
 from .nn import ContractError, LSTMCellParams, Parameter, get_precision, init_uniform
@@ -60,13 +61,13 @@ class ContextConfig:
         bad = set(self.sql_methods) - set(SQL_METHODS)
         if bad:
             raise ConfigError(f"unknown sql methods {sorted(bad)}")
-        if self.h < 0:
+        if checks.of_type(ConfigError, "history window h", self.h, int) < 0:
             raise ConfigError("history window h must be >= 0")
         dims = dict(self.dims)
         if set(dims) != set(DEFAULT_DIMS):
             raise ConfigError(f"dims must have keys {sorted(DEFAULT_DIMS)}")
         for k, v in dims.items():
-            if not isinstance(v, int) or v <= 0:
+            if checks.of_type(ConfigError, f"dimension {k}", v, int) <= 0:
                 raise ConfigError(f"dimension {k} must be a positive integer")
         if dims["hidden"] % 2:
             raise ConfigError("hidden dimension must be even (split across directions)")
@@ -104,10 +105,11 @@ class ContextConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         dims = dict(DEFAULT_DIMS)
-        dims.update(data.get("dims", {}))
+        dims.update(checks.of_type(ConfigError, "dims", data.get("dims", {}), dict))
         return cls(
             question_method=data.get("question_method", "none"),
-            sql_methods=frozenset(data.get("sql_methods", [])),
+            sql_methods=frozenset(checks.strings(ConfigError, "sql_methods",
+                                                 data.get("sql_methods", []))),
             h=data.get("h", 5),
             dims=tuple(sorted(dims.items())),
         )
@@ -316,40 +318,41 @@ def load_checkpoint(path: str | Path) -> ModelBundle:
     The parameters must be exactly those :func:`build_model` makes for
     the saved config, with the same shapes, at the active precision.
     """
-    try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not a checkpoint ({err.msg})") from err
+    blob = checks.read_json(ConfigError, path)
     if not isinstance(blob, dict) or blob.get("format") != _FORMAT:
         raise ConfigError(f"{path}: unrecognized checkpoint format")
-    if blob.get("precision") != get_precision():
-        raise ConfigError(f"{path}: saved at {blob.get('precision')}-bit precision, "
+    checks.keyed(ConfigError, path, blob, ("precision", "config", "vocab", "params"))
+    if blob["precision"] != get_precision():
+        raise ConfigError(f"{path}: saved at {blob['precision']}-bit precision, "
                           f"but the active precision is {get_precision()}-bit")
-    for key, kind in (("config", dict), ("vocab", list), ("params", dict)):
-        if not isinstance(blob.get(key), kind):
-            raise ConfigError(f"{path}: missing or malformed {key!r}")
+    raw_config = checks.of_type(ConfigError, f"{path}: config", blob["config"], dict)
+    tokens = checks.strings(ConfigError, f"{path}: vocab", blob["vocab"])
     try:
-        config = ContextConfig.from_dict(blob["config"])
-        vocab = Vocabulary.from_list(blob["vocab"])
-    except (ConfigError, DataError, TypeError, ValueError) as err:
+        config = ContextConfig.from_dict(raw_config)
+        vocab = Vocabulary.from_list(tokens)
+    except (ConfigError, DataError) as err:
         raise ConfigError(f"{path}: bad config or vocab: {err}") from err
     expected = {name: p.shape for name, p in build_model(config, vocab, 0).params.items()}
-    missing = sorted(set(expected) - set(blob["params"]))
+    saved = checks.of_type(ConfigError, f"{path}: params", blob["params"], dict)
+    missing = sorted(set(expected) - set(saved))
     if missing:
         raise ConfigError(f"{path}: parameter {missing[0]!r} is missing")
     dtype = np.dtype(f"float{get_precision()}")
     params: dict[str, Parameter] = {}
-    for name, spec in blob["params"].items():
+    for name, spec in saved.items():
+        where = f"{path}: parameter {name!r}"
         if name not in expected:
             raise ConfigError(f"{path}: unexpected parameter {name!r}")
+        checks.keyed(ConfigError, where, spec, ("dtype", "shape"))
+        if spec["dtype"] != dtype.name or spec["shape"] != list(expected[name]):
+            raise ConfigError(f"{where}: expected {dtype.name} of shape {expected[name]}, "
+                              f"got {spec['dtype']} of shape {spec['shape']}")
+        data = checks.field(ConfigError, where, spec, "data", str)
         try:
-            if spec["dtype"] != dtype.name or tuple(spec["shape"]) != expected[name]:
-                raise ValueError(f"expected {dtype.name} of shape {expected[name]}, "
-                                 f"got {spec['dtype']} of shape {spec['shape']}")
-            raw = base64.b64decode(spec["data"], validate=True)
-            values = np.frombuffer(raw, dtype=dtype).reshape(expected[name])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"{path}: parameter {name!r}: {err}") from err
+            values = np.frombuffer(base64.b64decode(data, validate=True),
+                                   dtype=dtype).reshape(expected[name])
+        except ValueError as err:       # not base64, or the wrong number of bytes
+            raise ConfigError(f"{where}: {err}") from err
         p = Parameter(name, np.zeros(values.shape, dtype=values.dtype))
         p.values = values.copy()
         params[name] = p

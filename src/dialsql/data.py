@@ -32,6 +32,7 @@ from .grammar import (
     build_grammar,
     sql_to_ast,
 )
+from . import checks
 from .schema import DatabaseSchema, load_schemas, name_tokens, schema_from_dict
 
 __all__ = [
@@ -190,12 +191,12 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, matrix: np.ndarray) -> 
 
     Each line is a word followed by the vector, space-separated. Words
     outside the vocabulary are skipped; rows of absent words keep their
-    existing (seeded) values. Returns the fraction of vocabulary rows
-    that were set.
+    existing (seeded) values, and every value written must be finite.
+    Returns the fraction of vocabulary rows that were set, each once.
     """
     path = Path(path)
     dim = matrix.shape[1]
-    found = 0
+    found = set()
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
@@ -207,11 +208,14 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, matrix: np.ndarray) -> 
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}")
             if word in vocab:
                 try:
-                    matrix[vocab.index(word)] = [float(v) for v in values]
+                    row = np.array([float(v) for v in values], dtype=matrix.dtype)
                 except ValueError as err:
                     raise DataError(f"{path}:{lineno}: {err}") from err
-                found += 1
-    return found / len(vocab)
+                if not np.isfinite(row).all():
+                    raise DataError(f"{path}:{lineno}: {word!r} has a non-finite value")
+                matrix[vocab.index(word)] = row
+                found.add(word)
+    return len(found) / len(vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +228,9 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
     Queries the grammar cannot express are kept with supported=false
     and logged; the per-file coverage fraction is logged at the end.
     """
-    dialogues_path = Path(dialogues_path)
     schemas = load_schemas(schemas_path)
-    try:
-        records = json.loads(dialogues_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataError(
-            f"{dialogues_path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    if not isinstance(records, list):
-        raise DataError(f"{dialogues_path}: expected a list of dialogues")
+    records = checks.of_type(DataError, dialogues_path,
+                             checks.read_json(DataError, dialogues_path), list)
 
     dialogues = []
     first_record: dict[str, int] = {}    # dialogue id -> its record number
@@ -240,15 +238,8 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
     total = 0
     for rec_no, rec in enumerate(records):
         where = f"{dialogues_path}: dialogue #{rec_no}"
-        if not isinstance(rec, dict):
-            raise DataError(f"{where}: expected an object")
-        try:
-            dialogue_id = rec["dialogue_id"]
-            db_id = rec["db_id"]
-            raw_turns = rec["turns"]
-        except KeyError as err:
-            raise DataError(f"{where}: missing key {err}") from err
-        dialogue_id = str(dialogue_id)
+        checks.keyed(DataError, where, rec, ("dialogue_id", "db_id", "turns"))
+        dialogue_id, db_id = str(rec["dialogue_id"]), rec["db_id"]
         if dialogue_id in first_record:
             raise DataError(f"{where}: dialogue_id {dialogue_id!r} repeats "
                             f"dialogue #{first_record[dialogue_id]}")
@@ -256,19 +247,13 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
         if not isinstance(db_id, str) or db_id not in schemas:
             raise DataError(f"{where}: unknown db_id {db_id!r}")
         schema = schemas[db_id]
-        if not isinstance(raw_turns, list):
-            raise DataError(f"{where}: turns must be a list, got {type(raw_turns).__name__}")
+        raw_turns = checks.field(DataError, where, rec, "turns", list)
         turns = []
         for t, raw in enumerate(raw_turns, start=1):
-            if not isinstance(raw, dict):
-                raise DataError(f"{where}, turn {t}: expected an object")
-            if "question" not in raw or "sql" not in raw:
-                raise DataError(f"{where}, turn {t}: needs question and sql")
-            for key in ("question", "sql", "phenomenon"):     # phenomenon is optional
-                value = raw.get(key)
-                if not (isinstance(value, str) or key == "phenomenon" and value is None):
-                    raise DataError(f"{where}, turn {t}: {key} must be a string, "
-                                    f"got {type(value).__name__}")
+            for key in ("question", "sql"):
+                checks.field(DataError, f"{where}, turn {t}", raw, key, str)
+            if raw.get("phenomenon") is not None:      # the label is optional
+                checks.field(DataError, f"{where}, turn {t}", raw, "phenomenon", str)
             total += 1
             sql = raw["sql"]
             actions: tuple[Production, ...] | None

@@ -106,7 +106,7 @@ class ActionEmbedder:
             emb = encode_name(_embed_tokens(model, name_tokens(production.rhs[0])),
                               model.cell("schema_enc"))
         else:
-            emb = ops.row(model.params["action_emb"], model.agnostic_index[production])
+            emb = ops.take_rows(model.params["action_emb"], model.agnostic_index[production])
         self._cache[production] = emb
         return emb
 
@@ -420,7 +420,7 @@ def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
         copy = {"copy_scores": ops.matmul(encoded.copy.states,
                                           ops.matmul(state.h, params["copy.wl"])),
                 "copy_mask": record.copy_mask, "copy_agg": record.copy_agg,
-                "gate": ops.add(ops.dot(params["copy.wc"], state.h), params["copy.bc"])}
+                "gate": ops.add(ops.matmul(params["copy.wc"], state.h), params["copy.bc"])}
     probs, gen_probs, copy_probs, p_copy = ops.mixture(logits, **copy)
     return OutputDistribution(record.support, probs, gen_probs, copy_probs, p_copy)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nn import ContractError, LSTMCellParams, Tensor, lstm_sequence, ops, softmax
+from .nn import ContractError, LSTMCellParams, Tensor, lstm_sequence, ops
 
 __all__ = [
     "QuestionEncoding",
@@ -35,7 +35,7 @@ class QuestionEncoding:
     @property
     def final_state(self) -> Tensor:
         """State at the last token; initializes the decoder."""
-        return ops.row(self.states, self.states.shape[0] - 1)
+        return ops.take_rows(self.states, self.states.shape[0] - 1)
 
 
 def encode_question(embedded: Tensor, fwd: LSTMCellParams,
@@ -79,6 +79,6 @@ def gate_importances(history_qvecs: list[Tensor], current_qvec: Tensor,
     if not history_qvecs:
         raise ContractError("gate needs at least one question vector")
     anchor = ops.matmul(w, current_qvec)
-    scores = [ops.dot(v, ops.tanh(ops.add(ops.matmul(u, q), anchor)))
+    scores = [ops.matmul(v, ops.tanh(ops.add(ops.matmul(u, q), anchor)))
               for q in history_qvecs]
-    return softmax(ops.stack(scores))
+    return ops.mixture([ops.stack(scores)])[0]

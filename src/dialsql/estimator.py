@@ -22,7 +22,7 @@ from .data import Corpus, build_vocab, load_embeddings
 from .decoder import ActionEmbedder, encode_turn, greedy_parse, teacher_forced_loss
 from .evaluation import compute_metrics
 from .grammar import AST, Grammar, actions_to_ast, build_grammar
-from .nn import Adam, ContractError, Tape, clip_global_norm, ops
+from .nn import Adam, ContractError, Tape, Tensor, clip_global_norm, ops
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +158,7 @@ class SqlParser:
                                                    grammars[dialogue.db_id],
                                                    list(ex.gold_actions), embedder)
                         total = loss if total is None else ops.add(total, loss)
-                    tape.backward(ops.affine(total, 1.0 / len(batch)))
+                    tape.backward(ops.scale_by(total, Tensor(1.0 / len(batch))))
                 norms.append(clip_global_norm(model.parameters(), self.clip_norm))
                 optimizer.step()
                 epoch_loss += float(total.values)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
+from . import checks
 from .data import Corpus, DataError, Dialogue
 from .grammar import AST, actions_to_ast, canonicalize
 from .nn import ContractError
@@ -156,27 +157,15 @@ def _phenomenon_cells(matches: dict[tuple[str, int], bool],
 
 def load_annotations(path: str | Path) -> dict[str, dict[int, str]]:
     """Read a dialogue_id -> turn_index -> fine-label JSON sidecar."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err.msg}") from err
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: expected an object keyed by dialogue id")
+    raw = checks.of_type(DataError, path, checks.read_json(DataError, path), dict)
     out: dict[str, dict[int, str]] = {}
     for dialogue_id, turns in raw.items():
-        if not isinstance(turns, dict):
-            raise DataError(f"{path}: {dialogue_id!r}: expected turn->label object")
+        where = f"{path}: {dialogue_id!r}"
         entry = {}
-        for turn_key, label in turns.items():
-            try:
-                turn = int(turn_key)
-            except ValueError as err:
-                raise DataError(
-                    f"{path}: {dialogue_id!r}: bad turn index {turn_key!r}") from err
+        for turn_key, label in checks.of_type(DataError, where, turns, dict).items():
+            turn = checks.digits(DataError, f"{where}: turn index", turn_key)
             if not isinstance(label, str) or label not in COARSE_OF:
-                raise DataError(
-                    f"{path}: {dialogue_id!r} turn {turn}: unknown label {label!r}")
+                raise DataError(f"{where} turn {turn}: unknown label {label!r}")
             entry[turn] = label
         out[dialogue_id] = entry
     return out
@@ -247,48 +236,64 @@ def emit_report(report: MetricsReport, format: str, path: str | Path) -> None:
         raise ContractError(f"unknown report format {format!r}")
 
 
-def _cell_from_row(value: float, count: int) -> CellStat:
-    return CellStat(round(value * count), count)
+def _json_cells(path: Path):
+    """``(where, metric, matched, total)`` for each cell of a JSON report."""
+    blob = checks.keyed(DataError, path, checks.read_json(DataError, path),
+                        ("ques_match", "int_match", "turn_match", "per_phenomenon"))
+    named = [(f"{path}: {key}", key, blob[key]) for key in ("ques_match", "int_match")]
+    for key, prefix in (("turn_match", "turn_match_"), ("per_phenomenon", "phenomenon_")):
+        named += [(f"{path}: {key}: {name}", prefix + name, raw) for name, raw
+                  in checks.of_type(DataError, f"{path}: {key}", blob[key], dict).items()]
+    for where, metric, raw in named:
+        yield where, metric, *(checks.field(DataError, where, raw, key, int)
+                               for key in ("matched", "total"))
 
 
-def read_report(path: str | Path, format: str | None = None) -> MetricsReport:
-    """Inverse of emit_report; format inferred from the suffix by default."""
+def _csv_cells(path: Path):
+    """``(where, metric, matched, total)`` for each row of a CSV report."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise DataError(f"{path}: not a CSV report ({err})") from err
+    if not rows or rows[0] != ["metric", "value", "count"]:
+        raise DataError(f"{path}: unexpected header {rows[:1]}")
+    for n, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {n}"
+        if len(row) != 3:
+            raise DataError(f"{where}: expected 3 comma-separated fields")
+        metric, value, count = row
+        count = checks.digits(DataError, f"{where}: count", count)
+        try:
+            matched = round(float(value) * count)
+        except (ValueError, OverflowError) as err:
+            raise DataError(f"{where}: value {value!r} is not a fraction") from err
+        yield where, metric, matched, count
+
+
+def read_report(path: str | Path) -> MetricsReport:
+    """Inverse of emit_report: JSON for a ``.json`` suffix, CSV otherwise.
+    A malformed file is a DataError naming the file and the cell or line."""
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix == ".json" else "csv"
-    if format == "json":
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        def cell(d):
-            return CellStat(d["matched"], d["total"])
-        return MetricsReport(
-            cell(blob["ques_match"]), cell(blob["int_match"]),
-            {int(t): cell(c) for t, c in blob["turn_match"].items()},
-            {label: cell(c) for label, c in blob["per_phenomenon"].items()})
-
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["metric", "value", "count"]:
-            raise DataError(f"{path}: unexpected header {header}")
-        cells = {name: _cell_from_row(float(value), int(count))
-                 for name, value, count in reader}
-    turn_match = {}
-    per_phenomenon = {}
-    ques = interactions = None
-    for name, cell in cells.items():
-        if name == "ques_match":
-            ques = cell
-        elif name == "int_match":
-            interactions = cell
-        elif name.startswith("turn_match_"):
-            turn_match[int(name[len("turn_match_"):])] = cell
-        elif name.startswith("phenomenon_"):
-            per_phenomenon[name[len("phenomenon_"):]] = cell
+    named, turn_match, per_phenomenon = {}, {}, {}
+    cells = _json_cells(path) if path.suffix == ".json" else _csv_cells(path)
+    for where, metric, matched, total in cells:
+        try:
+            cell = CellStat(matched, total)
+        except ContractError as err:
+            raise DataError(f"{where}: {err}") from err
+        if metric in ("ques_match", "int_match"):
+            named[metric] = cell
+        elif metric.startswith("turn_match_"):
+            turn = checks.digits(DataError, f"{where}: turn", metric[len("turn_match_"):])
+            turn_match[turn] = cell
+        elif metric.startswith("phenomenon_"):
+            per_phenomenon[metric[len("phenomenon_"):]] = cell
         else:
-            raise DataError(f"{path}: unknown metric {name!r}")
-    if ques is None or interactions is None:
+            raise DataError(f"{where}: unknown metric {metric!r}")
+    if len(named) != 2:
         raise DataError(f"{path}: report is missing ques_match or int_match")
-    return MetricsReport(ques, interactions, turn_match, per_phenomenon)
+    return MetricsReport(named["ques_match"], named["int_match"], turn_match, per_phenomenon)
 
 
 def report_schema() -> dict:

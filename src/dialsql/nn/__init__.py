@@ -14,7 +14,6 @@ from .tensor import (
     TensorError,
     get_precision,
     set_precision,
-    softmax,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "TensorError",
     "get_precision",
     "set_precision",
-    "softmax",
 ]

@@ -29,8 +29,12 @@ context), :func:`mixture` (generation softmax, masked copy softmax,
 sigmoid gate, mix) and :func:`nll` (a turn's summed negative
 log-likelihood); the array helpers ``_softmax_values``,
 ``_masked_softmax_values`` and ``_sigmoid_values`` compute their parts.
-The parser calls every public op but :func:`mul` and :func:`reduce_sum`,
-the tests' loss algebra: no other op sums a matrix against weights.
+A plain softmax is the one-part :func:`mixture` without copy inputs.
+Each job has one op: :func:`take_rows` with an int index picks one row,
+:func:`matmul` of two vectors is their dot product, and
+:func:`scale_by` multiplies by a scalar. The parser calls every public
+op but :func:`mul` and :func:`reduce_sum`, the tests' loss algebra: no
+other op sums a matrix against weights.
 """
 
 from __future__ import annotations
@@ -296,15 +300,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(a: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
-    """Elementwise ``scale * a + shift`` with float constants."""
-    out = Tensor(scale * a.values + shift)
-    tape = _taping(a)
-    if tape is not None:
-        tape.record((out,), (a,), lambda g: (scale * g,))
-    return out
-
-
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
     """Multiply an array by a scalar tensor; differentiable in both."""
     if s.shape != ():
@@ -348,33 +343,14 @@ def reduce_sum(a: Tensor) -> Tensor:
     return out
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
-    return matmul(a, b)
-
-
-def row(m: Tensor, index: int) -> Tensor:
-    """Select one row of a matrix as a vector."""
-    if m.values.ndim != 2:
-        raise DimensionError(f"row: need a matrix, got shape {m.shape}")
-    out = Tensor(m.values[index])
-    tape = _taping(m)
-    if tape is not None:
-        def vjp(g):
-            delta = np.zeros_like(m.values)
-            delta[index] = g
-            return (delta,)
-
-        tape.record((out,), (m,), vjp)
-    return out
-
-
-def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a matrix; repeated indices accumulate gradient."""
+def take_rows(m: Tensor, indices: Sequence[int] | int) -> Tensor:
+    """Gather rows of a matrix; repeated indices accumulate gradient. An
+    int index gives that one row as a vector."""
     if m.values.ndim != 2:
         raise DimensionError(f"take_rows: need a matrix, got shape {m.shape}")
-    out = Tensor(m.values.take(indices, axis=0))    # fancy indexing at half the cost
+    # One row is a view, at a quarter of take's cost; take gathers a list
+    # at half the cost of fancy indexing.
+    out = Tensor(m.values[indices] if type(indices) is int else m.values.take(indices, axis=0))
     tape = _taping(m)
     if tape is not None:
         idx = np.asarray(indices, dtype=np.intp)
@@ -489,7 +465,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax arithmetic of the fused operations
 
 
 def _softmax_values(v: np.ndarray) -> np.ndarray:
@@ -525,15 +501,6 @@ def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
 def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Scores delta of a (masked) softmax with output ``probs``."""
     return probs * (g - np.dot(probs, g))
-
-
-def softmax(scores: Tensor) -> Tensor:
-    """Shift-stabilized softmax with all positions admissible."""
-    out = Tensor(_softmax_values(scores.values))
-    tape = _taping(scores)
-    if tape is not None:
-        tape.record((out,), (scores,), lambda g: (_softmax_vjp(out.values, g),))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +568,8 @@ def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
     Returns ``(probs, gen_probs, copy_probs, p_copy)``. ``gen_probs`` is
     the softmax over the concatenated ``logits`` parts (productions,
     then subtrees). Without copy inputs it is also ``probs``, and the
-    copy outputs are None. With them, a softmax over ``copy_scores``
+    copy outputs are None: ``mixture([scores])[0]`` is the softmax of
+    ``scores``. With them, a softmax over ``copy_scores``
     restricted to ``copy_mask`` is summed onto the support by the 0/1
     matrix ``copy_agg`` into ``copy_probs``; ``p_copy = sigmoid(gate)``
     and ``probs = p_copy · copy_probs + (1 - p_copy) · gen_probs``.

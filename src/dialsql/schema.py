@@ -7,9 +7,10 @@ indices and FROM-clause synthesis are derived from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from . import checks
 
 __all__ = [
     "Column",
@@ -133,29 +134,17 @@ def _parse_endpoint(spec, where: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _name_of(entry, what: str, where: str) -> str:
-    """The string ``name`` of a table or column object."""
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{where}: {what} must be an object, got {entry!r}")
-    name = entry.get("name")
-    if not isinstance(name, str):
-        raise SchemaError(f"{where}: {what} needs a string 'name', got {name!r}")
-    return name
-
-
 def _parse_table(raw, k: int, where: str) -> Table:
-    name = _name_of(raw, f"table {k}", where)
+    name = checks.field(SchemaError, f"{where}, table {k}", raw, "name", str)
     where = f"{where}, table {name!r}"
-    raw_cols = raw.get("columns", [])
-    if not isinstance(raw_cols, list) or not raw_cols:
+    raw_cols = checks.of_type(SchemaError, f"{where}: columns", raw.get("columns", []), list)
+    if not raw_cols:
         raise SchemaError(f"{where}: needs a non-empty list of columns")
     cols = []
     for j, c in enumerate(raw_cols):
-        col_name = _name_of(c, f"column {j}", where)
-        col_type = c.get("type", "text")
-        if not isinstance(col_type, str):
-            raise SchemaError(f"{where}: column {col_name!r} has type {col_type!r}, "
-                              f"not a string")
+        col_name = checks.field(SchemaError, f"{where}, column {j}", c, "name", str)
+        col_type = checks.of_type(SchemaError, f"{where}, column {col_name!r}: type",
+                                  c.get("type", "text"), str)
         cols.append(Column(col_name, col_type))
     return Table(name, tuple(cols))
 
@@ -163,26 +152,15 @@ def _parse_table(raw, k: int, where: str) -> Table:
 def schema_from_dict(data: dict, where: str = "<memory>") -> DatabaseSchema:
     """Build a schema from its JSON object; ``where`` names the source
     in errors, which also name the schema and the table."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: a schema must be an object, got {data!r}")
-    try:
-        db_id = data["db_id"]
-        raw_tables = data["tables"]
-    except KeyError as err:
-        raise SchemaError(f"{where}: missing required field {err}") from err
-    if not isinstance(db_id, str):
-        raise SchemaError(f"{where}: db_id must be a string, got {db_id!r}")
+    db_id = checks.field(SchemaError, where, data, "db_id", str)
     source, where = where, f"{where}: schema {db_id!r}"
-    if not isinstance(raw_tables, list) or not raw_tables:
+    raw_tables = checks.field(SchemaError, where, data, "tables", list)
+    if not raw_tables:
         raise SchemaError(f"{where}: needs at least one table")
     tables = [_parse_table(t, k, where) for k, t in enumerate(raw_tables)]
-    raw_fks = data.get("foreign_keys", [])
-    if not isinstance(raw_fks, list):
-        raise SchemaError(f"{where}: foreign_keys must be a list, got {raw_fks!r}")
     fks = []
-    for k, pair in enumerate(raw_fks):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"{where}: foreign key {k} must be a 2-element list, got {pair!r}")
+    for pair in checks.pairs(SchemaError, f"{where}: foreign_keys",
+                             data.get("foreign_keys", [])):
         (t1, c1) = _parse_endpoint(pair[0], where)
         (t2, c2) = _parse_endpoint(pair[1], where)
         fks.append(ForeignKey(t1, c1, t2, c2))
@@ -194,11 +172,7 @@ def schema_from_dict(data: dict, where: str = "<memory>") -> DatabaseSchema:
 
 def load_schemas(path: str | Path) -> dict[str, DatabaseSchema]:
     """Read a JSON file holding either one schema or a list of schemas."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    data = checks.read_json(SchemaError, path)
     entries = data if isinstance(data, list) else [data]
     out: dict[str, DatabaseSchema] = {}
     for k, entry in enumerate(entries):

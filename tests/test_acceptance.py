@@ -171,7 +171,7 @@ def _layer_checks(rng) -> float:
     def copy_loss():
         mixed, _, _, _ = ops.mixture([gen], copy_scores=ops.matmul(mem, wl),
                                      copy_mask=[True, False, True, True, True, False],
-                                     copy_agg=agg, gate=ops.dot(wl, h))
+                                     copy_agg=agg, gate=ops.matmul(wl, h))
         return ops.nll([mixed], [1])
 
     check(copy_loss, [wl, h, mem, gen])

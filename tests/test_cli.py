@@ -156,7 +156,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("edit, expected", [
         (lambda rows: rows[:1] + [rows[1].replace("\t1\t", "\tone\t", 1)] + rows[2:],
-         "line 2: turn index 'one' is not an integer"),
+         "line 2: turn index 'one' is not a non-negative integer"),
         (lambda rows: rows[:1] + [rows[1].replace("\t1\t", "\t99\t", 1)] + rows[2:],
          "line 2: dialogue {first!r} has no turn 99"),
         (lambda rows: rows[:2] + [rows[1]] + rows[2:],
@@ -410,9 +410,9 @@ class TestConvert:
         ("tables", lambda raw: raw[0].update(db_id=["concert_singer"]),
          "entry 0: db_id is ['concert_singer'], expected a string"),
         ("tables", lambda raw: raw[0].update(table_names_original=5),
-         "entry 0: table_names_original must be a list of strings"),
+         "entry 0: table_names_original is 5, expected a list of strings"),
         ("tables", lambda raw: raw[0].update(column_types=None),
-         "entry 0: column_types must be a list of strings"),
+         "entry 0: column_types is None, expected a list of strings"),
         ("tables", lambda raw: raw[0]["column_names_original"][2].__setitem__(1, None),
          "entry 0: column name is None, expected a string"),
     ], ids=["null_utterance", "null_query", "list_database_id", "list_db_id",
@@ -533,7 +533,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS])
         assert code == 1
         err = capsys.readouterr().err
-        assert "dialogue #0, turn 1: question must be a string" in err
+        assert "dialogue #0, turn 1: question is 5, expected a string" in err
         assert "Traceback" not in err
 
     def test_unknown_method_is_runtime_error(self, data_args, tmp_path, capsys):

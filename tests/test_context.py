@@ -362,7 +362,7 @@ class TestCheckpoint:
             ([1], "format"),
             ({k: v for k, v in blob.items() if k != "config"}, "'config'"),
             ({k: v for k, v in blob.items() if k != "params"}, "'params'"),
-            ({**blob, "vocab": 5}, "'vocab'"),
+            ({**blob, "vocab": 5}, "vocab"),
             ({**blob, "config": {**blob["config"], "dims": 5}}, "config"),
             ({**blob, "params": {k: v for k, v in params.items() if k != "out.wo"}},
              "'out.wo'"),
@@ -385,6 +385,21 @@ class TestCheckpoint:
             with pytest.raises(ConfigError) as exc:
                 load_checkpoint(bad)
             assert str(bad) in str(exc.value) and name in str(exc.value), exc.value
+
+    @pytest.mark.parametrize("method, key, value", [
+        ("turn", "h", 1.5), ("none", "embedding", True),
+        ("concat", "h", True), ("none", "distance", True),
+    ])
+    def test_ill_typed_config_names_the_file(self, tmp_path, method, key, value):
+        path = tmp_path / "model.json"
+        save_checkpoint(tiny_model(method, seed=18), path)
+        blob = json.loads(path.read_text())
+        (blob["config"] if key == "h" else blob["config"]["dims"])[key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert f"{key} is {value!r}, expected an integer" in str(exc.value)
 
     def test_loaded_model_decodes_identically(self, tmp_path):
         from dialsql.decoder import greedy_parse

@@ -132,6 +132,24 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match=":1:"):
             load_embeddings(path, v, np.zeros((len(v), 3)))
 
+    def test_repeated_word_counts_its_row_once(self, tmp_path):
+        v = Vocabulary(["show", "the"])        # five rows with the three reserved
+        path = tmp_path / "emb.txt"
+        path.write_text("show 1 2\nshow 3 4\nthe 5 6\n")
+        matrix = np.zeros((len(v), 2))
+        assert load_embeddings(path, v, matrix) == 2 / 5
+        np.testing.assert_array_equal(matrix[v.index("show")], [3, 4])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        v = Vocabulary(["alpha", "the"])
+        path = tmp_path / "emb.txt"
+        path.write_text(f"alpha 1 2\nthe {value} 2\n")
+        matrix = np.zeros((len(v), 2))
+        with pytest.raises(DataError, match=rf"emb\.txt:2: 'the' has a non-finite value"):
+            load_embeddings(path, v, matrix)
+        assert np.isfinite(matrix).all()
+
 
 class TestLoadCorpus:
     def write_inputs(self, tmp_path, records):
@@ -215,7 +233,7 @@ class TestLoadCorpus:
                     "turns": [dict(turn), {**turn, key: value}]}]
         dialogues, schemas = self.write_inputs(tmp_path, records)
         with pytest.raises(DataError, match=rf"dialogues\.json: dialogue #0, turn 2: {key} "
-                                            r"must be a string, got int"):
+                                            rf"is {value}, expected a string"):
             load_corpus(dialogues, schemas)
 
     @pytest.mark.parametrize("first_id, second_id", [("a", "a"), (1, "1")])
@@ -244,7 +262,8 @@ class TestLoadCorpus:
         if ok:
             assert load_corpus(dialogues, schemas).dialogues[0].turns[0].phenomenon == value
             return
-        with pytest.raises(DataError, match=r"dialogue #0, turn 1: phenomenon must be a string"):
+        with pytest.raises(DataError,
+                           match=r"dialogue #0, turn 1: phenomenon is .+, expected a string"):
             load_corpus(dialogues, schemas)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -259,7 +259,7 @@ class TestGate:
 
         def loss():
             g = gate_importances(history, history[-1], u, w, v)
-            return ops.dot(g, Tensor([1.0, 0.0, 0.0]))
+            return ops.matmul(g, Tensor([1.0, 0.0, 0.0]))
 
         assert grad_check(loss, [u, w, v]).max_rel_error < 1e-6
 

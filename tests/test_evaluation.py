@@ -3,6 +3,7 @@ counted accuracy fixtures, and report round trips."""
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,15 @@ class TestAnnotations:
         with pytest.raises(DataError, match="two"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("key", ["1_0", " 2 ", "+1", "-1", "\u0663"])
+    def test_turn_key_must_be_ascii_digits(self, tmp_path, key):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"d0": {key: "continuation"}}))
+        with pytest.raises(DataError) as exc:
+            load_annotations(path)
+        assert f"{path}: 'd0': turn index {key!r} is not a non-negative integer" \
+            == str(exc.value)
+
     def test_annotation_for_unknown_dialogue(self):
         corpus = make_corpus({"d0": ["SELECT alpha FROM t1"]})
         with pytest.raises(DataError, match="d9"):
@@ -402,6 +412,44 @@ class TestReports:
         path.write_text("metric,value,count\nbleu,0.5,10\n")
         with pytest.raises(DataError, match="bleu"):
             read_report(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: [blob],
+        lambda blob: {k: v for k, v in blob.items() if k != "turn_match"},
+        lambda blob: {**blob, "ques_match": 5},
+        lambda blob: {**blob, "int_match": {"matched": 1}},
+        lambda blob: {**blob, "int_match": {"matched": "1", "total": 2}},
+        lambda blob: {**blob, "int_match": {"matched": True, "total": 2}},
+        lambda blob: {**blob, "int_match": {"matched": 3, "total": 2}},
+        lambda blob: {**blob, "turn_match": {"one": {"matched": 1, "total": 1}}},
+        lambda blob: {**blob, "turn_match": {"1": []}},
+        lambda blob: {**blob, "per_phenomenon": []},
+    ], ids=["list", "no_turn_match", "scalar_cell", "no_total", "string_count", "bool_count",
+            "matched_above_total", "turn_one", "list_cell", "list_breakdown"])
+    def test_malformed_json_report_names_the_file(self, tmp_path, edit):
+        path = tmp_path / "report.json"
+        emit_report(sample_report(), "json", path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            read_report(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "{not json", "metric,value,count\nques_match,abc,5\nint_match,0.5,2\n",
+        "metric,value,count\nques_match,0.8\n", "metric,value,count\nques_match,nan,5\n",
+        "metric,value,count\nques_match,inf,5\n", "metric,value,count\nques_match,0.8,x\n",
+        "metric,value,count\nques_match,2.0,1\n", "metric,value,count\nturn_match_x,1.0,1\n",
+    ], ids=["empty", "invalid_json", "value_abc", "two_fields", "value_nan", "value_inf",
+            "count_x", "matched_above_total", "turn_x"])
+    def test_malformed_csv_report_names_the_file(self, tmp_path, text):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            read_report(path)
+        if text.startswith("{"):
+            json_path = path.with_suffix(".json")
+            json_path.write_text(text)
+            with pytest.raises(DataError, match=re.escape(str(json_path))):
+                read_report(json_path)
 
     def test_cell_validation(self):
         with pytest.raises(ContractError):

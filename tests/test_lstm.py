@@ -123,7 +123,7 @@ class TestBackward:
 
         def loss():
             nh, nc = lstm_cell(params, x, h, c)
-            return ops.add(ops.dot(nh, Tensor(weights)), ops.reduce_sum(nc))
+            return ops.add(ops.matmul(nh, Tensor(weights)), ops.reduce_sum(nc))
 
         res = grad_check(loss, params.tensors() + [x, h, c])
         assert res.max_rel_error < 1e-6, res
@@ -179,7 +179,7 @@ class TestBackward:
 
         def loss():
             nh, nc = lstm_cell(params, x, h, c)
-            return ops.dot(nh if reached == "h" else nc, weights)
+            return ops.matmul(nh if reached == "h" else nc, weights)
 
         res = grad_check(loss, params.tensors() + [x, h, c])
         assert res.max_rel_error < 1e-6, res
@@ -204,12 +204,12 @@ class TestBackward:
 
             def cell():
                 zero = Tensor(np.zeros(4))
-                h, _ = lstm_cell(params, ops.row(xs, 0), zero, zero)
-                return ops.dot(h, weights)
+                h, _ = lstm_cell(params, ops.take_rows(xs, 0), zero, zero)
+                return ops.matmul(h, weights)
 
             def one_row_pass():
                 _, (end,) = lstm_sequence([params], xs)
-                return ops.dot(end, weights)
+                return ops.matmul(end, weights)
 
             got, want = grads(cell), grads(one_row_pass)
         finally:
@@ -231,7 +231,7 @@ class TestSequencePass:
         def loss():
             states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
             return ops.add(ops.reduce_sum(ops.mul(states, weights)),
-                           ops.dot(f_end, b_end))
+                           ops.matmul(f_end, b_end))
 
         res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs, tail])
         assert res.max_rel_error < 1e-6, res
@@ -247,7 +247,7 @@ class TestSequencePass:
 
         def loss():
             _, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
-            return ops.add(ops.dot(f_end, weights), ops.reduce_sum(ops.mul(b_end, b_end)))
+            return ops.add(ops.matmul(f_end, weights), ops.reduce_sum(ops.mul(b_end, b_end)))
 
         res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs, tail])
         assert res.max_rel_error < 1e-6, res
@@ -273,7 +273,7 @@ class TestSequencePass:
             return ops.reduce_sum(ops.mul(states, weights))
 
         def unrolled():
-            rows = [ops.row(xs, k) for k in range(4)]
+            rows = [ops.take_rows(xs, k) for k in range(4)]
             f = cell_unroll(fwd, rows, tail)
             b = cell_unroll(bwd, rows[::-1], tail)[::-1]
             states = ops.stack([ops.concat([s, t]) for s, t in zip(f, b)])
@@ -292,7 +292,7 @@ class TestSequencePass:
             xs = Tensor(rng.normal(size=(5, 4)))
             tail = Tensor(rng.normal(size=2))
             states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
-            rows = [ops.row(xs, k) for k in range(5)]
+            rows = [ops.take_rows(xs, k) for k in range(5)]
             f = cell_unroll(fwd, rows, tail)
             b = cell_unroll(bwd, rows[::-1], tail)[::-1]
         finally:

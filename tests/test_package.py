@@ -21,7 +21,7 @@ def test_every_public_name_resolves():
 # Public tensor ops that only tests call, each kept for a reason.
 TEST_ONLY_OPS = {
     # The tests' loss algebra: with reduce_sum, the only way to form a
-    # full-rank weighted sum over a matrix (``dot`` takes vectors).
+    # full-rank weighted sum over a matrix (``matmul`` contracts one axis).
     "mul": "elementwise weights for matrix-valued test losses",
     "reduce_sum": "sums a matrix-valued output into a scalar test loss",
 }

@@ -71,11 +71,11 @@ class TestLoading:
         ({"db_id": "d", "tables": [{"name": "t", "columns": ["c"]}]},
          ["schema 'd'", "table 't'", "column 0"]),
         ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]}],
-          "foreign_keys": [5]}, ["schema 'd'", "foreign key 0"]),
+          "foreign_keys": [5]}, ["schema 'd'", "foreign_keys pair 0"]),
         ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]}],
           "foreign_keys": [[1, "t.c"]]}, ["schema 'd'", "endpoint"]),
         ({"db_id": ["d"], "tables": [{"name": "t", "columns": [{"name": "c"}]}]}, ["db_id"]),
-        ([1], ["entry 0", "must be an object"]),
+        ([1], ["entry 0", "expected an object"]),
         ({"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "c"}]},
                                    {"name": "T", "columns": [{"name": "c"}]}]},
          ["d: duplicate table name 'T'"]),

@@ -22,7 +22,6 @@ from dialsql.nn import (
     lstm_cell,
     lstm_sequence,
     ops,
-    softmax,
 )
 
 
@@ -30,6 +29,12 @@ def leaf(values):
     t = Tensor(values)
     t.requires_grad = True
     return t
+
+
+def softmax(scores):
+    """The softmax of ``scores``: :func:`ops.mixture` with one part and
+    no copy inputs."""
+    return ops.mixture([scores])[0]
 
 
 def copy_probs(scores, mask):
@@ -117,7 +122,7 @@ class TestFastPaths:
                 s = leaf(raw.copy())
                 with Tape() as tape:
                     p = fn(s)
-                    tape.backward(ops.dot(p, Tensor(upstream)))
+                    tape.backward(ops.matmul(p, Tensor(upstream)))
                 results.append((p.values, s.grad))
             (p1, g1), (p2, g2) = results
             assert np.array_equal(p1, p2)
@@ -151,12 +156,12 @@ class TestFastPaths:
     def _every_op(x, m, s):
         """One call of each differentiable op, on leaves that require grad."""
         v = ops.add(x, x)
-        outs = [v, ops.mul(x, v), ops.affine(x, 2.0, 1.0),
-                ops.scale_by(x, s), ops.tanh(x), ops.reduce_sum(x), ops.dot(x, x),
-                ops.row(m, 1), ops.take_rows(m, [0, 0]),
+        outs = [v, ops.mul(x, v),
+                ops.scale_by(x, s), ops.tanh(x), ops.reduce_sum(x), ops.matmul(x, x),
+                ops.take_rows(m, 1), ops.take_rows(m, [0, 0]),
                 ops.concat([x, x]), ops.stack([s, s]), ops.stack([x, x]),
                 ops.expand_by_counts(x, [1, 2]), ops.transpose(m),
-                ops.matmul(m, x), ops.softmax(x),
+                ops.matmul(m, x),
                 ops.attention(m, m, x, x)[1],
                 ops.mixture([x], x, [True, False], np.eye(2), s)[0],
                 ops.nll([x], [0])]
@@ -236,7 +241,7 @@ class TestBackwardBasics:
         a = leaf([1.0, 2.0])
         b = leaf([3.0, 4.0])
         with Tape() as tape:
-            tape.backward(ops.dot(a, b))
+            tape.backward(ops.matmul(a, b))
         np.testing.assert_array_equal(a.grad, b.values)
         np.testing.assert_array_equal(b.grad, a.values)
 
@@ -252,7 +257,7 @@ class TestBackwardBasics:
         y = leaf([5.0])
         w = leaf(np.ones((2, 3)))       # its vjp would return factors
         with Tape() as tape:
-            _unused = ops.affine(y, 3.0)
+            _unused = ops.scale_by(y, Tensor(3.0))
             _unused_too = ops.matmul(w, Tensor([1.0, 0.0, 0.0]))
             tape.backward(ops.reduce_sum(x))
         np.testing.assert_array_equal(y.grad, [0.0])
@@ -334,7 +339,7 @@ class TestShapes:
 def _composition(x, w, b, pick_index):
     """A little network touching most op kinds."""
     h = ops.tanh(ops.add(ops.matmul(w, x), b))
-    p = softmax(ops.affine(h, 0.5, 0.5))
+    p = softmax(ops.scale_by(h, Tensor(0.5)))
     return ops.add(ops.reduce_sum(ops.mul(p, h)), ops.nll([p], [pick_index]))
 
 
@@ -343,7 +348,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(7)
         cases = {
             "tanh": ops.tanh,
-            "affine": lambda t: ops.affine(t, -1.5, 0.5),
+            "scale_by a constant": lambda t: ops.scale_by(t, Tensor(-1.5)),
         }
         for name, fn in cases.items():
             x = leaf(rng.normal(size=5))
@@ -363,7 +368,7 @@ class TestFiniteDifferences:
         assert res.max_rel_error < 1e-6
         res = grad_check(lambda: ops.reduce_sum(ops.matmul(u, m)), [u, m])
         assert res.max_rel_error < 1e-6
-        res = grad_check(lambda: ops.dot(v, v), [v])
+        res = grad_check(lambda: ops.matmul(v, v), [v])
         assert res.max_rel_error < 1e-6
 
     def test_structural_ops(self):
@@ -379,7 +384,7 @@ class TestFiniteDifferences:
             mixed = ops.matmul(got, ops.take_rows(m, [1, 0]))
             return ops.add(
                 ops.add(ops.reduce_sum(ops.tanh(mixed)), ops.reduce_sum(joined)),
-                ops.dot(ops.row(m, 1), Tensor([0.0, 0.0, 1.0, 0.0])),
+                ops.matmul(ops.take_rows(m, 1), Tensor([0.0, 0.0, 1.0, 0.0])),
             )
 
         res = grad_check(loss, [a, b, m])
@@ -390,11 +395,11 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(15)
         v = leaf(rng.normal(size=len(counts)))
         weights = Tensor(rng.normal(size=sum(counts)))
-        res = grad_check(lambda: ops.dot(ops.expand_by_counts(v, counts), weights), [v])
+        res = grad_check(lambda: ops.matmul(ops.expand_by_counts(v, counts), weights), [v])
         assert res.max_rel_error < 1e-6, res
         v.grad = None
         with Tape() as tape:
-            tape.backward(ops.dot(ops.expand_by_counts(v, counts),
+            tape.backward(ops.matmul(ops.expand_by_counts(v, counts),
                                   Tensor([10.0, 20.0, 30.0][:sum(counts)])))
         assert v.grad.tolist() == [30.0, 0.0, 30.0][:len(counts)]
 
@@ -438,7 +443,7 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(ops.stack(v).values, np.vstack([x.values for x in v]))
         w_s = Tensor(rng.normal(size=3))
         w_v = Tensor(rng.normal(size=(3, 4)))
-        res = grad_check(lambda: ops.dot(ops.tanh(ops.stack(s)), w_s), s)
+        res = grad_check(lambda: ops.matmul(ops.tanh(ops.stack(s)), w_s), s)
         assert res.max_rel_error < 1e-6, res
         res = grad_check(lambda: ops.reduce_sum(ops.tanh(ops.mul(ops.stack(v), w_v))), v)
         assert res.max_rel_error < 1e-6, res
@@ -479,7 +484,7 @@ class TestFiniteDifferences:
                                 leaf(rng.normal(size=8) * 0.1))
         x, h, c = leaf(rng.normal(size=3)), leaf(rng.normal(size=2)), leaf(rng.normal(size=2))
         weights = Tensor(rng.normal(size=2))
-        res = grad_check(lambda: ops.dot(lstm_cell(params, x, h, c)[1], weights),
+        res = grad_check(lambda: ops.matmul(lstm_cell(params, x, h, c)[1], weights),
                          params.tensors() + [x, h, c])
         assert res.max_rel_error < 1e-6, res
 
@@ -519,10 +524,10 @@ class TestFusedOps:
         def loss():
             a, c = ops.attention(memory, w_e, h, coeffs)
             if reached == "weights":
-                return ops.dot(a, ua)
+                return ops.matmul(a, ua)
             if reached == "context":
-                return ops.dot(c, uc)
-            return ops.add(ops.dot(a, ua), ops.reduce_sum(ops.mul(c, c)))
+                return ops.matmul(c, uc)
+            return ops.add(ops.matmul(a, ua), ops.reduce_sum(ops.mul(c, c)))
 
         params = [memory, w_e, h] + ([coeffs] if gated else [])
         res = grad_check(loss, params)
@@ -581,8 +586,8 @@ class TestFusedOps:
 
         def loss():
             probs, gen, copy, p = ops.mixture(parts, **kwargs)
-            return ops.add(ops.add(ops.dot(probs, weights[0]), ops.dot(gen, weights[1])),
-                           ops.add(ops.dot(copy, weights[2]), ops.affine(p, 2.0)))
+            return ops.add(ops.add(ops.matmul(probs, weights[0]), ops.matmul(gen, weights[1])),
+                           ops.add(ops.matmul(copy, weights[2]), ops.scale_by(p, Tensor(2.0))))
 
         res = grad_check(loss, parts + [kwargs["copy_scores"], kwargs["gate"]])
         assert res.max_rel_error < 1e-6, res
@@ -663,7 +668,7 @@ class TestFactoredDeltas:
         weights = Tensor(rng.normal(size=(3, 4)))
 
         def loss():
-            factored = ops.add(ops.dot(ops.matmul(w, v), u),        # w gets (·, v)
+            factored = ops.add(ops.matmul(ops.matmul(w, v), u),        # w gets (·, v)
                                ops.reduce_sum(ops.matmul(u, w)))    # and (u, ·)
             return ops.add(factored, ops.reduce_sum(ops.mul(w, weights)))  # and a dense delta
 
@@ -697,8 +702,8 @@ class TestFactoredDeltas:
         with Tape() as tape:
             doubled = Tensor(2.0 * w.values)
             tape.record((doubled,), (w,), lambda g: (seen.append(g) or 2.0 * g,))
-            tape.backward(ops.add(ops.dot(ops.matmul(doubled, xs[0]), Tensor(np.arange(4.0))),
-                                  ops.dot(ops.matmul(Tensor(np.ones(4)), doubled), xs[1])))
+            tape.backward(ops.add(ops.matmul(ops.matmul(doubled, xs[0]), Tensor(np.arange(4.0))),
+                                  ops.matmul(ops.matmul(Tensor(np.ones(4)), doubled), xs[1])))
         [g] = seen
         assert type(g) is np.ndarray
         want = np.outer(np.arange(4.0), xs[0].values) + np.outer(np.ones(4), xs[1].values)
@@ -729,7 +734,7 @@ class TestFactoredDeltas:
         reached, unreached = Tensor(x.values.copy()), Tensor([0.0])
         with Tape() as tape:
             tape.record((reached, unreached), (x,), vjp)
-            tape.backward(ops.dot(ops.matmul(reached, Tensor([1.0, 2.0, 3.0])),
+            tape.backward(ops.matmul(ops.matmul(reached, Tensor([1.0, 2.0, 3.0])),
                                   Tensor([1.0, -1.0])))
         [(g_reached, g_unreached)] = seen
         np.testing.assert_array_equal(g_reached, [[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])

@@ -25,7 +25,12 @@ The sections, in order:
   output probabilities. A forward change of a few ulps can leave the
   losses and greedy actions as they were, but it moves these values;
 - ``checkpoints``: the bytes of every checkpoint in ``bench/models``
-  loaded and saved again.
+  loaded and saved again;
+- ``fit``: ``SqlParser.fit`` for two configurations, 2 epochs at dims
+  6/8/4, ``batch_size`` 3 on seven examples (so each epoch ends in a
+  partial batch) and ``clip_norm`` 0.5 (so clipping fires): each epoch's
+  ``history_`` row without its ``seconds``, then the bytes of every
+  trained parameter. This covers the batch mean, clipping and Adam.
 
 ``total`` hashes the section digests in that order.
 """
@@ -45,6 +50,7 @@ from dialsql.context import (
     save_checkpoint,
 )
 from dialsql.data import build_vocab, gen_synthetic, load_corpus, write_dialogues, write_schemas
+from dialsql.estimator import SqlParser
 from dialsql.decoder import (
     ActionEmbedder,
     advance_state,
@@ -60,7 +66,7 @@ from dialsql.nn import Tape, set_precision
 MODEL_DIR = Path(__file__).resolve().parent.parent / "bench" / "models"
 DIMS = {"embedding": 6, "hidden": 8, "distance": 4}
 SECTIONS = ("corpora", "round_trip", "losses", "gradients", "greedy", "forward",
-            "checkpoints")
+            "checkpoints", "fit")
 
 
 def _corpus_bytes(corpus, tmp: Path) -> bytes:
@@ -160,6 +166,18 @@ def checkpoints(h: dict, tmp: Path) -> None:
         h["checkpoints"].update((tmp / "resaved.json").read_bytes())
 
 
+def fit(h: dict) -> None:
+    corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=3)
+    for method in ("turn+sql_attn+action_copy", "concat+tree_copy"):
+        parser = SqlParser(method=method, h=2, embedding_dim=6, hidden_dim=8, distance_dim=4,
+                           lr=2e-2, epochs=2, batch_size=3, clip_norm=0.5).fit(corpus)
+        h["fit"].update(method.encode())
+        for row in parser.history_:
+            h["fit"].update(repr({k: v for k, v in row.items() if k != "seconds"}).encode())
+        for p in parser.model_.parameters():
+            h["fit"].update(p.values.tobytes())
+
+
 def main() -> None:
     set_precision(64)
     h = {name: hashlib.sha256() for name in SECTIONS}
@@ -167,6 +185,7 @@ def main() -> None:
         corpora(h, Path(tmp))
         models(h)
         checkpoints(h, Path(tmp))
+    fit(h)
     total = hashlib.sha256()
     for name in SECTIONS:
         digest = h[name].hexdigest()
