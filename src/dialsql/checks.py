@@ -21,14 +21,25 @@ def _shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def text_lines(error, path):
+    """The lines of ``path``, each with its line end, decoded as UTF-8 one
+    at a time; a byte that is not UTF-8 text names its offset in the file."""
+    offset = 0
+    with Path(path).open("rb") as fh:
+        for raw in fh:
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise error(f"{path}: not UTF-8 text at byte {offset + err.start}") from err
+            offset += len(raw)
+
+
 def read_json(error, path):
     """The parsed JSON of ``path``; a syntax error names the line."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads("".join(text_lines(error, path)))
     except json.JSONDecodeError as err:
         raise error(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    except UnicodeDecodeError as err:
-        raise error(f"{path}: not UTF-8 text at byte {err.start}") from err
 
 
 def of_type(error, where, value, kind):

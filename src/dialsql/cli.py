@@ -264,8 +264,7 @@ def read_predictions(path, corpus: Corpus) -> dict:
     """Inverse of write_predictions; invalid rows map to None."""
     schemas = {d.dialogue_id: corpus.schemas[d.db_id] for d in corpus.dialogues}
     turns = {ex.key() for ex in corpus.examples()}
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = "".join(checks.text_lines(DataError, path)).splitlines()
     if not lines or lines[0] != "dialogue_id\tturn_index\tsql\tvalid":
         raise DataError(f"{path}: not a prediction file (bad header)")
     out: dict = {}

@@ -32,6 +32,7 @@ __all__ = [
     "method_names",
     "method_config",
     "build_model",
+    "param_shapes",
     "prepare_inputs",
     "config_hash",
     "save_checkpoint",
@@ -173,66 +174,70 @@ class ModelBundle:
         return cell
 
 
-def _add_lstm(params: dict, rng, prefix: str, input_size: int, hidden: int) -> None:
-    b = init_uniform(rng, (4 * hidden,))
-    b[hidden:2 * hidden] = 1.0                 # forget-gate bias
-    params[f"{prefix}.w_ih"] = Parameter(f"{prefix}.w_ih",
-                                         init_uniform(rng, (4 * hidden, input_size)))
-    params[f"{prefix}.w_hh"] = Parameter(f"{prefix}.w_hh",
-                                         init_uniform(rng, (4 * hidden, hidden)))
-    params[f"{prefix}.b"] = Parameter(f"{prefix}.b", b)
+# Parameters that start at a constant instead of a random draw: the
+# linking feature weights and the copy gate's bias.
+_CONSTANT = {"link.w_exact": 1.0, "link.w_partial": 0.5, "copy.bc": 0.0}
 
 
-def _add(params: dict, rng, name: str, shape) -> None:
-    params[name] = Parameter(name, init_uniform(rng, shape))
+def param_shapes(config: ContextConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter the configuration uses, by name, in
+    the model's order. Allocates nothing, so a checkpoint's config can be
+    checked against its arrays before any is built."""
+    e = config.embedding_dim
+    hid = config.hidden_dim
+    half = hid // 2
+    mem = config.memory_dim
+    shapes = {"word_emb": (len(vocab), e),
+              "action_emb": (len(ModelBundle.agnostic_index), e),
+              "bos_emb": (e,)}
+
+    def lstm(prefix: str, input_size: int, hidden: int) -> None:
+        shapes[f"{prefix}.w_ih"] = (4 * hidden, input_size)
+        shapes[f"{prefix}.w_hh"] = (4 * hidden, hidden)
+        shapes[f"{prefix}.b"] = (4 * hidden,)
+
+    q_input = e + (hid if config.question_method == "turn" else 0)
+    lstm("q_enc.fwd", q_input, half)
+    lstm("q_enc.bwd", q_input, half)
+    lstm("schema_enc", e, e)
+    if config.question_method == "turn":
+        lstm("turn_enc", hid, hid)
+        shapes["dist_emb"] = (config.h + 1, config.distance_dim)
+    if config.question_method == "gate":
+        shapes.update({"gate.u": (hid, hid), "gate.w": (hid, hid), "gate.v": (hid,)})
+
+    lstm("dec", e + mem + (hid if "sql_attn" in config.sql_methods else 0), hid)
+    shapes.update({"attn.we": (mem, hid), "out.wo": (hid + mem, e),
+                   "link.w_exact": (), "link.w_partial": ()})
+    if config.sql_methods:
+        lstm("sql_enc.fwd", e, half)
+        lstm("sql_enc.bwd", e, half)
+    if "sql_attn" in config.sql_methods:
+        shapes["sql_attn.we"] = (hid, hid)
+    if "action_copy" in config.sql_methods:
+        shapes.update({"copy.wl": (hid, hid), "copy.wc": (hid,), "copy.bc": ()})
+    if "tree_copy" in config.sql_methods:
+        shapes["tree.wt"] = (hid, hid)
+    return shapes
 
 
 def build_model(config: ContextConfig, vocab: Vocabulary, seed: int) -> ModelBundle:
     """Instantiate exactly the parameters the configuration uses."""
     rng = np.random.default_rng(seed)
-    e = config.embedding_dim
-    hid = config.hidden_dim
-    half = hid // 2
-    mem = config.memory_dim
-
-    params: dict[str, Parameter] = {}
-    _add(params, rng, "word_emb", (len(vocab), e))
-    _add(params, rng, "action_emb", (len(ModelBundle.agnostic_index), e))
-    _add(params, rng, "bos_emb", (e,))
-
-    q_input = e + (hid if config.question_method == "turn" else 0)
-    _add_lstm(params, rng, "q_enc.fwd", q_input, half)
-    _add_lstm(params, rng, "q_enc.bwd", q_input, half)
-    _add_lstm(params, rng, "schema_enc", e, e)
-
-    if config.question_method == "turn":
-        _add_lstm(params, rng, "turn_enc", hid, hid)
-        _add(params, rng, "dist_emb", (config.h + 1, config.distance_dim))
-    if config.question_method == "gate":
-        _add(params, rng, "gate.u", (hid, hid))
-        _add(params, rng, "gate.w", (hid, hid))
-        _add(params, rng, "gate.v", (hid,))
-
-    dec_input = e + mem + (hid if "sql_attn" in config.sql_methods else 0)
-    _add_lstm(params, rng, "dec", dec_input, hid)
-    _add(params, rng, "attn.we", (mem, hid))
-    _add(params, rng, "out.wo", (hid + mem, e))
-    params["link.w_exact"] = Parameter("link.w_exact", np.asarray(1.0))
-    params["link.w_partial"] = Parameter("link.w_partial", np.asarray(0.5))
-
-    if config.sql_methods:
-        _add_lstm(params, rng, "sql_enc.fwd", e, half)
-        _add_lstm(params, rng, "sql_enc.bwd", e, half)
-    if "sql_attn" in config.sql_methods:
-        _add(params, rng, "sql_attn.we", (hid, hid))
-    if "action_copy" in config.sql_methods:
-        _add(params, rng, "copy.wl", (hid, hid))
-        _add(params, rng, "copy.wc", (hid,))
-        params["copy.bc"] = Parameter("copy.bc", np.asarray(0.0))
-    if "tree_copy" in config.sql_methods:
-        _add(params, rng, "tree.wt", (hid, hid))
-
-    return ModelBundle(config, vocab, params)
+    shapes = param_shapes(config, vocab)
+    values = {}
+    for name, shape in shapes.items():
+        if name.endswith(".w_ih"):
+            # An LSTM draws its bias first, then sets the forget gate's to one.
+            bias = name[:-len("w_ih")] + "b"
+            hidden = shape[0] // 4
+            values[bias] = init_uniform(rng, shapes[bias])
+            values[bias][hidden:2 * hidden] = 1.0
+        if name in _CONSTANT:
+            values[name] = np.asarray(_CONSTANT[name])
+        elif name not in values:
+            values[name] = init_uniform(rng, shape)
+    return ModelBundle(config, vocab, {name: Parameter(name, values[name]) for name in shapes})
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +320,8 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelBundle:
     """Rebuild a bundle; array bytes are restored exactly as saved.
 
-    The parameters must be exactly those :func:`build_model` makes for
-    the saved config, with the same shapes, at the active precision.
+    The parameters must be exactly those :func:`param_shapes` names for
+    the saved config, with those shapes, at the active precision.
     """
     blob = checks.read_json(ConfigError, path)
     if not isinstance(blob, dict) or blob.get("format") != _FORMAT:
@@ -332,7 +337,7 @@ def load_checkpoint(path: str | Path) -> ModelBundle:
         vocab = Vocabulary.from_list(tokens)
     except (ConfigError, DataError) as err:
         raise ConfigError(f"{path}: bad config or vocab: {err}") from err
-    expected = {name: p.shape for name, p in build_model(config, vocab, 0).params.items()}
+    expected = param_shapes(config, vocab)
     saved = checks.of_type(ConfigError, f"{path}: params", blob["params"], dict)
     missing = sorted(set(expected) - set(saved))
     if missing:

@@ -197,24 +197,23 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, matrix: np.ndarray) -> 
     path = Path(path)
     dim = matrix.shape[1]
     found = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) <= 1 and not line.strip():
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}")
-            if word in vocab:
-                try:
-                    row = np.array([float(v) for v in values], dtype=matrix.dtype)
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: {err}") from err
-                if not np.isfinite(row).all():
-                    raise DataError(f"{path}:{lineno}: {word!r} has a non-finite value")
-                matrix[vocab.index(word)] = row
-                found.add(word)
+    for lineno, line in enumerate(checks.text_lines(DataError, path), start=1):
+        parts = line.rstrip("\r\n").split(" ")
+        if len(parts) <= 1 and not line.strip():
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        if word in vocab:
+            try:
+                row = np.array([float(v) for v in values], dtype=matrix.dtype)
+            except ValueError as err:
+                raise DataError(f"{path}:{lineno}: {err}") from err
+            if not np.isfinite(row).all():
+                raise DataError(f"{path}:{lineno}: {word!r} has a non-finite value")
+            matrix[vocab.index(word)] = row
+            found.add(word)
     return len(found) / len(vocab)
 
 

@@ -19,7 +19,12 @@ states (the ``sql_attn`` memory), the question tokens' word
 embeddings, and for each frontier one :class:`FrontierRecord` holding
 its support list, its linking matrix or action-embedding rows, its
 stacked subtree embeddings and its copy mask and aggregation (see
-``EncodedTurn.memo``).
+``EncodedTurn.memo``). What only the parameters decide, the production
+embeddings and the question encodings, an :class:`ActionEmbedder` keeps
+for a whole training batch or decoded dialogue. Sequences encoded together
+share one encoder pass: a batch's questions (one pass per window
+position under ``turn``), a frontier's missing schema names, and a
+precedent query with its subtrees.
 """
 
 from __future__ import annotations
@@ -84,31 +89,92 @@ def _embed_tokens(model, tokens: list[str]) -> Tensor:
 
 
 class ActionEmbedder:
-    """Production embeddings, each computed once per embedder.
+    """Encodings that depend only on the parameters, each computed once
+    per embedder.
 
-    Schema-agnostic productions index a learned table; schema-specific
-    ones (column and table rules) are encoded from their name tokens, so
-    unseen schemas need no new parameters. Training shares one embedder
-    across a batch and inference across a call of ``predict_corpus``:
+    Production embeddings: schema-agnostic productions index a learned
+    table; schema-specific ones (column and table rules) are encoded from
+    their name tokens, so unseen schemas need no new parameters. The
+    names one :meth:`embed_all` call lacks share one encoder pass.
+
+    Question encodings: :meth:`questions` encodes the segments of the
+    attention windows it is given that it lacks, all of them in one pass,
+    or under ``turn`` one pass per window position. There a segment's
+    input ends in the turn-level state after the segments before it in
+    its window, so its encoding is kept per window prefix, with that
+    state; otherwise per segment.
+
+    Training shares one embedder across a batch, whose windows ``fit``
+    encodes before the first example, and inference across a dialogue:
     the parameters do not change in between.
     """
 
     def __init__(self, model):
         self.model = model
         self._cache: dict[Production, Tensor] = {}
+        self._questions: dict[tuple, QuestionEncoding] = {}
+        self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
 
     def __call__(self, production: Production) -> Tensor:
-        hit = self._cache.get(production)
-        if hit is not None:
-            return hit
-        model = self.model
-        if production.schema_specific:
-            emb = encode_name(_embed_tokens(model, name_tokens(production.rhs[0])),
-                              model.cell("schema_enc"))
-        else:
-            emb = ops.take_rows(model.params["action_emb"], model.agnostic_index[production])
-        self._cache[production] = emb
+        emb = self._cache.get(production)
+        if emb is None:
+            if production.schema_specific:
+                return self.embed_all([production])[0]
+            emb = self._cache[production] = ops.take_rows(
+                self.model.params["action_emb"], self.model.agnostic_index[production])
         return emb
+
+    def embed_all(self, productions) -> list[Tensor]:
+        """The embedding of each of ``productions``."""
+        model, cache = self.model, self._cache
+        names = [p for p in productions if p.schema_specific and p not in cache]
+        if names:
+            names = list(dict.fromkeys(names))
+            embedded = [_embed_tokens(model, name_tokens(p.rhs[0])) for p in names]
+            cache.update(zip(names, encode_name(embedded, model.cell("schema_enc"))))
+        return [self(p) for p in productions]
+
+    def questions(self, windows: list[list[list[str]]]) -> list[list[QuestionEncoding]]:
+        """Each window's question encodings, oldest segment first."""
+        model = self.model
+        turn = model.config.question_method == "turn"
+        # A key is the window's prefix up to the segment under turn, and
+        # the segment alone otherwise.
+        keys = [[tuple(map(tuple, w[:k + 1] if turn else w[k:k + 1])) for k in range(len(w))]
+                for w in windows]
+        cache = self._questions
+        fwd, bwd = model.cell("q_enc.fwd"), model.cell("q_enc.bwd")
+        for k in range(max(map(len, windows)) if turn else 1):
+            todo = dict.fromkeys(key for ks in keys for key in (ks[k:k + 1] if turn else ks)
+                                 if key not in cache)
+            if todo:
+                tails = [self._turn_state(key[:-1])[0] for key in todo] if turn else None
+                cache.update(zip(todo, encode_question(
+                    [_embed_tokens(model, key[-1]) for key in todo], fwd, bwd, tails)))
+        if turn:
+            # The turn-level encoder also steps over each window's last
+            # question. That state feeds nothing and gets zero gradients,
+            # but the encoder's weights then take part in every turn, so
+            # a turn's gradients cover the same parameters whatever its
+            # window.
+            for ks in keys:
+                if ks:
+                    self._turn_state(ks[-1])
+        return [[cache[key] for key in ks] for ks in keys]
+
+    def _turn_state(self, prefix: tuple) -> tuple[Tensor, Tensor]:
+        """The turn-level encoder's ``(h, c)`` after the questions of
+        ``prefix``: one LSTM cell step per question vector."""
+        turn_cell = self.model.cell("turn_enc")
+        if not prefix:
+            zero = Tensor(np.zeros(turn_cell.hidden_size))
+            return zero, zero
+        state = self._turn_states.get(prefix)
+        if state is None:
+            h, c = self._turn_state(prefix[:-1])
+            state = self._turn_states[prefix] = lstm_cell(
+                turn_cell, self._questions[prefix].question_vector, h, c)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +245,24 @@ class EncodedTurn:
     # and, under a tape, recorded once per turn: "tokens" -> the
     # question tokens' word embeddings, and each frontier -> its
     # FrontierRecord. A turn is decoded against one grammar, with fixed
-    # parameters.
+    # parameters. What other turns share too (question encodings and
+    # production embeddings) stays with the ActionEmbedder.
     memo: dict = field(default_factory=dict, repr=False)
 
 
 def encode_precedent(model, actions: tuple[Production, ...],
                      embedder: ActionEmbedder,
                      with_subtrees: bool) -> CopyContext:
-    """Encode the previous turn's action sequence for copy mechanisms."""
+    """Encode the previous turn's action sequence for copy mechanisms,
+    in one pass with its subtrees when they are wanted."""
     if not actions:
         return EMPTY_COPY_CONTEXT
-    fwd = model.cell("sql_enc.fwd")
-    bwd = model.cell("sql_enc.bwd")
-    states, _ = encode_actions(ops.stack([embedder(a) for a in actions]), fwd, bwd)
-    subtrees = []
-    if with_subtrees:
-        for root, seq in extract_subtrees(list(actions)):
-            _, final = encode_actions(ops.stack([embedder(a) for a in seq]), fwd, bwd)
-            subtrees.append((root, seq, final))
-    return CopyContext(tuple(actions), states, subtrees)
+    trees = extract_subtrees(list(actions)) if with_subtrees else []
+    encoded = encode_actions([ops.stack(embedder.embed_all(seq))
+                              for seq in [actions] + [seq for _, seq in trees]],
+                             model.cell("sql_enc.fwd"), model.cell("sql_enc.bwd"))
+    subtrees = [(root, seq, final) for (root, seq), (_, final) in zip(trees, encoded[1:])]
+    return CopyContext(tuple(actions), encoded[0][0], subtrees)
 
 
 def encode_turn(model, segments: list[list[str]], distances: list[int],
@@ -207,29 +272,15 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
 
     ``segments`` lists token sequences oldest-first, the current
     question last; ``distances`` gives each segment's turn offset from
-    the current one (0 for the current question).
+    the current one (0 for the current question). The question encodings
+    come from ``embedder``, which encodes the ones it lacks.
     """
     if embedder is None:
         embedder = ActionEmbedder(model)
     config = model.config
     if len(segments) != len(distances):
         raise ContractError("one distance per question segment")
-    fwd = model.cell("q_enc.fwd")
-    bwd = model.cell("q_enc.bwd")
-
-    encodings: list[QuestionEncoding] = []
-    if config.question_method == "turn":
-        # The turn-level encoder: one LSTM step per question vector.
-        turn_cell = model.cell("turn_enc")
-        h = Tensor(np.zeros(turn_cell.hidden_size))
-        c = Tensor(np.zeros(turn_cell.hidden_size))
-        for tokens in segments:
-            enc = encode_question(_embed_tokens(model, tokens), fwd, bwd, turn_vec=h)
-            encodings.append(enc)
-            h, c = lstm_cell(turn_cell, enc.question_vector, h, c)
-    else:
-        for tokens in segments:
-            encodings.append(encode_question(_embed_tokens(model, tokens), fwd, bwd))
+    [encodings] = embedder.questions([segments])
 
     gate_weights = None
     if config.question_method == "gate" and len(encodings) > 1:
@@ -361,7 +412,7 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
         if "tokens" not in memo:
             memo["tokens"] = _embed_tokens(model, tokens)
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
-        rule_embs = ops.stack([embedder(p) for p in productions])
+        rule_embs = ops.stack(embedder.embed_all(productions))
         scorer = ops.add(
             ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
                     ops.scale_by(Tensor(partial), params["link.w_partial"])),

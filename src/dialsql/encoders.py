@@ -2,12 +2,13 @@
 
 All functions take already-embedded inputs, one row per position of a
 matrix, so the embedding lookup policy stays with the model. Each
-encoder runs one fused :func:`~dialsql.nn.lstm_sequence` pass, one tape
-entry, and returns its per-position states as one matrix. Question and
-action encoders are bidirectional; the schema-name encoder runs one
-direction only. The turn-level encoder is one
-:func:`~dialsql.nn.lstm_cell` step per question, taken by the decoder's
-``encode_turn``.
+encoder takes a list of such matrices and encodes them all in one fused
+:func:`~dialsql.nn.lstm_sequence` pass, one tape entry, returning one
+result per matrix, in order; a sequence's values are the same whatever
+else shares its pass. Question and action encoders are bidirectional;
+the schema-name encoder runs one direction only. The turn-level encoder
+is one :func:`~dialsql.nn.lstm_cell` step per question, taken by the
+decoder's ``ActionEmbedder``.
 """
 
 from __future__ import annotations
@@ -38,35 +39,35 @@ class QuestionEncoding:
         return ops.take_rows(self.states, self.states.shape[0] - 1)
 
 
-def encode_question(embedded: Tensor, fwd: LSTMCellParams,
-                    bwd: LSTMCellParams, turn_vec: Tensor | None = None) -> QuestionEncoding:
-    """BiLSTM over token embeddings, one row per token.
+def encode_question(embedded: list[Tensor], fwd: LSTMCellParams, bwd: LSTMCellParams,
+                    turn_vecs: list[Tensor] | None = None) -> list[QuestionEncoding]:
+    """BiLSTM over each question's token embeddings, one row per token.
 
-    With ``turn_vec`` (the turn-level state), each step's input is the
-    embedding followed by that vector, in both directions.
+    With ``turn_vecs`` (one turn-level state per question), each step's
+    input is the embedding followed by its question's vector, in both
+    directions.
     """
-    states, (f_end, b_end) = lstm_sequence([fwd, bwd], embedded, tail=turn_vec)
-    return QuestionEncoding(states, ops.concat([b_end, f_end]))
+    return [QuestionEncoding(states, ops.concat([b_end, f_end]))
+            for states, (f_end, b_end) in lstm_sequence([fwd, bwd], embedded, turn_vecs)]
 
 
-def encode_actions(embedded: Tensor, fwd: LSTMCellParams,
-                   bwd: LSTMCellParams) -> tuple[Tensor, Tensor]:
-    """BiLSTM over action embeddings; returns ``(states, final)``.
+def encode_actions(embedded: list[Tensor], fwd: LSTMCellParams,
+                   bwd: LSTMCellParams) -> list[tuple[Tensor, Tensor]]:
+    """BiLSTM over each action sequence's embeddings; returns one
+    ``(states, final)`` per sequence.
 
     ``states`` holds one row per action, [forward; backward]. ``final``
     is [forward at last; backward at first], the two directions' final
     states, and doubles as the subtree embedding when the input is one
     subtree's action sequence.
     """
-    states, ends = lstm_sequence([fwd, bwd], embedded)
-    return states, ops.concat(ends)
+    return [(states, ops.concat(ends)) for states, ends in lstm_sequence([fwd, bwd], embedded)]
 
 
-def encode_name(embedded: Tensor, cell: LSTMCellParams) -> Tensor:
-    """Final hidden state of a one-direction LSTM over name tokens, one
-    row per token."""
-    _, (h,) = lstm_sequence([cell], embedded)
-    return h
+def encode_name(embedded: list[Tensor], cell: LSTMCellParams) -> list[Tensor]:
+    """Final hidden state of a one-direction LSTM over each name's
+    tokens, one row per token."""
+    return [h for _, (h,) in lstm_sequence([cell], embedded)]
 
 
 def gate_importances(history_qvecs: list[Tensor], current_qvec: Tensor,

@@ -43,9 +43,11 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     forcing. Incomplete decodes yield None (scored as wrong).
     """
     grammars = _grammars(corpus)
-    embedder = ActionEmbedder(model)
     out: dict[tuple[str, int], AST | None] = {}
     for dialogue in corpus.dialogues:
+        # One embedder per dialogue: its turns share question encodings,
+        # and what it keeps is freed with it.
+        embedder = ActionEmbedder(model)
         grammar = grammars[dialogue.db_id]
         own: dict[int, tuple | None] = {}
         for ex in dialogue.turns:
@@ -147,11 +149,14 @@ class SqlParser:
                 optimizer.zero_grad()
                 with Tape() as tape:
                     # One embedder per batch: the parameters change only
-                    # after it, so every production is embedded once.
+                    # after it, so every production and question is
+                    # encoded once, and the batch's questions share passes.
                     embedder = ActionEmbedder(model)
+                    batch_inputs = [prepare_inputs(dialogue, ex.turn_index, config)
+                                    for dialogue, ex in batch]
+                    embedder.questions([inputs.segments for inputs in batch_inputs])
                     total = None
-                    for dialogue, ex in batch:
-                        inputs = prepare_inputs(dialogue, ex.turn_index, config)
+                    for (dialogue, ex), inputs in zip(batch, batch_inputs):
                         encoded = encode_turn(model, inputs.segments, inputs.distances,
                                               inputs.precedent, embedder)
                         loss = teacher_forced_loss(model, encoded,

@@ -11,15 +11,22 @@ derivation: :func:`_gate_factors` holds a step's local derivatives and
   (``dz`` with the step's input, and with its previous hidden state),
   so the tape forms the decoder cell's weight gradients as one
   ``dZᵀX`` and one ``dZᵀH`` product per backward.
-- :func:`lstm_sequence` runs a whole encoder pass from zero states, one
-  or two directions over the rows of an input matrix, as one tape
-  entry. :func:`_bptt` runs :func:`_back_step` over the pass, and each
-  direction's weight gradients are one ``dZᵀX`` and one ``dZᵀH_prev``
-  product over all steps.
+- :func:`lstm_sequence` runs a batch of encoder passes from zero states,
+  one or two directions over each of several matrices of rows, as one
+  tape entry. The sequences are padded to the longest and stepped side
+  by side, one row of every array per sequence. Every product of a
+  weight matrix with a row is one matrix-vector product per row
+  (:func:`_rows_dot`), never one GEMM over the rows, so each sequence's
+  states equal those of a pass over it alone bit for bit. :func:`_bptt`
+  runs :func:`_back_step` over the batch, and each direction's weight
+  gradients are one ``dZᵀX`` and one ``dZᵀH_prev`` product over the
+  valid steps of all sequences.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +34,6 @@ import numpy as np
 from .tensor import ContractError, DimensionError, Tensor, _taping
 
 __all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence"]
-
-# The order in which direction k of a sequence pass reads the rows; the
-# same slice maps its reading-order states back to row order.
-_READING_ORDER = (slice(None), slice(None, None, -1))
 
 
 class LSTMCellParams:
@@ -56,17 +59,31 @@ class LSTMCellParams:
         return [self.w_ih, self.w_hh, self.b]
 
 
-def _step(params: LSTMCellParams, x: np.ndarray, h: np.ndarray,
+def _rows_dot(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``m`` times a vector, or times each row of a matrix.
+
+    Each row's result equals ``m.dot(row)`` bit for bit: the rows go
+    through one matrix-vector product each (the stacked ``matmul``), as
+    one GEMM over several rows would block the sums differently.
+    """
+    if rows.ndim == 1:
+        return m.dot(rows)
+    return np.matmul(rows[:, None, :], m.T)[:, 0]
+
+
+def _step(params: LSTMCellParams, zx: np.ndarray, h: np.ndarray,
           c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One LSTM step on arrays; returns (h', c', sig, g).
 
-    ``sig`` holds the i, f and o gates at their blocks of the stacked
-    pre-activation (the g block's entries go unused) and ``g`` the
-    candidate cell input.
+    ``zx`` is the input's projection ``W_ih·x``; the arrays are vectors,
+    or matrices with one row per sequence. ``sig`` holds the i, f and o
+    gates at their blocks of the stacked pre-activation (the g block's
+    entries go unused) and ``g`` the candidate cell input.
     """
     hs = params.hidden_size
-    z = params.w_ih.values.dot(x)
-    z += params.w_hh.values.dot(h)
+    # W_hh·h + W_ih·x equals W_ih·x + W_hh·h bit for bit: addition commutes.
+    z = _rows_dot(params.w_hh.values, h)
+    z += zx
     z += params.b.values
     # One exp for the three sigmoid gates, computed in place:
     # sig = 1 / (1 + exp(-z)).
@@ -74,11 +91,11 @@ def _step(params: LSTMCellParams, x: np.ndarray, h: np.ndarray,
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    g = np.tanh(z[2 * hs:3 * hs])
-    c_new = sig[hs:2 * hs] * c
-    c_new += sig[:hs] * g
+    g = np.tanh(z[..., 2 * hs:3 * hs])
+    c_new = sig[..., hs:2 * hs] * c
+    c_new += sig[..., :hs] * g
     h_new = np.tanh(c_new)
-    h_new *= sig[3 * hs:]
+    h_new *= sig[..., 3 * hs:]
     return h_new, c_new, sig, g
 
 
@@ -90,7 +107,7 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     if h.values.shape != (hs,) or c.values.shape != (hs,):
         raise DimensionError("lstm_cell: state shapes do not match hidden size")
 
-    h_new, c_new, sig, g = _step(params, x.values, h.values, c.values)
+    h_new, c_new, sig, g = _step(params, params.w_ih.values.dot(x.values), h.values, c.values)
     out_h = Tensor(h_new)
     out_c = Tensor(c_new)
 
@@ -110,80 +127,169 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     return out_h, out_c
 
 
-def lstm_sequence(cells: Sequence[LSTMCellParams], xs: Tensor,
-                  tail: Tensor | None = None) -> tuple[Tensor, list[Tensor]]:
-    """Run one pass per cell over the rows of ``xs``, from zero states.
+def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
+                  tails: Sequence[Tensor] | None = None) -> list[tuple[Tensor, list[Tensor]]]:
+    """Run one pass per cell over the rows of each matrix in ``seqs``,
+    from zero states.
 
     ``cells`` is a forward cell, optionally followed by a backward cell
-    that reads the rows last to first. Each step's input is one row of
-    ``xs`` followed by ``tail``, when given, at every step.
+    that reads each sequence's rows last to first. With ``tails``, one
+    vector per sequence, each step's input is one row followed by its
+    sequence's tail.
 
-    Returns the state matrix, one row per position holding each
-    direction's hidden state there side by side ([forward; backward]),
-    and each direction's end hidden state: the forward state at the last
-    row and the backward state at the first. One tape entry records the
-    whole pass.
+    Returns, per sequence, its state matrix, one row per position holding
+    each direction's hidden state there side by side ([forward;
+    backward]), and each direction's end hidden state: the forward state
+    at the last row and the backward state at the first. The values do
+    not depend on which other sequences share the call. One tape entry
+    records the whole batch.
     """
     if not 1 <= len(cells) <= 2:
         raise ContractError(f"lstm_sequence: need one or two cells, got {len(cells)}")
-    if xs.values.ndim != 2:
-        raise DimensionError(f"lstm_sequence: need a matrix, got shape {xs.shape}")
-    if not xs.shape[0]:
-        raise ContractError("lstm_sequence: empty sequence")
-    x = xs.values
-    if tail is not None:
-        if tail.values.ndim != 1:
-            raise DimensionError(f"lstm_sequence: tail must be a vector, got shape {tail.shape}")
-        x = np.concatenate([x, np.broadcast_to(tail.values, (len(x), tail.size))], axis=1)
+    if not seqs:
+        raise ContractError("lstm_sequence: no sequences")
+    if tails is not None and len(tails) != len(seqs):
+        raise ContractError(f"lstm_sequence: {len(tails)} tails for {len(seqs)} sequences")
+    for xs in seqs:
+        if xs.values.ndim != 2:
+            raise DimensionError(f"lstm_sequence: need a matrix, got shape {xs.shape}")
+        if not xs.shape[0]:
+            raise ContractError("lstm_sequence: empty sequence")
+    lengths = [xs.shape[0] for xs in seqs]
+    # Every sequence's rows, in order.
+    x = seqs[0].values if len(seqs) == 1 else np.concatenate([xs.values for xs in seqs])
+    width = x.shape[1]
+    if tails is not None:
+        if any(t.values.ndim != 1 for t in tails):
+            raise DimensionError("lstm_sequence: a tail must be a vector, got shapes "
+                                 f"{[t.shape for t in tails]}")
+        try:
+            tail_rows = np.repeat(np.array([t.values for t in tails]), lengths, axis=0)
+            x = np.concatenate([x, tail_rows], axis=1)
+        except ValueError as err:       # tails of unequal lengths
+            raise DimensionError("lstm_sequence: tails of unequal lengths") from err
     for cell in cells:
         if cell.input_size != x.shape[1]:
             raise DimensionError(f"lstm_sequence: step input has {x.shape[1]} entries, "
                                  f"the cell expects {cell.input_size}")
 
-    inputs = [t for cell in cells for t in cell.tensors()] + [xs]
-    if tail is not None:
-        inputs.append(tail)
+    layout = _layout(tuple(lengths))
+    inputs = [w for cell in cells for w in cell.tensors()] + list(seqs)
+    if tails is not None:
+        inputs += tails
     tape = _taping(*inputs)
-    passes, blocks, ends = [], [], []
-    for cell, order in zip(cells, _READING_ORDER):
-        hidden, kept = _unroll(cell, x[order], keep=tape is not None)   # in reading order
-        passes.append((hidden, kept))
-        blocks.append(hidden[order])
-        ends.append(Tensor(hidden[-1]))
-    states = Tensor(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+    runs, blocks = [], []
+    for k, cell in enumerate(cells):
+        hidden, kept = _unroll(cell, layout.to_steps(_rows_dot(cell.w_ih.values, x), k),
+                               keep=tape is not None)
+        runs.append((hidden, kept))
+        blocks.append(layout.to_rows(hidden, k))
+    states = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    starts = layout.starts
+    # Each direction's end state: forward at a sequence's last row,
+    # backward at its first.
+    end_rows = (layout.lasts, starts)[:len(cells)]
+    out = [(Tensor(states[a:a + m]),
+            [Tensor(block[rows[r]]) for block, rows in zip(blocks, end_rows)])
+           for r, (a, m) in enumerate(zip(starts, lengths))]
 
     if tape is not None:
-        def vjp(d_states, *d_ends):
+        cols = list(accumulate((cell.hidden_size for cell in cells), initial=0))
+
+        def vjp(*grads):
+            per_seq = len(cells) + 1
+            d_states = np.zeros_like(states)
+            for r, (a, m) in enumerate(zip(starts, lengths)):
+                if grads[r * per_seq] is not None:
+                    d_states[a:a + m] = grads[r * per_seq]
+                for k, rows in enumerate(end_rows):
+                    g = grads[r * per_seq + 1 + k]
+                    if g is not None:
+                        d_states[rows[r], cols[k]:cols[k + 1]] += g
             deltas = []
             dx = np.zeros_like(x)
-            col = 0
-            for cell, order, (hidden, kept), d_end in zip(cells, _READING_ORDER, passes, d_ends):
-                hs = cell.hidden_size
-                dh = (np.zeros_like(hidden) if d_states is None
-                      else d_states[order, col:col + hs])
-                col += hs
-                dz = _bptt(cell, kept, dh, d_end)
+            for k, (cell, (hidden, kept)) in enumerate(zip(cells, runs)):
+                d_hidden = layout.to_steps(d_states[:, cols[k]:cols[k + 1]], k)
+                dz = layout.to_rows(_bptt(cell, kept, d_hidden), k)
                 h_prev = np.concatenate([np.zeros_like(hidden[:1]), hidden[:-1]])
-                deltas += [dz.T.dot(x[order]), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
-                dx += dz.dot(cell.w_ih.values)[order]
-            width = xs.shape[1]
-            deltas.append(dx[:, :width])
-            if tail is not None:
-                deltas.append(np.add.reduce(dx[:, width:], axis=0))
+                h_prev = layout.to_rows(h_prev, k)
+                deltas += [dz.T.dot(x), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
+                dx += dz.dot(cell.w_ih.values)
+            deltas += [dx[a:a + m, :width] for a, m in zip(starts, lengths)]
+            if tails is not None:
+                deltas += [np.add.reduce(dx[a:a + m, width:], axis=0)
+                           for a, m in zip(starts, lengths)]
             return deltas
 
-        tape.record([states, *ends], inputs, vjp)
-    return states, ends
+        tape.record([t for states_r, ends_r in out for t in (states_r, *ends_r)], inputs, vjp)
+    return out
 
 
-def _unroll(cell: LSTMCellParams, rows: np.ndarray,
+class _Layout:
+    """Where the rows of a pass's sequences, stacked in order, sit in its
+    step-major arrays.
+
+    Step t of direction k reads one row per sequence, in order: direction
+    0 from each sequence's first row, direction 1 from its last. A single
+    sequence needs no padding, and its step-major arrays have no sequence
+    axis. Otherwise a sequence that has ended reads a zero row, so the
+    padding follows every sequence's own steps in both directions, and
+    no state of a sequence depends on it.
+    """
+
+    def __init__(self, lengths: tuple[int, ...]):
+        n, total = len(lengths), sum(lengths)
+        size = np.array(lengths)
+        begin = np.cumsum(size) - size
+        self.starts = begin.tolist()
+        self.lasts = (begin + size - 1).tolist()
+        if n == 1:
+            # Reversing the rows is its own inverse.
+            self.reads = self.places = (slice(None), slice(None, None, -1))
+            return
+        seq = np.repeat(np.arange(n), size)         # each row's sequence
+        at = np.arange(total) - begin[seq]          # and its position there
+        self.reads, self.places = [], []
+        for step in (at, size[seq] - 1 - at):       # the step that reads each row
+            place = step * n + seq                  # its flat step-major index
+            read = np.full(max(lengths) * n, total)     # total: the zero row
+            read[place] = np.arange(total)
+            self.places.append(place)
+            self.reads.append(read.reshape(-1, n))
+
+    def to_steps(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Rows in stacked order -> direction ``k``'s step-major array."""
+        read = self.reads[k]
+        if type(read) is slice:
+            return rows[read]
+        zero = np.zeros((1,) + rows.shape[1:], rows.dtype)
+        return np.concatenate([rows, zero]).take(read, axis=0)
+
+    def to_rows(self, steps: np.ndarray, k: int) -> np.ndarray:
+        """Direction ``k``'s step-major array -> its sequences' rows, in
+        stacked order; padded steps are dropped."""
+        place = self.places[k]
+        if type(place) is slice:
+            return steps[place]
+        return steps.reshape((-1,) + steps.shape[-1:]).take(place, axis=0)
+
+
+# Layouts recur (a schema's names, a turn checked again and again), and
+# building one costs more than a short pass.
+_layout = lru_cache(maxsize=256)(_Layout)
+
+
+def _unroll(cell: LSTMCellParams, proj: np.ndarray,
             keep: bool) -> tuple[np.ndarray, tuple | None]:
-    """One direction over ``rows``: the hidden state after each row, and,
-    when ``keep``, the cell states, gates and candidates the vjp needs."""
-    h = c = np.zeros(cell.hidden_size, dtype=rows.dtype)     # _step writes into neither
+    """One direction over a batch, given the input projections ``proj``
+    step-major in reading order (see :class:`_Layout`): the hidden state
+    after each step, and, when ``keep``, the cell states, gates and
+    candidates the vjp needs, laid out alike."""
+    # _step writes into neither.
+    h = c = np.zeros(proj.shape[1:-1] + (cell.hidden_size,), dtype=proj.dtype)
     hidden, cells, sigs, gs = [], [], [], []
-    for row in rows:
-        h, c, sig, g = _step(cell, row, h, c)
+    for zx in proj:
+        h, c, sig, g = _step(cell, zx, h, c)
         hidden.append(h)
         if keep:
             cells.append(c)
@@ -202,7 +308,7 @@ def _gate_factors(sig: np.ndarray, g: np.ndarray, c: np.ndarray,
     ``dc * by_dc`` (``by_dc`` holds one row per block) and an o block
     ``dh * by_dh``, where ``dc`` already includes ``dh * dc_by_dh``; the
     gradient of the previous cell state is ``dc * f``. The arrays hold
-    one step, or one row per step of a pass.
+    one step, or leading axes of steps and sequences.
     """
     hs = c.shape[-1]
     i, f, o = sig[..., :hs], sig[..., hs:2 * hs], sig[..., 3 * hs:]
@@ -217,34 +323,34 @@ def _gate_factors(sig: np.ndarray, g: np.ndarray, c: np.ndarray,
 def _back_step(dh: np.ndarray, dc: np.ndarray, by_dc: np.ndarray, by_dh: np.ndarray,
                dc_by_dh: np.ndarray, f: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """The chain rule through one step, given the gradients ``dh`` and
-    ``dc`` of its hidden and cell states and its :func:`_gate_factors`.
-    Writes the gate pre-activations' gradient into ``dz`` and returns
-    that of the previous cell state."""
-    hs = dh.shape[0]
+    ``dc`` of its hidden and cell states and its :func:`_gate_factors`,
+    for one sequence or one row per sequence. Writes the gate
+    pre-activations' gradient into ``dz`` (contiguous) and returns that
+    of the previous cell state."""
+    hs = dh.shape[-1]
     dc = dc + dh * dc_by_dh
-    np.multiply(by_dc, dc, out=dz[:3 * hs].reshape(3, hs))
-    np.multiply(dh, by_dh, out=dz[3 * hs:])
+    blocks = dz.reshape(dz.shape[:-1] + (4, hs))
+    np.multiply(by_dc, dc[..., None, :], out=blocks[..., :3, :])
+    np.multiply(dh, by_dh, out=blocks[..., 3, :])
     return dc * f
 
 
-def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray,
-          d_end: np.ndarray | None = None) -> np.ndarray:
-    """Backpropagation through one pass from zero states; returns the
-    gradient of the gate pre-activations, one row per step.
+def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray) -> np.ndarray:
+    """Backpropagation through one direction of a batch from zero states;
+    returns the gradient of the gate pre-activations, step-major like
+    ``kept``, what :func:`_unroll` kept.
 
-    ``kept`` is what :func:`_unroll` kept. ``d_hidden`` is the gradient
-    of each step's hidden state through the state matrix and ``d_end``
-    that of the last step's hidden state through the end state.
+    ``d_hidden`` is the gradient of each step's hidden state from outside
+    the pass. A padded step gets none, so its gradients are zero and the
+    sequence's own steps start from zero, as in a pass over it alone.
     """
     c, sig, g = kept
-    steps, hs = c.shape
     c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
     by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, c, c_prev)
     w_hh_t = cell.w_hh.values.T
-    dz = np.empty((steps, 4 * hs), dtype=c.dtype)
-    carry = np.zeros(hs, dtype=c.dtype) if d_end is None else d_end
-    dc = np.zeros(hs, dtype=c.dtype)
-    for t in range(steps - 1, -1, -1):
+    dz = np.empty(c.shape[:-1] + (4 * c.shape[-1],), dtype=c.dtype)
+    carry = dc = np.zeros_like(c[0])
+    for t in range(len(c) - 1, -1, -1):
         dc = _back_step(d_hidden[t] + carry, dc, by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz[t])
-        carry = w_hh_t.dot(dz[t])
+        carry = _rows_dot(w_hh_t, dz[t])
     return dz

@@ -146,7 +146,7 @@ def _layer_checks(rng) -> float:
     xs = param(4, 3)
 
     def bilstm_loss():
-        states, _ = lstm_sequence([fwd, bwd], xs)
+        [(states, _)] = lstm_sequence([fwd, bwd], [xs])
         return ops.reduce_sum(ops.mul(states, states))
 
     check(bilstm_loss, [fwd.w_ih, fwd.w_hh, fwd.b,

@@ -401,6 +401,31 @@ class TestCheckpoint:
         assert str(path) in str(exc.value)
         assert f"{key} is {value!r}, expected an integer" in str(exc.value)
 
+    def test_huge_dims_rejected_before_any_allocation(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "model.json"
+        save_checkpoint(tiny_model("turn+sql_attn", seed=19), path)
+        blob = json.loads(path.read_text())
+        blob["config"]["dims"]["hidden"] = 10 ** 6
+        path.write_text(json.dumps(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(exc.value)
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_shapes_are_those_of_the_built_model(self):
+        for method in ALL_METHODS:
+            model = tiny_model(method)
+            shapes = context.param_shapes(model.config, model.vocab)
+            assert list(shapes) == list(model.params)
+            assert shapes == {name: p.shape for name, p in model.params.items()}
+
     def test_loaded_model_decodes_identically(self, tmp_path):
         from dialsql.decoder import greedy_parse
 

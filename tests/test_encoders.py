@@ -71,7 +71,7 @@ class TestEncodeQuestion:
         rng = np.random.default_rng(0)
         fwd, bwd = make_params(rng, 5, 3), make_params(rng, 5, 3)
         xs = [rng.uniform(-1, 1, 5) for _ in range(3)]
-        enc = encode_question(Tensor(np.array(xs)), fwd, bwd)
+        [enc] = encode_question([Tensor(np.array(xs))], fwd, bwd)
         f_ref, b_ref = unroll_bi(fwd, bwd, xs)
         for k in range(3):
             np.testing.assert_allclose(enc.states.values[k],
@@ -84,7 +84,7 @@ class TestEncodeQuestion:
         rng = np.random.default_rng(1)
         fwd, bwd = make_params(rng, 4, 2), make_params(rng, 4, 2)
         x = rng.uniform(-1, 1, 4)
-        enc = encode_question(Tensor(x[None, :]), fwd, bwd)
+        [enc] = encode_question([Tensor(x[None, :])], fwd, bwd)
         assert enc.states.shape == (1, 4)
         f_ref, b_ref = unroll_bi(fwd, bwd, [x])
         np.testing.assert_allclose(enc.question_vector.values,
@@ -92,7 +92,7 @@ class TestEncodeQuestion:
 
     def test_zero_params_zero_states(self):
         fwd, bwd = zero_params(4, 2), zero_params(4, 2)
-        enc = encode_question(Tensor(np.ones((3, 4))), fwd, bwd)
+        [enc] = encode_question([Tensor(np.ones((3, 4)))], fwd, bwd)
         np.testing.assert_array_equal(enc.states.values, 0.0)
 
     def test_turn_vector_concatenated_in_both_directions(self):
@@ -100,7 +100,7 @@ class TestEncodeQuestion:
         fwd, bwd = make_params(rng, 7, 3), make_params(rng, 7, 3)
         xs = [rng.uniform(-1, 1, 4) for _ in range(2)]
         tv = rng.uniform(-1, 1, 3)
-        enc = encode_question(Tensor(np.array(xs)), fwd, bwd, turn_vec=Tensor(tv))
+        [enc] = encode_question([Tensor(np.array(xs))], fwd, bwd, [Tensor(tv)])
         cat = [np.concatenate([x, tv]) for x in xs]
         f_ref, b_ref = unroll_bi(fwd, bwd, cat)
         for k in range(2):
@@ -117,14 +117,14 @@ class TestEncodeQuestion:
         base_fwd = LSTMCellParams(Tensor(fwd.w_ih.values[:, :4]), fwd.w_hh, fwd.b)
         base_bwd = LSTMCellParams(Tensor(bwd.w_ih.values[:, :4]), bwd.w_hh, bwd.b)
         xs = Tensor(np.array([rng.uniform(-1, 1, 4) for _ in range(3)]))
-        aug = encode_question(xs, fwd, bwd, turn_vec=Tensor(np.zeros(3)))
-        plain = encode_question(xs, base_fwd, base_bwd)
+        [aug] = encode_question([xs], fwd, bwd, [Tensor(np.zeros(3))])
+        [plain] = encode_question([xs], base_fwd, base_bwd)
         np.testing.assert_allclose(aug.states.values, plain.states.values, atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         fwd, bwd = zero_params(4, 2), zero_params(4, 2)
         with pytest.raises(ContractError):
-            encode_question(Tensor(np.zeros((0, 4))), fwd, bwd)
+            encode_question([Tensor(np.zeros((0, 4)))], fwd, bwd)
 
     def test_one_pass_one_tape_entry(self):
         # the fused pass, then the question vector's concat; the state
@@ -132,8 +132,8 @@ class TestEncodeQuestion:
         rng = np.random.default_rng(17)
         fwd, bwd = make_params(rng, 5, 2), make_params(rng, 5, 2)
         with Tape() as tape:
-            encode_question(Tensor(rng.uniform(-1, 1, (4, 3))), fwd, bwd,
-                            turn_vec=Tensor(rng.uniform(-1, 1, 2)))
+            encode_question([Tensor(rng.uniform(-1, 1, (4, 3)))], fwd, bwd,
+                            [Tensor(rng.uniform(-1, 1, 2))])
         assert len(tape) == 2
 
     def test_gradients(self):
@@ -142,7 +142,7 @@ class TestEncodeQuestion:
         xs = Tensor(np.array([rng.uniform(-1, 1, 3) for _ in range(2)]), requires_grad=True)
 
         def loss():
-            enc = encode_question(xs, fwd, bwd)
+            [enc] = encode_question([xs], fwd, bwd)
             return ops.reduce_sum(ops.tanh(enc.question_vector))
 
         params = fwd.tensors() + bwd.tensors() + [xs]
@@ -269,7 +269,7 @@ class TestActionAndNameEncoders:
         rng = np.random.default_rng(13)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
         xs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        states, final = encode_actions(Tensor(np.array(xs)), fwd, bwd)
+        [(states, final)] = encode_actions([Tensor(np.array(xs))], fwd, bwd)
         f_ref, b_ref = unroll_bi(fwd, bwd, xs)
         assert states.shape == (3, 6)
         for k in range(3):
@@ -281,7 +281,7 @@ class TestActionAndNameEncoders:
     def test_single_action(self):
         rng = np.random.default_rng(14)
         fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
-        states, final = encode_actions(Tensor(rng.uniform(-1, 1, (1, 4))), fwd, bwd)
+        [(states, final)] = encode_actions([Tensor(rng.uniform(-1, 1, (1, 4)))], fwd, bwd)
         assert states.shape == (1, 6)
         np.testing.assert_allclose(final.values, states.values[0])
 
@@ -289,7 +289,7 @@ class TestActionAndNameEncoders:
         rng = np.random.default_rng(15)
         cell = make_params(rng, 4, 4)
         xs = [rng.uniform(-1, 1, 4) for _ in range(2)]
-        out = encode_name(Tensor(np.array(xs)), cell)
+        [out] = encode_name([Tensor(np.array(xs))], cell)
         h, c = np.zeros(4), np.zeros(4)
         for x in xs:
             h, c = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values, x, h, c)
@@ -298,9 +298,9 @@ class TestActionAndNameEncoders:
     def test_empty_inputs_rejected(self):
         cell = zero_params(3, 3)
         with pytest.raises(ContractError):
-            encode_name(Tensor(np.zeros((0, 3))), cell)
+            encode_name([Tensor(np.zeros((0, 3)))], cell)
         with pytest.raises(ContractError):
-            encode_actions(Tensor(np.zeros((0, 3))), cell, cell)
+            encode_actions([Tensor(np.zeros((0, 3)))], cell, cell)
 
     def test_gradients_through_final_state(self):
         rng = np.random.default_rng(16)
@@ -308,6 +308,39 @@ class TestActionAndNameEncoders:
         xs = Tensor(np.array([rng.uniform(-1, 1, 3) for _ in range(3)]), requires_grad=True)
 
         def loss():
-            return ops.reduce_sum(encode_actions(xs, fwd, bwd)[1])
+            return ops.reduce_sum(encode_actions([xs], fwd, bwd)[0][1])
 
         assert grad_check(loss, fwd.tensors() + bwd.tensors() + [xs]).max_rel_error < 1e-6
+
+
+class TestBatchedEncoders:
+    """A list of inputs shares one pass; each result equals the one a
+    call with that input alone gives, bit for bit."""
+
+    @pytest.mark.parametrize("with_turn", [False, True])
+    def test_questions(self, with_turn):
+        rng = np.random.default_rng(50)
+        tail = 3 if with_turn else 0
+        fwd, bwd = make_params(rng, 4 + tail, 3), make_params(rng, 4 + tail, 3)
+        xs = [Tensor(rng.uniform(-1, 1, (m, 4))) for m in (2, 5, 1, 3)]
+        tvs = [Tensor(rng.uniform(-1, 1, tail)) for _ in xs] if with_turn else None
+        with Tape() as tape:
+            batch = encode_question(xs, fwd, bwd, tvs)
+        assert len(tape) == 1 + len(xs)      # the pass, and each question vector's concat
+        for k, enc in enumerate(batch):
+            [one] = encode_question([xs[k]], fwd, bwd, None if tvs is None else [tvs[k]])
+            np.testing.assert_array_equal(enc.states.values, one.states.values)
+            np.testing.assert_array_equal(enc.question_vector.values,
+                                          one.question_vector.values)
+
+    def test_actions_and_names(self):
+        rng = np.random.default_rng(51)
+        fwd, bwd = make_params(rng, 4, 3), make_params(rng, 4, 3)
+        cell = make_params(rng, 4, 4)
+        xs = [Tensor(rng.uniform(-1, 1, (m, 4))) for m in (4, 1, 2)]
+        for (states, final), x in zip(encode_actions(xs, fwd, bwd), xs):
+            [(one_states, one_final)] = encode_actions([x], fwd, bwd)
+            np.testing.assert_array_equal(states.values, one_states.values)
+            np.testing.assert_array_equal(final.values, one_final.values)
+        for h, x in zip(encode_name(xs, cell), xs):
+            np.testing.assert_array_equal(h.values, encode_name([x], cell)[0].values)

@@ -103,24 +103,60 @@ class TestFit:
     def test_one_batch_encodes_each_schema_production_once(self, corpus, monkeypatch):
         from dialsql import decoder
 
-        encode_name, embed = decoder.encode_name, decoder.ActionEmbedder.__call__
+        encode_name, embed_all = decoder.encode_name, decoder.ActionEmbedder.embed_all
         encoded, requested = [], []
 
-        def counting_encode_name(*args):
-            encoded.append(args)
-            return encode_name(*args)
+        def counting_encode_name(embedded, cell):
+            encoded.extend(embedded)
+            return encode_name(embedded, cell)
 
-        def recording_embed(self, production):
-            if production.schema_specific:
-                requested.append(production)
-            return embed(self, production)
+        def recording_embed_all(self, productions):
+            requested.extend(p for p in productions if p.schema_specific)
+            return embed_all(self, productions)
 
         monkeypatch.setattr(decoder, "encode_name", counting_encode_name)
-        monkeypatch.setattr(decoder.ActionEmbedder, "__call__", recording_embed)
+        monkeypatch.setattr(decoder.ActionEmbedder, "embed_all", recording_embed_all)
         batch = len(corpus.supported_examples())
         quick_parser(method="action_copy", epochs=1, batch_size=batch).fit(corpus)
         assert len(requested) > len(set(requested))      # names recur within the batch
         assert len(encoded) == len(set(requested))
+
+    @pytest.mark.parametrize("method", ["none", "turn"])
+    def test_one_question_pass_per_window_position_per_batch(self, corpus, monkeypatch,
+                                                             method):
+        # Without turn every question of a batch shares one encoder pass;
+        # under turn there is one pass per window position.
+        from dialsql import decoder, encoders
+        from dialsql.nn import Adam
+
+        batches = []
+        zero_grad, questions = Adam.zero_grad, decoder.ActionEmbedder.questions
+        lstm_sequence = encoders.lstm_sequence
+
+        def new_batch(self):
+            batches.append({"windows": None, "passes": 0})
+            return zero_grad(self)
+
+        def recording_questions(self, windows):
+            if batches[-1]["windows"] is None:
+                batches[-1]["windows"] = windows
+            return questions(self, windows)
+
+        def counting_sequence(cells, seqs, tails=None):
+            if cells[0].w_ih.name.startswith("q_enc."):
+                batches[-1]["passes"] += 1
+            return lstm_sequence(cells, seqs, tails)
+
+        monkeypatch.setattr(Adam, "zero_grad", new_batch)
+        monkeypatch.setattr(decoder.ActionEmbedder, "questions", recording_questions)
+        monkeypatch.setattr(encoders, "lstm_sequence", counting_sequence)
+        quick_parser(method=method, epochs=1, batch_size=4).fit(corpus)
+        assert len(batches) == -(-len(corpus.supported_examples()) // 4)
+        for batch in batches:
+            depth = max(map(len, batch["windows"]))
+            assert batch["passes"] == (depth if method == "turn" else 1), batch
+        if method == "turn":
+            assert any(max(map(len, b["windows"])) > 1 for b in batches)
 
     def test_eval_every_skips_epochs(self, corpus):
         p = quick_parser(epochs=3, target_ques_match=1.0, eval_every=2).fit(corpus)
@@ -229,3 +265,46 @@ class TestEmbeddings:
         p = quick_parser(epochs=0, embeddings=str(path)).fit(corpus)
         row = p.model_.params["word_emb"].values[vocab.index(token)]
         assert np.allclose(row, [0.125 * (i + 1) for i in range(TINY["embedding_dim"])])
+
+
+class TestBenchmarkHooks:
+    """The benchmark times ``fit`` through two patched names; a refactor
+    that stops reaching them breaks the benchmark, so it fails here."""
+
+    def test_fit_calls_the_patched_loss_and_zero_grad(self, corpus, monkeypatch):
+        from dialsql.nn import Adam
+
+        zero_grad, loss = Adam.zero_grad, est_mod.teacher_forced_loss
+        steps, calls = [], []
+
+        def stamped_zero_grad(self):
+            steps.append(0)
+            return zero_grad(self)
+
+        def counted_loss(model, encoded, grammar, gold, *args, **kwargs):
+            steps[-1] += len(gold)
+            calls.append(1)
+            return loss(model, encoded, grammar, gold, *args, **kwargs)
+
+        monkeypatch.setattr(Adam, "zero_grad", stamped_zero_grad)
+        monkeypatch.setattr(est_mod, "teacher_forced_loss", counted_loss)
+        items = corpus.supported_examples()
+        quick_parser(method="turn+tree_copy", epochs=1, batch_size=3).fit(corpus)
+        assert len(steps) == -(-len(items) // 3)
+        assert len(calls) == len(items)
+        assert sum(steps) == sum(len(ex.gold_actions) for ex in items)
+
+    def test_encode_turn_takes_the_benchmark_arguments(self, corpus):
+        from dialsql.context import prepare_inputs
+        from dialsql.decoder import EncodedTurn, encode_turn, teacher_forced_loss
+        from dialsql.grammar import build_grammar
+
+        model = quick_parser(method="turn+action_copy", epochs=1).fit(corpus).model_
+        dialogue = next(d for d in corpus.dialogues if len(d.turns) > 1)
+        ex = dialogue.turns[-1]
+        inputs = prepare_inputs(dialogue, ex.turn_index, model.config)
+        encoded = encode_turn(model, inputs.segments, inputs.distances, inputs.precedent)
+        assert isinstance(encoded, EncodedTurn)
+        grammar = build_grammar(corpus.schemas[dialogue.db_id])
+        loss = teacher_forced_loss(model, encoded, grammar, list(ex.gold_actions))
+        assert np.isfinite(loss.values)

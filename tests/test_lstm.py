@@ -79,7 +79,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         params = make_params(rng, 3, 5)
         xs = Tensor(np.array([rng.normal(size=3) for _ in range(6)]))
-        states, (end,) = lstm_sequence([params], xs)
+        [(states, (end,))] = lstm_sequence([params], [xs])
         assert states.shape == (6, 5)
 
         h = np.zeros(5)
@@ -95,7 +95,7 @@ class TestForward:
         fwd = make_params(rng, 2, 3, "fwd")
         bwd = make_params(rng, 2, 3, "bwd")
         xs = Tensor(np.array([rng.normal(size=2) for _ in range(4)]))
-        states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs)
+        [(states, (f_end, b_end))] = lstm_sequence([fwd, bwd], [xs])
         assert states.shape == (4, 6)
 
         # the backward state at row 0 must equal a manual reverse run's last state
@@ -134,7 +134,7 @@ class TestBackward:
         xs = Tensor(np.array([rng.normal(size=2) for _ in range(4)]), requires_grad=True)
 
         def loss():
-            states, _ = lstm_sequence([params], xs)
+            [(states, _)] = lstm_sequence([params], [xs])
             return ops.reduce_sum(states)
 
         res = grad_check(loss, params.tensors() + [xs])
@@ -147,7 +147,7 @@ class TestBackward:
         xs = Tensor(np.array([rng.normal(size=2) for _ in range(3)]), requires_grad=True)
 
         def loss():
-            states, _ = lstm_sequence([fwd, bwd], xs)
+            [(states, _)] = lstm_sequence([fwd, bwd], [xs])
             # sum over positions of forward . backward
             return ops.reduce_sum(ops.mul(columns(states, 0, 2), columns(states, 2, 4)))
 
@@ -208,7 +208,7 @@ class TestBackward:
                 return ops.matmul(h, weights)
 
             def one_row_pass():
-                _, (end,) = lstm_sequence([params], xs)
+                [(_, (end,))] = lstm_sequence([params], [xs])
                 return ops.matmul(end, weights)
 
             got, want = grads(cell), grads(one_row_pass)
@@ -229,7 +229,7 @@ class TestSequencePass:
         weights = Tensor(rng.normal(size=(4, 6)))
 
         def loss():
-            states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            [(states, (f_end, b_end))] = lstm_sequence([fwd, bwd], [xs], [tail])
             return ops.add(ops.reduce_sum(ops.mul(states, weights)),
                            ops.matmul(f_end, b_end))
 
@@ -246,7 +246,7 @@ class TestSequencePass:
         weights = Tensor(rng.normal(size=3))
 
         def loss():
-            _, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            [(_, (f_end, b_end))] = lstm_sequence([fwd, bwd], [xs], [tail])
             return ops.add(ops.matmul(f_end, weights), ops.reduce_sum(ops.mul(b_end, b_end)))
 
         res = grad_check(loss, fwd.tensors() + bwd.tensors() + [xs, tail])
@@ -269,7 +269,7 @@ class TestSequencePass:
             return [t.grad.copy() for t in leaves]
 
         def fused():
-            states, _ = lstm_sequence([fwd, bwd], xs, tail=tail)
+            [(states, _)] = lstm_sequence([fwd, bwd], [xs], [tail])
             return ops.reduce_sum(ops.mul(states, weights))
 
         def unrolled():
@@ -291,7 +291,7 @@ class TestSequencePass:
             bwd = make_params(rng, 6, 4, "bwd")
             xs = Tensor(rng.normal(size=(5, 4)))
             tail = Tensor(rng.normal(size=2))
-            states, (f_end, b_end) = lstm_sequence([fwd, bwd], xs, tail=tail)
+            [(states, (f_end, b_end))] = lstm_sequence([fwd, bwd], [xs], [tail])
             rows = [ops.take_rows(xs, k) for k in range(5)]
             f = cell_unroll(fwd, rows, tail)
             b = cell_unroll(bwd, rows[::-1], tail)[::-1]
@@ -311,36 +311,170 @@ class TestSequencePass:
         bwd = make_params(rng, 3, 2, "bwd")
         xs = Tensor(rng.normal(size=(6, 3)))
         with Tape() as tape:
-            lstm_sequence([fwd, bwd], xs)
+            lstm_sequence([fwd, bwd], [xs])
         assert len(tape) == 1
         with Tape() as tape:
-            lstm_sequence([fwd], xs)
+            lstm_sequence([fwd], [xs])
         assert len(tape) == 1
 
     def test_nothing_recorded_without_a_tape(self):
         rng = np.random.default_rng(26)
         cell = make_params(rng, 3, 2)
-        states, (end,) = lstm_sequence([cell], Tensor(rng.normal(size=(3, 3))))
+        [(states, (end,))] = lstm_sequence([cell], [Tensor(rng.normal(size=(3, 3)))])
         assert states.requires_grad is False and end.requires_grad is False
         with Tape() as tape:      # a tape, but no input requires a gradient
             frozen = LSTMCellParams(*(Tensor(t.values) for t in cell.tensors()))
-            lstm_sequence([frozen], Tensor(rng.normal(size=(3, 3))))
+            lstm_sequence([frozen], [Tensor(rng.normal(size=(3, 3)))])
         assert len(tape) == 0
 
     def test_rejects_empty_or_misshaped_input(self):
         rng = np.random.default_rng(27)
         cell = make_params(rng, 3, 2)
         with pytest.raises(ContractError):
-            lstm_sequence([cell], Tensor(np.zeros((0, 3))))
+            lstm_sequence([cell], [Tensor(np.zeros((0, 3)))])
         with pytest.raises(DimensionError):
-            lstm_sequence([cell], Tensor(np.zeros(3)))
+            lstm_sequence([cell], [Tensor(np.zeros(3))])
         with pytest.raises(DimensionError):
-            lstm_sequence([cell], Tensor(np.zeros((2, 4))))
+            lstm_sequence([cell], [Tensor(np.zeros((2, 4)))])
         with pytest.raises(DimensionError):
-            lstm_sequence([cell], Tensor(np.zeros((2, 2))), tail=Tensor(np.zeros((1, 1))))
+            lstm_sequence([cell], [Tensor(np.zeros((2, 2)))], [Tensor(np.zeros((1, 1)))])
         with pytest.raises(DimensionError):
-            lstm_sequence([cell], Tensor(np.zeros((2, 2))), tail=Tensor(np.zeros(2)))
+            lstm_sequence([cell], [Tensor(np.zeros((2, 2)))], [Tensor(np.zeros(2))])
         with pytest.raises(ContractError):
-            lstm_sequence([], Tensor(np.zeros((2, 3))))
+            lstm_sequence([], [Tensor(np.zeros((2, 3)))])
         with pytest.raises(ContractError):
-            lstm_sequence([cell, cell, cell], Tensor(np.zeros((2, 3))))
+            lstm_sequence([cell, cell, cell], [Tensor(np.zeros((2, 3)))])
+
+
+def batch_of(rng, lengths, width, tail=0):
+    seqs = [Tensor(rng.normal(size=(m, width)), requires_grad=True) for m in lengths]
+    tails = ([Tensor(rng.normal(size=tail), requires_grad=True) for _ in lengths]
+             if tail else None)
+    return seqs, tails
+
+
+def alone(cells, seqs, tails):
+    """Each sequence through a pass of its own."""
+    return [lstm_sequence(cells, [xs], None if tails is None else [tails[r]])[0]
+            for r, xs in enumerate(seqs)]
+
+
+def weighted_loss(out, weights):
+    """Every state matrix and end state against fixed weights, summed."""
+    total = None
+    for (states, ends), (w, v) in zip(out, weights):
+        term = ops.reduce_sum(ops.mul(states, w))
+        for end in ends:
+            term = ops.add(term, ops.matmul(end, v))
+        total = term if total is None else ops.add(total, term)
+    return total
+
+
+class TestBatchedPass:
+    """Sequences of different lengths in one padded pass."""
+
+    LENGTHS = [3, 1, 6, 2, 5, 4, 6, 1]          # 1..max, with repeats
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    @pytest.mark.parametrize("tail", [0, 3])
+    @pytest.mark.parametrize("width, hidden, directions", [(5, 4, 2), (16, 16, 2), (3, 2, 1),
+                                                           (22, 8, 1)])
+    def test_rows_equal_one_sequence_passes_bit_for_bit(self, bits, dtype, tail, width,
+                                                        hidden, directions):
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(40)
+            cells = [make_params(rng, width + tail, hidden, f"d{k}") for k in range(directions)]
+            seqs, tails = batch_of(rng, self.LENGTHS, width, tail)
+            batch = lstm_sequence(cells, seqs, tails)
+            want = alone(cells, seqs, tails)
+        finally:
+            set_precision(64)
+        assert len(batch) == len(self.LENGTHS)
+        for (states, ends), (want_states, want_ends), m in zip(batch, want, self.LENGTHS):
+            assert states.values.dtype == dtype
+            assert states.shape == (m, directions * hidden)
+            np.testing.assert_array_equal(states.values, want_states.values)
+            assert len(ends) == directions
+            for end, want_end in zip(ends, want_ends):
+                np.testing.assert_array_equal(end.values, want_end.values)
+
+    @pytest.mark.parametrize("tail", [0, 2])
+    def test_gradients_equal_one_sequence_passes(self, tail):
+        rng = np.random.default_rng(41)
+        cells = [make_params(rng, 4 + tail, 3, "fwd"), make_params(rng, 4 + tail, 3, "bwd")]
+        seqs, tails = batch_of(rng, self.LENGTHS, 4, tail)
+        weights = [(Tensor(rng.normal(size=(m, 6))), Tensor(rng.normal(size=3)))
+                   for m in self.LENGTHS]
+        leaves = [w for cell in cells for w in cell.tensors()] + seqs + (tails or [])
+
+        def grads(encode):
+            for t in leaves:
+                t.grad = None
+            with Tape() as tape:
+                tape.backward(weighted_loss(encode(cells, seqs, tails), weights))
+            return [t.grad.copy() for t in leaves]
+
+        for got, want in zip(grads(lstm_sequence), grads(alone)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(42)
+        cells = [make_params(rng, 5, 2, "fwd"), make_params(rng, 5, 2, "bwd")]
+        seqs, tails = batch_of(rng, [2, 1, 3], 3, 2)
+        weights = [(Tensor(rng.normal(size=(m, 4))), Tensor(rng.normal(size=2)))
+                   for m in (2, 1, 3)]
+
+        def loss():
+            return weighted_loss(lstm_sequence(cells, seqs, tails), weights)
+
+        leaves = [w for cell in cells for w in cell.tensors()] + seqs + tails
+        res = grad_check(loss, leaves)
+        assert res.max_rel_error < 1e-6, res
+
+    def test_unreached_outputs_contribute_nothing(self):
+        # Only the first sequence's states and the third's backward end
+        # reach the loss: every other output's gradient is None.
+        rng = np.random.default_rng(43)
+        cells = [make_params(rng, 3, 2, "fwd"), make_params(rng, 3, 2, "bwd")]
+        seqs, _ = batch_of(rng, [4, 2, 3], 3)
+        w, v = Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=2))
+        leaves = [t for cell in cells for t in cell.tensors()] + seqs
+
+        def grads(used):
+            for t in leaves:
+                t.grad = None
+            with Tape() as tape:
+                out = lstm_sequence(cells, used)
+                (states, _), (_, (_, b_end)) = out[0], out[-1]
+                tape.backward(ops.add(ops.reduce_sum(ops.mul(states, w)),
+                                      ops.matmul(b_end, v)))
+            return {id(t): t.grad for t in leaves}
+
+        batched, without = grads(seqs), grads([seqs[0], seqs[2]])
+        np.testing.assert_array_equal(batched[id(seqs[1])], 0.0)
+        for t in leaves:
+            if t is not seqs[1]:
+                np.testing.assert_allclose(batched[id(t)], without[id(t)],
+                                           rtol=1e-12, atol=1e-15)
+
+    def test_one_tape_entry_for_the_batch(self):
+        rng = np.random.default_rng(44)
+        cells = [make_params(rng, 3, 2, "fwd"), make_params(rng, 3, 2, "bwd")]
+        seqs, _ = batch_of(rng, [3, 1, 2], 3)
+        with Tape() as tape:
+            lstm_sequence(cells, seqs)
+        assert len(tape) == 1
+
+    def test_rejects_mismatched_tails(self):
+        rng = np.random.default_rng(45)
+        cell = make_params(rng, 5, 2)
+        seqs, tails = batch_of(rng, [2, 3], 3, 2)
+        with pytest.raises(ContractError):
+            lstm_sequence([cell], seqs, tails[:1])
+        with pytest.raises(ContractError):
+            lstm_sequence([cell], [])
+        with pytest.raises(DimensionError):
+            lstm_sequence([cell], seqs, [tails[0], Tensor(np.zeros(3))])
+        with pytest.raises(ContractError):
+            lstm_sequence([cell], seqs + [Tensor(np.zeros((0, 3)))], tails + tails[:1])

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,3 +209,23 @@ def test_reader_succeeds_or_names_the_file(files, tmp_path_factory, name):
             assert "Traceback" not in stderr.getvalue()
 
     check()
+
+
+@pytest.mark.parametrize("name", ["predictions.tsv", "emb.txt"])
+def test_non_utf8_byte_names_file_and_offset(files, tmp_path, name):
+    paths, corpus, vocab = files
+    _, reader, error, commands = CASES[name]
+    raw = paths[name].read_bytes()
+    at = raw.index(b"\n") + 3          # inside the second line
+    path = tmp_path / paths[name].name
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    message = f"{path}: not UTF-8 text at byte {at}"
+    with pytest.raises(error, match=re.escape(message)):
+        reader(path, paths, corpus, vocab)
+    for command in commands:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(_commands(paths, tmp_path, **{name: path})[command])
+        assert code == 1, (command, stderr.getvalue())
+        assert message in stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()

@@ -718,7 +718,7 @@ class TestFactoredDeltas:
         v = Tensor(rng.normal(size=2))
 
         def loss():
-            states, _ends = lstm_sequence([cell], xs)    # the end state is not reached
+            [(states, _ends)] = lstm_sequence([cell], [xs])    # the end state is not reached
             return ops.reduce_sum(ops.tanh(ops.matmul(states, v)))
 
         res = grad_check(loss, cell.tensors() + [xs])

@@ -166,11 +166,21 @@ def checkpoints(h: dict, tmp: Path) -> None:
         h["checkpoints"].update((tmp / "resaved.json").read_bytes())
 
 
+def fit_corpus():
+    """Seven examples: with ``batch_size`` 3, each epoch ends in a partial batch."""
+    return gen_synthetic(seed=3, n_dialogues=4, max_turns=3)
+
+
+def fit_parser(method: str, epochs: int = 2) -> SqlParser:
+    """The digest's training recipe, at dims 6/8/4."""
+    return SqlParser(method=method, h=2, embedding_dim=6, hidden_dim=8, distance_dim=4,
+                     lr=2e-2, epochs=epochs, batch_size=3, clip_norm=0.5)
+
+
 def fit(h: dict) -> None:
-    corpus = gen_synthetic(seed=3, n_dialogues=4, max_turns=3)
+    corpus = fit_corpus()
     for method in ("turn+sql_attn+action_copy", "concat+tree_copy"):
-        parser = SqlParser(method=method, h=2, embedding_dim=6, hidden_dim=8, distance_dim=4,
-                           lr=2e-2, epochs=2, batch_size=3, clip_norm=0.5).fit(corpus)
+        parser = fit_parser(method).fit(corpus)
         h["fit"].update(method.encode())
         for row in parser.history_:
             h["fit"].update(repr({k: v for k, v in row.items() if k != "seconds"}).encode())

@@ -1,16 +1,20 @@
-"""Compare the digest's per-turn gradients between two source trees.
+"""Compare the digest's gradients between two source trees.
 
-Runs the teacher-forced gradient loop of ``tools/digest.py`` (14
-configurations at dims 6/8/4, every turn of four synthetic dialogues,
-64 bits) once per tree, each in its own subprocess, and prints how many
-per-turn parameter gradients moved and the largest relative difference
-``max|Δ| / max|g|`` with its configuration and parameter::
+Runs, once per tree and each in its own subprocess, the teacher-forced
+gradient loop of ``tools/digest.py`` (14 configurations at dims 6/8/4,
+every turn of four synthetic dialogues, 64 bits) and the first batch of
+the digest's ``fit`` recipe for each of the 14 configurations
+(``batch_size`` 3, the batch's summed gradients before clipping). For
+each of the two it prints how many parameter gradients moved and the
+largest relative difference ``max|Δ| / max|g|`` with its configuration
+and parameter::
 
     python tools/grad_drift.py <old tree>/src <new tree>/src
 
 A refactor that changes only summation order moves gradients by a few
 ulps; one that changes the model moves them by far more, or changes
-which parameters take part.
+which parameters take part. Per-turn gradients see one example at a
+time; the first batch also sees how ``fit`` combines a batch's examples.
 """
 
 from __future__ import annotations
@@ -25,9 +29,41 @@ from pathlib import Path
 import numpy as np
 
 
+class _FirstBatchDone(Exception):
+    pass
+
+
+def first_batch_gradients() -> dict:
+    """Each configuration's parameter gradients after ``fit``'s first
+    batch, keyed ``method|fit|parameter``, read where ``fit`` clips them."""
+    from digest import fit_corpus, fit_parser
+
+    import dialsql.estimator as estimator
+    from dialsql.context import method_names
+
+    grads = {}
+    clip = estimator.clip_global_norm
+    corpus = fit_corpus()
+    for method in method_names():
+        def snapshot(params, max_norm):
+            for p in params:
+                grads[f"{method}|fit|{p.name}"] = p.grad.copy()
+            raise _FirstBatchDone
+
+        estimator.clip_global_norm = snapshot
+        try:
+            fit_parser(method, epochs=1).fit(corpus)
+        except _FirstBatchDone:
+            pass
+        finally:
+            estimator.clip_global_norm = clip
+    return grads
+
+
 def dump(path: Path) -> None:
     """Save every non-None per-turn gradient, keyed
-    ``method|dialogue|turn|parameter``, and the keys of the None ones."""
+    ``method|dialogue|turn|parameter``, the keys of the None ones, and
+    the first-batch gradients."""
     from digest import teacher_forced_turns
 
     from dialsql.nn import set_precision
@@ -41,6 +77,7 @@ def dump(path: Path) -> None:
                 absent.append(key)
             else:
                 grads[key] = p.grad
+    grads.update(first_batch_gradients())
     np.savez(path, __absent__=np.array(absent, dtype=str), **grads)
 
 
@@ -51,6 +88,25 @@ def run_tree(src: Path, out: Path) -> dict:
                    env=env, check=True)
     with np.load(out) as data:
         return {k: data[k] for k in data.files}
+
+
+def drift(old: dict, new: dict, keys: list[str]) -> tuple[int, float, str | None] | None:
+    """How many of ``keys`` moved, the largest relative move and its key;
+    None after printing the first key whose shapes differ."""
+    moved, worst, where = 0, 0.0, None
+    for key in keys:
+        g, h = old[key], new[key]
+        if g.shape != h.shape:
+            print(f"{key}: shape {g.shape} -> {h.shape}")
+            return None
+        if np.array_equal(g, h):
+            continue
+        moved += 1
+        scale = np.abs(g).max()
+        rel = np.abs(h - g).max() / scale if scale else np.inf
+        if rel > worst:
+            worst, where = rel, key
+    return moved, worst, where
 
 
 def main() -> int:
@@ -80,27 +136,22 @@ def main() -> int:
         print(f"the trees differ in which gradients exist: {len(differ)} keys, "
               f"first {differ[:3]}")
         return 1
-    moved, worst, where = 0, 0.0, None
-    for key, g in old.items():
-        h = new[key]
-        if g.shape != h.shape:
-            print(f"{key}: shape {g.shape} -> {h.shape}")
+    fit_keys = [key for key in old if key.split("|")[1] == "fit"]
+    turn_keys = [key for key in old if key.split("|")[1] != "fit"]
+    for keys, what in ((turn_keys, f"per-turn parameter gradients ({len(old_absent)} None "
+                                   "on both)"),
+                       (fit_keys, "first-batch fit gradients")):
+        result = drift(old, new, keys)
+        if result is None:
             return 1
-        if np.array_equal(g, h):
+        moved, worst, where = result
+        print(f"moved    {moved} of {len(keys)} {what}")
+        if where is None:
+            print("largest  0")
             continue
-        moved += 1
-        scale = np.abs(g).max()
-        rel = np.abs(h - g).max() / scale if scale else np.inf
-        if rel > worst:
-            worst, where = rel, key
-    print(f"moved    {moved} of {len(old)} per-turn parameter gradients "
-          f"({len(old_absent)} None on both)")
-    if where is None:
-        print("largest  0")
-    else:
-        method, dialogue, turn, param = where.split("|")
-        print(f"largest  {worst:.2g} max|Δ|/max|g| ({method}, {param}; "
-              f"dialogue {dialogue}, turn {turn})")
+        method, *place, param = where.split("|")
+        place = "first batch" if place == ["fit"] else f"dialogue {place[0]}, turn {place[1]}"
+        print(f"largest  {worst:.2g} max|Δ|/max|g| ({method}, {param}; {place})")
     return 0
 
 
