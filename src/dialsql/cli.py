@@ -86,11 +86,11 @@ def _load_data(args: argparse.Namespace) -> Corpus:
 
 
 def _write_train_log(path: Path, parser: SqlParser, settings: dict) -> None:
-    rows = ["epoch,loss,ques_match"]
+    rows = ["epoch,loss,grad_norm,clipped,ques_match"]
     for entry in parser.history_:
         metric = entry.get("ques_match")
-        rows.append(f"{entry['epoch']},{entry['loss']!r},"
-                    f"{'' if metric is None else repr(metric)}")
+        rows.append(f"{entry['epoch']},{entry['loss']!r},{entry['grad_norm']!r},"
+                    f"{entry['clipped']!r},{'' if metric is None else repr(metric)}")
     header = (f"# config_hash={config_hash(parser.model_.config)}"
               f" seed={settings['seed']} precision={settings['precision']}")
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
@@ -170,6 +170,8 @@ def cmd_ood_experiment(args: argparse.Namespace) -> int:
     set_precision(settings["precision"])
     corpus = _load_data(args)
     train_corpus, eval_corpus = ood_split(corpus)
+    if not eval_corpus.dialogues:
+        raise DataError(f"{args.dialogues}: no dialogue has a third turn to evaluate")
     logger.info("ood split: %d training examples, %d evaluation dialogues",
                 len(train_corpus.supported_examples()), len(eval_corpus.dialogues))
     parser = _parser_from(settings)
@@ -183,10 +185,6 @@ def cmd_ood_experiment(args: argparse.Namespace) -> int:
     write_predictions(predictions, eval_corpus, out_dir / "predictions.tsv")
     report = compute_metrics(predictions, eval_corpus)
     _write_reports(report, out_dir / "report")
-    print("turn  match   matched/total")
-    for turn in sorted(report.turn_match):
-        cell = report.turn_match[turn]
-        print(f"{turn:<5} {cell.fraction:<7.4f} {cell.matched}/{cell.total}")
     _print_report(report)
     return 0
 

@@ -140,16 +140,8 @@ class Vocabulary:
         return token in self._index
 
     @property
-    def pad_index(self) -> int:
-        return 0
-
-    @property
     def unk_index(self) -> int:
         return 1
-
-    @property
-    def bos_index(self) -> int:
-        return 2
 
     def index(self, token: str) -> int:
         return self._index.get(token, self.unk_index)
@@ -233,8 +225,6 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
 
     dialogues = []
     first_record: dict[str, int] = {}    # dialogue id -> its record number
-    unsupported = 0
-    total = 0
     for rec_no, rec in enumerate(records):
         where = f"{dialogues_path}: dialogue #{rec_no}"
         checks.keyed(DataError, where, rec, ("dialogue_id", "db_id", "turns"))
@@ -253,7 +243,6 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 checks.field(DataError, f"{where}, turn {t}", raw, key, str)
             if raw.get("phenomenon") is not None:      # the label is optional
                 checks.field(DataError, f"{where}, turn {t}", raw, "phenomenon", str)
-            total += 1
             sql = raw["sql"]
             actions: tuple[Production, ...] | None
             supported = True
@@ -263,7 +252,6 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
                 logger.warning("%s, turn %d: unsupported SQL (%s)", where, t, err)
                 actions = None
                 supported = False
-                unsupported += 1
             turns.append(Example(
                 dialogue_id=dialogue_id,
                 turn_index=t,
@@ -276,9 +264,9 @@ def load_corpus(dialogues_path: str | Path, schemas_path: str | Path) -> Corpus:
         dialogues.append(Dialogue(dialogue_id, db_id, turns))
 
     corpus = Corpus(dialogues, schemas)
+    total = sum(len(d.turns) for d in dialogues)
     if total:
-        logger.info("loaded %d examples, %.1f%% supported",
-                    total, 100.0 * (total - unsupported) / total)
+        logger.info("loaded %d examples, %.1f%% supported", total, 100.0 * corpus.coverage())
     return corpus
 
 

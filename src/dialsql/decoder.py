@@ -13,18 +13,22 @@ input (one :func:`ops.concat`) and one :func:`lstm_cell` step, one
 fused :func:`ops.attention` entry per attended memory (the questions,
 and under ``sql_attn`` the precedent query's action states), the logit
 products, and one :func:`ops.mixture` entry for the whole output
-distribution. A turn's loss is one :func:`ops.nll` entry. What every
-step of a turn shares is built once per turn: the precedent's action
-states (the ``sql_attn`` memory), the question tokens' word
-embeddings, and for each frontier one :class:`FrontierRecord` holding
-its support list, its linking matrix or action-embedding rows, its
-stacked subtree embeddings and its copy mask and aggregation (see
-``EncodedTurn.memo``). What only the parameters decide, the production
-embeddings and the question encodings, an :class:`ActionEmbedder` keeps
-for a whole training batch or decoded dialogue. Sequences encoded together
-share one encoder pass: a batch's questions (one pass per window
-position under ``turn``), a frontier's missing schema names, and a
-precedent query with its subtrees.
+distribution. A turn's loss is one :func:`ops.nll` entry.
+
+What only the parameters decide belongs to the training batch or the
+decoded dialogue: its :class:`ActionEmbedder` keeps the question
+encodings, each production's embedding and each list of productions'
+embedding matrix (a frontier's candidates, a precedent query, a
+subtree). What the turn decides belongs to the turn: its
+:class:`EncodedTurn` holds the attention memory, the precedent's action
+states (the ``sql_attn`` memory), the embedder it was encoded with, the
+question tokens' word embeddings and for each frontier one
+:class:`FrontierRecord` holding its support list, its scorer (the
+linking matrix, or the embedding matrix of its productions), its
+stacked subtree embeddings and its copy mask and aggregation. Sequences
+encoded together share one encoder pass: a batch's questions (one pass
+per window position under ``turn``), a list's missing schema names, and
+a precedent query with its subtrees.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class ActionEmbedder:
     Production embeddings: schema-agnostic productions index a learned
     table; schema-specific ones (column and table rules) are encoded from
     their name tokens, so unseen schemas need no new parameters. The
-    names one :meth:`embed_all` call lacks share one encoder pass.
+    names one :meth:`embed_all` call lacks share one encoder pass, and
+    :meth:`embed_all` builds each list's matrix once.
 
     Question encodings: :meth:`questions` encodes the segments of the
     attention windows it is given that it lacks, all of them in one pass,
@@ -112,6 +117,7 @@ class ActionEmbedder:
     def __init__(self, model):
         self.model = model
         self._cache: dict[Production, Tensor] = {}
+        self._lists: dict[tuple[Production, ...], Tensor] = {}
         self._questions: dict[tuple, QuestionEncoding] = {}
         self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
 
@@ -119,20 +125,35 @@ class ActionEmbedder:
         emb = self._cache.get(production)
         if emb is None:
             if production.schema_specific:
-                return self.embed_all([production])[0]
+                self._encode_names([production])
+                return self._cache[production]
             emb = self._cache[production] = ops.take_rows(
                 self.model.params["action_emb"], self.model.agnostic_index[production])
         return emb
 
-    def embed_all(self, productions) -> list[Tensor]:
-        """The embedding of each of ``productions``."""
+    def embed_all(self, productions) -> Tensor:
+        """The embeddings of ``productions`` as one matrix, one row each."""
+        key = tuple(productions)
+        matrix = self._lists.get(key)
+        if matrix is None:
+            model = self.model
+            if any(p.schema_specific for p in key):
+                self._encode_names(key)
+                matrix = ops.stack([self(p) for p in key])
+            else:
+                matrix = ops.take_rows(model.params["action_emb"],
+                                       [model.agnostic_index[p] for p in key])
+            self._lists[key] = matrix
+        return matrix
+
+    def _encode_names(self, productions) -> None:
+        """Encode the schema names among ``productions`` that it lacks, in one pass."""
         model, cache = self.model, self._cache
-        names = [p for p in productions if p.schema_specific and p not in cache]
+        names = list(dict.fromkeys(p for p in productions
+                                   if p.schema_specific and p not in cache))
         if names:
-            names = list(dict.fromkeys(names))
             embedded = [_embed_tokens(model, name_tokens(p.rhs[0])) for p in names]
             cache.update(zip(names, encode_name(embedded, model.cell("schema_enc"))))
-        return [self(p) for p in productions]
 
     def questions(self, windows: list[list[list[str]]]) -> list[list[QuestionEncoding]]:
         """Each window's question encodings, oldest segment first."""
@@ -151,15 +172,6 @@ class ActionEmbedder:
                 tails = [self._turn_state(key[:-1])[0] for key in todo] if turn else None
                 cache.update(zip(todo, encode_question(
                     [_embed_tokens(model, key[-1]) for key in todo], fwd, bwd, tails)))
-        if turn:
-            # The turn-level encoder also steps over each window's last
-            # question. That state feeds nothing and gets zero gradients,
-            # but the encoder's weights then take part in every turn, so
-            # a turn's gradients cover the same parameters whatever its
-            # window.
-            for ks in keys:
-                if ks:
-                    self._turn_state(ks[-1])
         return [[cache[key] for key in ks] for ks in keys]
 
     def _turn_state(self, prefix: tuple) -> tuple[Tensor, Tensor]:
@@ -241,12 +253,13 @@ class EncodedTurn:
     attention: AttentionContext
     init_state: Tensor             # decoder hidden initialization
     copy: CopyContext              # its states are the sql_attn memory
+    embedder: ActionEmbedder       # the one it was encoded with; decoding uses it too
     # What every decoder step of this turn shares, built on first use
     # and, under a tape, recorded once per turn: "tokens" -> the
     # question tokens' word embeddings, and each frontier -> its
     # FrontierRecord. A turn is decoded against one grammar, with fixed
     # parameters. What other turns share too (question encodings and
-    # production embeddings) stays with the ActionEmbedder.
+    # production embeddings) stays with the embedder.
     memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -258,7 +271,7 @@ def encode_precedent(model, actions: tuple[Production, ...],
     if not actions:
         return EMPTY_COPY_CONTEXT
     trees = extract_subtrees(list(actions)) if with_subtrees else []
-    encoded = encode_actions([ops.stack(embedder.embed_all(seq))
+    encoded = encode_actions([embedder.embed_all(seq)
                               for seq in [actions] + [seq for _, seq in trees]],
                              model.cell("sql_enc.fwd"), model.cell("sql_enc.bwd"))
     subtrees = [(root, seq, final) for (root, seq), (_, final) in zip(trees, encoded[1:])]
@@ -273,7 +286,9 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
     ``segments`` lists token sequences oldest-first, the current
     question last; ``distances`` gives each segment's turn offset from
     the current one (0 for the current question). The question encodings
-    come from ``embedder``, which encodes the ones it lacks.
+    and production embeddings come from ``embedder``, which encodes the
+    ones it lacks; a batch or dialogue passes its own, and without one the
+    turn gets a fresh one. The turn keeps it for its decoding.
     """
     if embedder is None:
         embedder = ActionEmbedder(model)
@@ -299,7 +314,7 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
     if config.sql_methods and precedent:
         copy_ctx = encode_precedent(model, tuple(precedent), embedder,
                                     with_subtrees="tree_copy" in config.sql_methods)
-    return EncodedTurn(ctx, encodings[-1].final_state, copy_ctx)
+    return EncodedTurn(ctx, encodings[-1].final_state, copy_ctx, embedder)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +400,8 @@ class FrontierRecord:
     """What every step of a turn at one frontier shares.
 
     A Col/Tab frontier's ``scorer`` is its linking matrix, one row per
-    question token; the others' is their action-embedding rows. Under
+    question token; the others' is the embedder's matrix of their
+    productions, shared by every turn of a batch or dialogue. Under
     ``action_copy``, ``copy_mask`` marks the precedent actions that
     expand the frontier, and ``copy_agg`` adds each one's copy
     probability to its support entry; both are None when none does.
@@ -399,27 +415,23 @@ class FrontierRecord:
 
 
 def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
-                     productions: list[Production],
-                     embedder: ActionEmbedder) -> FrontierRecord:
+                     productions: list[Production]) -> FrontierRecord:
     """The turn's record for ``frontier``, built on its first request."""
     memo = encoded.memo
     record = memo.get(frontier)
     if record is not None:
         return record
     params = model.params
+    scorer = encoded.embedder.embed_all(productions)     # one row per production
     if productions[0].schema_specific:
         tokens = encoded.attention.tokens
         if "tokens" not in memo:
             memo["tokens"] = _embed_tokens(model, tokens)
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
-        rule_embs = ops.stack(embedder.embed_all(productions))
         scorer = ops.add(
             ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
                     ops.scale_by(Tensor(partial), params["link.w_partial"])),
-            ops.matmul(memo["tokens"], ops.transpose(rule_embs)))
-    else:
-        scorer = ops.take_rows(params["action_emb"],
-                               [model.agnostic_index[p] for p in productions])
+            ops.matmul(memo["tokens"], ops.transpose(scorer)))
     record = FrontierRecord(list(productions), scorer)
 
     copy_ctx = encoded.copy
@@ -442,8 +454,7 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
 
 def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
                         state: DecoderState, a: Tensor,
-                        encoded: EncodedTurn,
-                        embedder: ActionEmbedder) -> OutputDistribution:
+                        encoded: EncodedTurn) -> OutputDistribution:
     """Distribution over the frontier's productions plus any copyable
     subtrees, mixed with the action-copy distribution when enabled.
 
@@ -457,7 +468,7 @@ def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
         raise FrontierError(f"no production expands {frontier}")
 
     params = model.params
-    record = _frontier_record(model, encoded, frontier, productions, embedder)
+    record = _frontier_record(model, encoded, frontier, productions)
     if productions[0].schema_specific:
         logits = [ops.matmul(a, record.scorer)]
     else:
@@ -488,24 +499,21 @@ class ParseResult:
 
 
 def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
-                 max_steps: int = 200,
-                 embedder: ActionEmbedder | None = None) -> ParseResult:
+                 max_steps: int = 200) -> ParseResult:
     """Argmax decoding; ties go to the lowest candidate index.
 
     A chosen subtree appends its whole action sequence in one step.
     """
     if max_steps < 1:
         raise ContractError("max_steps must be positive")
-    if embedder is None:
-        embedder = ActionEmbedder(model)
+    embedder = encoded.embedder
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
     steps = 0
     while not deriv.is_complete and len(deriv.actions) < max_steps:
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a,
-                                   encoded, embedder)
+        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
         chosen = dist.support[int(np.argmax(dist.probs.values))]
         if isinstance(chosen, SubtreeCandidate):
             deriv.apply_sequence(list(chosen.actions))
@@ -518,11 +526,9 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
 
 
 def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
-                        gold: list[Production],
-                        embedder: ActionEmbedder | None = None) -> Tensor:
+                        gold: list[Production]) -> Tensor:
     """Sum of -log P(gold action), feeding gold actions back in."""
-    if embedder is None:
-        embedder = ActionEmbedder(model)
+    embedder = encoded.embedder
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
@@ -532,8 +538,7 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
         if deriv.is_complete:
             raise DerivationError("derivation already complete", step=step)
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a,
-                                   encoded, embedder)
+        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
         idx = dist.index_of(action)
         if idx is None:
             raise DerivationError(f"gold action {action} is illegal here", step=step)

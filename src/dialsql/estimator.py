@@ -45,8 +45,8 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     grammars = _grammars(corpus)
     out: dict[tuple[str, int], AST | None] = {}
     for dialogue in corpus.dialogues:
-        # One embedder per dialogue: its turns share question encodings,
-        # and what it keeps is freed with it.
+        # One embedder per dialogue: its turns share question encodings and
+        # production embeddings, and what it keeps is freed with it.
         embedder = ActionEmbedder(model)
         grammar = grammars[dialogue.db_id]
         own: dict[int, tuple | None] = {}
@@ -55,8 +55,7 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
                                     gold_mode=gold_previous_sql, predictions=own)
             encoded = encode_turn(model, inputs.segments, inputs.distances,
                                   inputs.precedent, embedder)
-            result = greedy_parse(model, encoded, grammar, max_steps=max_steps,
-                                  embedder=embedder)
+            result = greedy_parse(model, encoded, grammar, max_steps=max_steps)
             own[ex.turn_index] = result.actions if result.complete else None
             out[ex.key()] = (actions_to_ast(list(result.actions), grammar)
                              if result.complete else None)
@@ -161,7 +160,7 @@ class SqlParser:
                                               inputs.precedent, embedder)
                         loss = teacher_forced_loss(model, encoded,
                                                    grammars[dialogue.db_id],
-                                                   list(ex.gold_actions), embedder)
+                                                   list(ex.gold_actions))
                         total = loss if total is None else ops.add(total, loss)
                     tape.backward(ops.scale_by(total, Tensor(1.0 / len(batch))))
                 norms.append(clip_global_norm(model.parameters(), self.clip_norm))

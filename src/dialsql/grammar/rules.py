@@ -135,9 +135,6 @@ class AST:
     def terminals(self) -> tuple[str, ...]:
         return tuple(s for s in self.production.rhs if isinstance(s, str))
 
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
-
 
 def agnostic_productions() -> list[Production]:
     """The fixed schema-agnostic rule set, in stable order."""
@@ -282,12 +279,6 @@ class Derivation:
 
     def frontier(self) -> NonTerminal | None:
         return self._stack[-1] if self._stack else None
-
-    def legal(self) -> list[Production]:
-        """Productions applicable now; empty iff the derivation is done."""
-        if not self._stack:
-            return []
-        return self.grammar.expansions(self._stack[-1])
 
     def apply(self, action: Production) -> None:
         if not self._stack:

@@ -124,9 +124,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.values)

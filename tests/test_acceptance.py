@@ -230,7 +230,7 @@ def test_criterion_3_gradient_checks():
 # criterion 4: decode distribution soundness
 
 
-def _random_encoded(model, rng, precedent):
+def _random_encoded(model, rng, precedent, embedder):
     words = VOCAB.to_list()
     if model.config.question_method in ("turn", "gate"):
         n_seg = 1 + int(rng.integers(2))
@@ -240,7 +240,7 @@ def _random_encoded(model, rng, precedent):
                  for _ in range(2 + int(rng.integers(4)))]
                 for _ in range(n_seg)]
     distances = list(range(n_seg - 1, -1, -1))
-    return encode_turn(model, segments, distances, precedent)
+    return encode_turn(model, segments, distances, precedent, embedder)
 
 
 def test_criterion_4_distribution_soundness():
@@ -253,15 +253,14 @@ def test_criterion_4_distribution_soundness():
             precedent = None
             if model.config.sql_methods and rng.random() < 0.8:
                 precedent = random_walk_actions(GRAMMAR, rng)
-            encoded = _random_encoded(model, rng, precedent)
+            encoded = _random_encoded(model, rng, precedent, embedder)
             deriv = Derivation(GRAMMAR)
             state = initial_state(model, encoded)
             prev = model.params["bos_emb"]
             while not deriv.is_complete and steps < 100:
                 state, a = advance_state(model, encoded, state, prev)
                 frontier = deriv.frontier()
-                dist = output_distribution(model, GRAMMAR, frontier, state, a,
-                                           encoded, embedder)
+                dist = output_distribution(model, GRAMMAR, frontier, state, a, encoded)
                 probs = dist.probs.values
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9
                 assert np.all(probs >= 0.0) and np.all(np.isfinite(probs))

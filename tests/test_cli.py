@@ -48,8 +48,11 @@ class TestTrain:
         lines = log.read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert "seed=3" in lines[0] and "precision=64" in lines[0]
-        assert lines[1] == "epoch,loss,ques_match"
+        assert lines[1] == "epoch,loss,grad_norm,clipped,ques_match"
         assert len(lines) == 2 + 2          # comment, header, one row per epoch
+        epoch, loss, grad_norm, clipped, ques_match = lines[2].split(",")
+        assert epoch == "1" and float(loss) > 0.0 and float(grad_norm) > 0.0
+        assert 0.0 <= float(clipped) <= 1.0 and ques_match == ""
 
     def test_same_seed_reproduces_checkpoint(self, data_args, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -236,7 +239,23 @@ class TestOodExperiment:
             assert (out_dir / name).exists()
         report = read_report(out_dir / "report.json")
         assert report.turn_match and min(report.turn_match) >= 3
-        assert "turn  match" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        turn_lines = [line for line in out if line.startswith("turn")]
+        assert [line.split()[1] for line in turn_lines] == [
+            str(turn) for turn in sorted(report.turn_match)]   # the table, printed once
+
+    def test_corpus_without_a_third_turn_is_refused(self, tmp_path, capsys):
+        assert main(["synth-data", "--out-dir", str(tmp_path / "data"), "--seed", "2",
+                     "--n-dialogues", "2", "--max-turns", "2"]) == 0
+        dialogues = tmp_path / "data" / "dialogues.json"
+        capsys.readouterr()
+        code = main(["ood-experiment", "--dialogues", str(dialogues),
+                     "--schemas", str(tmp_path / "data" / "schemas.json"),
+                     "--out-dir", str(tmp_path / "run"), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(dialogues) in err and "third turn" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestSynthData:

@@ -7,7 +7,6 @@ import pytest
 from dialsql import context, decoder
 from dialsql.data import Dialogue, Example, Vocabulary
 from dialsql.decoder import (
-    ActionEmbedder,
     AttentionContext,
     SubtreeCandidate,
     advance_state,
@@ -209,10 +208,9 @@ class TestOutputDistribution:
                              if method in ("turn", "gate") else [["show", "alpha", "?"]],
                              precedent=prec)
             state, a = first_step(model, enc)
-            emb = ActionEmbedder(model)
             for frontier in (NonTerminal.ROOT, NonTerminal.SELECT, NonTerminal.AGG,
                              NonTerminal.COL, NonTerminal.TAB):
-                dist = output_distribution(model, GRAMMAR, frontier, state, a, enc, emb)
+                dist = output_distribution(model, GRAMMAR, frontier, state, a, enc)
                 assert abs(dist.probs.values.sum() - 1.0) < 1e-9
                 assert (dist.probs.values >= 0).all()
                 legal = set(GRAMMAR.expansions(frontier))
@@ -226,8 +224,7 @@ class TestOutputDistribution:
         model = make_model("none", seed=5)
         enc = encode_for(model, [["show", "alpha", "?"]])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.START, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.START, state, a, enc)
         assert len(dist.support) == 1
         np.testing.assert_allclose(dist.probs.values, [1.0])
 
@@ -235,8 +232,7 @@ class TestOutputDistribution:
         model = make_model("none", seed=6)
         enc = encode_for(model, [["show", "alpha", "?"]])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.ROOT, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.ROOT, state, a, enc)
 
         p = model.params
         proj = np.tanh(np.concatenate([state.h.values, state.context.values])
@@ -252,8 +248,7 @@ class TestOutputDistribution:
         tokens = ["show", "wide", "load", "alpha", "?"]
         enc = encode_for(model, [tokens])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc)
 
         p = model.params
         cols = GRAMMAR.expansions(NonTerminal.COL)
@@ -322,8 +317,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "alpha", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.AGG, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.AGG, state, a, enc)
 
         p = model.params
         # generation component by hand (Eq. 5 path)
@@ -358,8 +352,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc)
         in_precedent = {act for act in prec if act.lhs == NonTerminal.COL}
         for cand, cp in zip(dist.support, dist.copy_probs.values):
             if cand in in_precedent:
@@ -373,8 +366,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
         assert float(dist.p_copy.values) == 0.0
         np.testing.assert_array_equal(dist.probs.values, dist.gen_probs.values)
 
@@ -382,8 +374,7 @@ class TestOutputDistribution:
         model = make_model("action_copy", seed=11)
         enc = encode_for(model, [["show", "?"]], precedent=None)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
         assert dist.p_copy is None and dist.copy_probs is None
         np.testing.assert_array_equal(dist.probs.values, dist.gen_probs.values)
 
@@ -392,8 +383,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        emb = ActionEmbedder(model)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc, emb)
+        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
 
         subtrees = [c for c in dist.support if isinstance(c, SubtreeCandidate)]
         assert len(subtrees) == 1          # exactly one Select subtree in the precedent
@@ -417,8 +407,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.ORDER, state, a, enc,
-                                   ActionEmbedder(model))
+        dist = output_distribution(model, GRAMMAR, NonTerminal.ORDER, state, a, enc)
         assert all(isinstance(c, Production) for c in dist.support)
 
 
@@ -457,6 +446,20 @@ class TestPerTurnConstants:
         # turn, and one token-rule product per schema frontier kind.
         assert len(gathers) == 1 and gathers[0].requires_grad
         assert sorted(products) == [(3, 2), (3, 3)]     # tables, columns
+
+    def test_turn_decodes_with_the_embedder_it_was_encoded_with(self, monkeypatch):
+        # The precedent names t1 and beta; the gold query's Col and Tab
+        # frontiers need every column and table. Each name is encoded
+        # once for the turn, none a second time for its decoding.
+        encoded, real = [], decoder.encode_name
+        monkeypatch.setattr(decoder, "encode_name",
+                            lambda embedded, cell: encoded.extend(embedded)
+                            or real(embedded, cell))
+        model = make_model("action_copy", seed=2)
+        enc = encode_for(model, [self.TOKENS], precedent=actions_for("SELECT beta FROM t1"))
+        teacher_forced_loss(model, enc, GRAMMAR, list(actions_for(self.GOLD)))
+        names = GRAMMAR.expansions(NonTerminal.COL) + GRAMMAR.expansions(NonTerminal.TAB)
+        assert len(encoded) == len(names)
 
     def test_tape_entries_per_step_for_none(self):
         model = make_model("none", seed=2)

@@ -6,7 +6,7 @@ from dialsql.context import build_model, method_names
 from dialsql.data import Corpus, gen_synthetic
 from dialsql.estimator import SqlParser, predict_corpus
 from dialsql.evaluation import compute_metrics
-from dialsql.grammar import AST
+from dialsql.grammar import AST, NonTerminal, build_grammar
 from dialsql.nn import ContractError, set_precision
 
 TINY = dict(embedding_dim=6, hidden_dim=8, distance_dim=4)
@@ -120,6 +120,38 @@ class TestFit:
         quick_parser(method="action_copy", epochs=1, batch_size=batch).fit(corpus)
         assert len(requested) > len(set(requested))      # names recur within the batch
         assert len(encoded) == len(set(requested))
+
+    def test_one_batch_builds_each_production_matrix_once(self, corpus, monkeypatch):
+        # Every list of productions (a frontier's candidates, a precedent,
+        # a subtree) is embedded into one matrix per batch, which each
+        # turn of the batch reuses, schema-agnostic frontiers included.
+        from dialsql import decoder
+        from dialsql.nn import Adam
+
+        batches = []
+        zero_grad, embed_all = Adam.zero_grad, decoder.ActionEmbedder.embed_all
+
+        def new_batch(self):
+            batches.append({})
+            return zero_grad(self)
+
+        def recording_embed_all(self, productions):
+            matrix = embed_all(self, productions)
+            batches[-1].setdefault(tuple(productions), []).append(matrix)
+            return matrix
+
+        monkeypatch.setattr(Adam, "zero_grad", new_batch)
+        monkeypatch.setattr(decoder.ActionEmbedder, "embed_all", recording_embed_all)
+        quick_parser(method="tree_copy", epochs=1, batch_size=4).fit(corpus)
+        frontiers = {tuple(g.expansions(nt)) for g in
+                     map(build_grammar, corpus.schemas.values()) for nt in NonTerminal
+                     if g.expansions(nt)}
+        for batch in batches:
+            assert any(not key[0].schema_specific for key in frontiers & batch.keys())
+            assert any(key[0].schema_specific for key in frontiers & batch.keys())
+            for matrices in batch.values():
+                assert all(m is matrices[0] for m in matrices)
+        assert any(len(matrices) > 1 for batch in batches for matrices in batch.values())
 
     @pytest.mark.parametrize("method", ["none", "turn"])
     def test_one_question_pass_per_window_position_per_batch(self, corpus, monkeypatch,

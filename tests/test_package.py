@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import inspect
 import pkgutil
 from pathlib import Path
 
@@ -18,44 +17,71 @@ def test_every_public_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
 
 
-# Public tensor ops that only tests call, each kept for a reason.
-TEST_ONLY_OPS = {
+# Functions, methods and classes of the package that no module of
+# ``src``, ``bench`` or ``tools`` names, each kept for a reason.
+UNNAMED = {
     # The tests' loss algebra: with reduce_sum, the only way to form a
     # full-rank weighted sum over a matrix (``matmul`` contracts one axis).
-    "mul": "elementwise weights for matrix-valued test losses",
-    "reduce_sum": "sums a matrix-valued output into a scalar test loss",
+    "src/dialsql/nn/tensor.py:mul": "elementwise weights for matrix-valued test losses",
+    "src/dialsql/nn/tensor.py:reduce_sum": "sums a matrix-valued output into a scalar test loss",
+    "src/dialsql/estimator.py:SqlParser.set_params":
+        "the scikit-learn parameter protocol, with get_params",
+    "src/dialsql/evaluation.py:read_report":
+        "reads back what emit_report writes, for users of the reports",
+    "src/dialsql/evaluation.py:report_schema":
+        "the shipped JSON schema of the json report, for its users",
 }
 
 
-def test_every_public_op_has_a_caller_in_the_package():
-    """Each public op in ``dialsql.nn.tensor`` is called from another
-    module of the package, as ``ops.<name>(...)`` or through a direct
-    import; an op that only tests reach is deleted, or listed above."""
-    from dialsql.nn import tensor
+def _unnamed(sources: dict[str, str], defining: set[str]) -> set[str]:
+    """``<file>:<qualified name>`` of each function, method and class
+    defined in a file of ``defining`` whose name no module of
+    ``sources`` uses outside the definition's own body: as a name, an
+    attribute or an import. Dunder methods are called implicitly."""
+    defs, uses = [], {}
 
-    not_ops = {"set_precision", "get_precision", "active_dtype"}
-    public = {name for name, fn in vars(tensor).items()
-              if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
-              and not name.startswith("_") and name not in not_ops}
-    called = set()
-    for path in Path(dialsql.__file__).parent.rglob("*.py"):
-        if path.name == "tensor.py" and path.parent.name == "nn":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = {alias.asname or alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.module is not None
-                    and node.module.split(".")[-1] in ("nn", "tensor")
-                    for alias in node.names}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
-                    and fn.value.id == "ops"):
-                called.add(fn.attr)
-            elif isinstance(fn, ast.Name) and fn.id in imported:
-                called.add(fn.id)
-    assert public - called == set(TEST_ONLY_OPS)
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if path in defining and not (node.name.startswith("__")
+                                         and node.name.endswith("__")):
+                defs.append((path, ".".join(scope + [node.name]), node))
+            scope = scope + [node.name]
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        for name in names:
+            uses.setdefault(name, []).append((path, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path, source in sources.items():
+        visit(ast.parse(source), path, [])
+    return {f"{path}:{qualname}" for path, qualname, node in defs
+            if all(path == where and node.lineno <= line <= node.end_lineno
+                   for where, line in uses.get(node.name, ()))}
+
+
+def test_every_public_op_has_a_caller_in_the_package():
+    """Every function, method and class of the package is named by a
+    module of ``src``, ``bench`` or ``tools``, or is listed above: what
+    only tests reach is deleted."""
+    sample = ("def used():\n    return 1\n"
+              "def unused():\n    return unused()\n"
+              "class C:\n    def __len__(self):\n        return used()\n")
+    assert _unnamed({"m.py": sample}, {"m.py"}) == {"m.py:unused", "m.py:C"}
+
+    package = Path(dialsql.__file__).resolve().parent
+    repo = package.parent.parent
+    sources = {path.relative_to(repo).as_posix(): path.read_text(encoding="utf-8")
+               for top in (package, repo / "bench", repo / "tools")
+               for path in sorted(top.rglob("*.py"))}
+    defining = {path for path in sources if path.startswith("src/")}
+    assert _unnamed(sources, defining) == set(UNNAMED)
 
 
 def _private_op_uses(source: str) -> set[str]:

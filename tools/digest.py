@@ -52,7 +52,6 @@ from dialsql.context import (
 from dialsql.data import build_vocab, gen_synthetic, load_corpus, write_dialogues, write_schemas
 from dialsql.estimator import SqlParser
 from dialsql.decoder import (
-    ActionEmbedder,
     advance_state,
     encode_turn,
     greedy_parse,
@@ -90,18 +89,16 @@ def forward(h, model, encoded, grammar, gold) -> None:
         h.update(encoded.copy.states.values.tobytes())
     for _root, _seq, phi in encoded.copy.subtrees:
         h.update(phi.values.tobytes())
-    embedder = ActionEmbedder(model)
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
     for action in gold:
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a,
-                                   encoded, embedder)
+        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
         for t in (a, state.context, state.sql_context, dist.probs):
             h.update(b"-" if t is None else t.values.tobytes())
         deriv.apply(action)
-        prev = embedder(action)
+        prev = encoded.embedder(action)
 
 
 def teacher_forced_turns():

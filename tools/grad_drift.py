@@ -12,8 +12,10 @@ and parameter::
     python tools/grad_drift.py <old tree>/src <new tree>/src
 
 A refactor that changes only summation order moves gradients by a few
-ulps; one that changes the model moves them by far more, or changes
-which parameters take part. Per-turn gradients see one example at a
+ulps; one that changes the model moves them by far more. A parameter
+that took no part in a turn (a None gradient) counts as a zero
+gradient, so a change that drops an operation whose gradient is zero
+moves nothing. Per-turn gradients see one example at a
 time; the first batch also sees how ``fit`` combines a batch's examples.
 """
 
@@ -61,24 +63,20 @@ def first_batch_gradients() -> dict:
 
 
 def dump(path: Path) -> None:
-    """Save every non-None per-turn gradient, keyed
-    ``method|dialogue|turn|parameter``, the keys of the None ones, and
-    the first-batch gradients."""
+    """Save every per-turn gradient, keyed ``method|dialogue|turn|parameter``,
+    a None one as zeros, and the first-batch gradients."""
     from digest import teacher_forced_turns
 
     from dialsql.nn import set_precision
 
     set_precision(64)
-    grads, absent = {}, []
+    grads = {}
     for method, model, _grammar, dialogue, ex, _inputs, _loss in teacher_forced_turns():
         for name, p in model.params.items():
             key = f"{method}|{dialogue.dialogue_id}|{ex.turn_index}|{name}"
-            if p.grad is None:
-                absent.append(key)
-            else:
-                grads[key] = p.grad
+            grads[key] = np.zeros_like(p.values) if p.grad is None else p.grad
     grads.update(first_batch_gradients())
-    np.savez(path, __absent__=np.array(absent, dtype=str), **grads)
+    np.savez(path, **grads)
 
 
 def run_tree(src: Path, out: Path) -> dict:
@@ -130,16 +128,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_tree(args.old, Path(tmp) / "old.npz")
         new = run_tree(args.new, Path(tmp) / "new.npz")
-    old_absent, new_absent = set(old.pop("__absent__")), set(new.pop("__absent__"))
-    if old.keys() != new.keys() or old_absent != new_absent:
+    if old.keys() != new.keys():
         differ = sorted(set(old) ^ set(new))
         print(f"the trees differ in which gradients exist: {len(differ)} keys, "
               f"first {differ[:3]}")
         return 1
     fit_keys = [key for key in old if key.split("|")[1] == "fit"]
     turn_keys = [key for key in old if key.split("|")[1] != "fit"]
-    for keys, what in ((turn_keys, f"per-turn parameter gradients ({len(old_absent)} None "
-                                   "on both)"),
+    for keys, what in ((turn_keys, "per-turn parameter gradients"),
                        (fit_keys, "first-batch fit gradients")):
         result = drift(old, new, keys)
         if result is None:
