@@ -9,11 +9,18 @@ config and vocabulary) rather than owning parameters, so the same code
 drives every method configuration.
 
 A teacher-forced step records a handful of tape entries: the LSTM
-input (one :func:`ops.concat`) and one :func:`lstm_cell` step, one
+input (one :func:`ops.concat`) and one :func:`lstm_cell` step, and one
 fused :func:`ops.attention` entry per attended memory (the questions,
-and under ``sql_attn`` the precedent query's action states), the logit
-products, and one :func:`ops.mixture` entry for the whole output
-distribution. A turn's loss is one :func:`ops.nll` entry.
+and under ``sql_attn`` the precedent query's action states). The output
+layer then scores the whole turn in one :func:`output_distribution`
+call, with the steps grouped by frontier: a few entries for the turn
+(the stacked step vectors, each product over them, and each product's
+partition among the frontiers) and, per frontier, one logit product per
+logit part and one :func:`ops.mixture` entry with one row per step. A turn's loss is one
+:func:`ops.nll` entry. Greedy decoding calls the same function with one
+step, whose vectors are the one-row case. Every per-step product is
+:func:`ops.rows_matmul`, one product per row, so each step's
+probabilities equal those of a one-step call bit for bit.
 
 What only the parameters decide belongs to the training batch or the
 decoded dialogue: its :class:`ActionEmbedder` keeps the question
@@ -34,6 +41,7 @@ a precedent query with its subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -100,7 +108,7 @@ class ActionEmbedder:
     table; schema-specific ones (column and table rules) are encoded from
     their name tokens, so unseen schemas need no new parameters. The
     names one :meth:`embed_all` call lacks share one encoder pass, and
-    :meth:`embed_all` builds each list's matrix once.
+    :meth:`embed_all` builds each list's matrix, and its transpose, once.
 
     Question encodings: :meth:`questions` encodes the segments of the
     attention windows it is given that it lacks, all of them in one pass,
@@ -118,6 +126,7 @@ class ActionEmbedder:
         self.model = model
         self._cache: dict[Production, Tensor] = {}
         self._lists: dict[tuple[Production, ...], Tensor] = {}
+        self._transposed: dict[int, Tensor] = {}
         self._questions: dict[tuple, QuestionEncoding] = {}
         self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
 
@@ -145,6 +154,15 @@ class ActionEmbedder:
                                        [model.agnostic_index[p] for p in key])
             self._lists[key] = matrix
         return matrix
+
+    def transposed(self, productions) -> Tensor:
+        """:meth:`embed_all`'s matrix transposed, one column per
+        production, made once per list."""
+        matrix = self.embed_all(productions)
+        columns = self._transposed.get(id(matrix))      # the matrix lives as long as self
+        if columns is None:
+            columns = self._transposed[id(matrix)] = ops.transpose(matrix)
+        return columns
 
     def _encode_names(self, productions) -> None:
         """Encode the schema names among ``productions`` that it lacks, in one pass."""
@@ -368,31 +386,27 @@ class SubtreeCandidate:
 
 @dataclass
 class OutputDistribution:
-    """Probabilities over every legal candidate at one step."""
+    """Probabilities over every legal candidate at the steps of one
+    :func:`output_distribution` call that expand one frontier."""
 
     support: list                  # Production, then SubtreeCandidate entries (shared: read only)
-    probs: Tensor
+    steps: list[int]               # the call's indices of those steps, in order
+    probs: Tensor                  # one row per step; a vector for one step
     gen_probs: Tensor
     copy_probs: Tensor | None
-    p_copy: Tensor | None
-
-    def index_of(self, production: Production) -> int | None:
-        for k, cand in enumerate(self.support):
-            if isinstance(cand, Production) and cand == production:
-                return k
-        return None
+    p_copy: Tensor | None          # one gate per step; a scalar for one step
 
 
 def linking_matrix(tokens: list[str], names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Exact and partial :func:`linking_features` of every (question
     token, schema name) pair, one row per token. Parameter-free: a pure
-    function of its arguments."""
-    exact = np.zeros((len(tokens), len(names)))
-    partial = np.zeros_like(exact)
-    for i, tok in enumerate(tokens):
-        for j, name in enumerate(names):
-            exact[i, j], partial[i, j] = linking_features(tok, name)
-    return exact, partial
+    function of its arguments, which computes each distinct token's row
+    once."""
+    row = {tok: k for k, tok in enumerate(dict.fromkeys(tokens))}     # per distinct token
+    pairs = [linking_features(tok, name) for tok in row for name in names]
+    grid = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    grid = grid.reshape(len(row), len(names), 2)[[row[tok] for tok in tokens]]
+    return grid[..., 0].copy(), grid[..., 1].copy()
 
 
 @dataclass
@@ -414,15 +428,18 @@ class FrontierRecord:
     copy_agg: np.ndarray | None = None
 
 
-def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
-                     productions: list[Production]) -> FrontierRecord:
+def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
+                     frontier: NonTerminal) -> FrontierRecord:
     """The turn's record for ``frontier``, built on its first request."""
     memo = encoded.memo
     record = memo.get(frontier)
     if record is not None:
         return record
+    productions = grammar.expansions(frontier)
+    if not productions:
+        raise FrontierError(f"no production expands {frontier}")
     params = model.params
-    scorer = encoded.embedder.embed_all(productions)     # one row per production
+    embedder = encoded.embedder
     if productions[0].schema_specific:
         tokens = encoded.attention.tokens
         if "tokens" not in memo:
@@ -431,7 +448,9 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
         scorer = ops.add(
             ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
                     ops.scale_by(Tensor(partial), params["link.w_partial"])),
-            ops.matmul(memo["tokens"], ops.transpose(scorer)))
+            ops.matmul(memo["tokens"], embedder.transposed(productions)))
+    else:
+        scorer = embedder.embed_all(productions)     # one row per production
     record = FrontierRecord(list(productions), scorer)
 
     copy_ctx = encoded.copy
@@ -452,39 +471,91 @@ def _frontier_record(model, encoded: EncodedTurn, frontier: NonTerminal,
     return record
 
 
-def output_distribution(model, grammar: Grammar, frontier: NonTerminal,
-                        state: DecoderState, a: Tensor,
-                        encoded: EncodedTurn) -> OutputDistribution:
-    """Distribution over the frontier's productions plus any copyable
-    subtrees, mixed with the action-copy distribution when enabled.
+def output_distribution(model, grammar: Grammar, frontiers: list[NonTerminal],
+                        states: list[DecoderState], weights: list[Tensor],
+                        encoded: EncodedTurn) -> list[OutputDistribution]:
+    """Distributions over each step's frontier productions plus any
+    copyable subtrees, mixed with the action-copy distribution when
+    enabled: one per distinct frontier, in the order the steps reach them.
 
-    Schema-specific frontiers score ``a · link``; the others
-    ``rows · tanh([h; c] W_o)``. Subtree logits are ``phi · (h W_t)``.
-    The softmax, the masked copy softmax, the gate and the mix are one
-    :func:`ops.mixture` entry.
+    Step ``k`` expands ``frontiers[k]`` from ``states[k]``, with the
+    question-attention weights ``weights[k]``. Schema-specific frontiers
+    score ``a · link``; the others ``rows · tanh([h; c] W_o)``. Subtree
+    logits are ``phi · (h W_t)``, copy scores ``states · (h W_l)``.
+    The steps' vectors are stacked one row per step, each product over
+    those rows is one :func:`ops.rows_matmul` entry for the call, and
+    one :func:`ops.partition` entry hands each frontier its rows; the
+    softmax, the masked copy softmax, the gate and the mix are one
+    :func:`ops.mixture` entry per frontier. A frontier reached at one
+    step gets vectors, so a one-step call keeps vectors throughout.
     """
-    productions = grammar.expansions(frontier)
-    if not productions:
-        raise FrontierError(f"no production expands {frontier}")
+    groups: dict[NonTerminal, list[int]] = {}
+    for k, frontier in enumerate(frontiers):
+        groups.setdefault(frontier, []).append(k)
+    records, blocks, linked = [], [], []
+    generated, treed, copied = [], [], []       # the groups each turn-wide product serves
+    for g, (frontier, steps) in enumerate(groups.items()):
+        record = _frontier_record(model, grammar, encoded, frontier)
+        records.append(record)
+        # A frontier reached at one step takes its row as a vector.
+        blocks.append(steps[0] if len(steps) == 1 else steps)
+        linked.append(record.support[0].schema_specific)
+        if not linked[g]:
+            generated.append(g)
+        if record.subtrees is not None:
+            treed.append(g)
+        if record.copy_mask is not None:
+            copied.append(g)
+    every = blocks[0] if len(blocks) == 1 else range(len(frontiers))
 
     params = model.params
-    record = _frontier_record(model, encoded, frontier, productions)
-    if productions[0].schema_specific:
-        logits = [ops.matmul(a, record.scorer)]
-    else:
-        proj = ops.tanh(ops.matmul(ops.concat([state.h, state.context]), params["out.wo"]))
-        logits = [ops.matmul(record.scorer, proj)]
-    if record.subtrees is not None:
-        logits.append(ops.matmul(record.subtrees, ops.matmul(state.h, params["tree.wt"])))
+    if generated or treed or copied:
+        h = _step_rows(states, every, "h")
+    if generated:
+        joined = ops.concat([h, _step_rows(states, every, "context")], h.values.ndim - 1)
+        proj = _by_group(ops.tanh(ops.rows_matmul(joined, params["out.wo"])), blocks, generated)
+    if treed:
+        tree = _by_group(ops.rows_matmul(h, params["tree.wt"]), blocks, treed)
+    if copied:
+        copy_scores = _by_group(ops.rows_matmul(ops.rows_matmul(h, params["copy.wl"]),
+                                                encoded.copy.states, transpose=True),
+                                blocks, copied)
+        gates = _by_group(ops.add(ops.rows_matmul(h, params["copy.wc"]), params["copy.bc"]),
+                          blocks, copied)
 
-    copy = {}
-    if record.copy_mask is not None:
-        copy = {"copy_scores": ops.matmul(encoded.copy.states,
-                                          ops.matmul(state.h, params["copy.wl"])),
-                "copy_mask": record.copy_mask, "copy_agg": record.copy_agg,
-                "gate": ops.add(ops.matmul(params["copy.wc"], state.h), params["copy.bc"])}
-    probs, gen_probs, copy_probs, p_copy = ops.mixture(logits, **copy)
-    return OutputDistribution(record.support, probs, gen_probs, copy_probs, p_copy)
+    out = []
+    for g, (steps, record) in enumerate(zip(groups.values(), records)):
+        if linked[g]:
+            logits = [ops.rows_matmul(_step_rows(weights, blocks[g]), record.scorer)]
+        else:
+            logits = [ops.rows_matmul(proj[g], record.scorer, transpose=True)]
+        if record.subtrees is not None:
+            logits.append(ops.rows_matmul(tree[g], record.subtrees, transpose=True))
+        if record.copy_mask is None:
+            probs, gen_probs, copy_probs, p_copy = ops.mixture(logits)
+        else:
+            probs, gen_probs, copy_probs, p_copy = ops.mixture(
+                logits, copy_scores[g], record.copy_mask, record.copy_agg, gates[g])
+        out.append(OutputDistribution(record.support, steps, probs, gen_probs,
+                                      copy_probs, p_copy))
+    return out
+
+
+def _by_group(t: Tensor, blocks: list, wanted: list[int]):
+    """The rows of ``t`` (one per step) of each group in ``wanted``,
+    indexed by group; all of ``t`` when one group holds every step."""
+    if len(blocks) == 1:
+        return [t]
+    return dict(zip(wanted, ops.partition(t, [blocks[g] for g in wanted])))
+
+
+def _step_rows(items: list, block, name: str | None = None) -> Tensor:
+    """The items of ``block``'s steps (or their attribute ``name``) as one
+    row each, or the one step's as a vector when ``block`` is an int."""
+    if type(block) is int:
+        return items[block] if name is None else getattr(items[block], name)
+    return ops.stack([items[k] for k in block] if name is None
+                     else [getattr(items[k], name) for k in block])
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +584,7 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
     steps = 0
     while not deriv.is_complete and len(deriv.actions) < max_steps:
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
+        [dist] = output_distribution(model, grammar, [deriv.frontier()], [state], [a], encoded)
         chosen = dist.support[int(np.argmax(dist.probs.values))]
         if isinstance(chosen, SubtreeCandidate):
             deriv.apply_sequence(list(chosen.actions))
@@ -527,25 +598,41 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
 
 def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
                         gold: list[Production]) -> Tensor:
-    """Sum of -log P(gold action), feeding gold actions back in."""
+    """Sum of -log P(gold action), feeding gold actions back in: the
+    decoder steps one by one, then :func:`output_distribution` scores
+    the whole turn in one call."""
     embedder = encoded.embedder
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
-    probs: list[Tensor] = []
+    frontiers: list[NonTerminal] = []
+    states: list[DecoderState] = []
+    weights: list[Tensor] = []
     targets: list[int] = []
     for step, action in enumerate(gold, start=1):
         if deriv.is_complete:
             raise DerivationError("derivation already complete", step=step)
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
-        idx = dist.index_of(action)
-        if idx is None:
-            raise DerivationError(f"gold action {action} is illegal here", step=step)
-        probs.append(dist.probs)
-        targets.append(idx)
+        frontier = deriv.frontier()
+        # Built here, before the step's action is embedded, so that a
+        # Col/Tab frontier encodes all its names in one pass.
+        record = _frontier_record(model, grammar, encoded, frontier)
+        try:
+            targets.append(record.support.index(action))
+        except ValueError:
+            raise DerivationError(f"gold action {action} is illegal here", step=step) from None
+        frontiers.append(frontier)
+        states.append(state)
+        weights.append(a)
         deriv.apply(action)
         prev = embedder(action)
     if not deriv.is_complete:
         raise IncompleteSequenceError("gold sequence leaves the derivation open")
-    return ops.nll(probs, targets)
+    dists = output_distribution(model, grammar, frontiers, states, weights, encoded)
+    # The loss numbers its terms frontier by frontier; add them in step order.
+    order = [0] * len(gold)
+    for number, k in enumerate(k for dist in dists for k in dist.steps):
+        order[k] = number
+    return ops.nll([dist.probs for dist in dists],
+                   [targets[dist.steps[0]] if dist.probs.values.ndim == 1
+                    else [targets[k] for k in dist.steps] for dist in dists], order)

@@ -95,6 +95,20 @@ class Production:
     lhs: NonTerminal
     rhs: tuple[Symbol, ...]
 
+    # Every embedding-cache, rule-index and list-key lookup hashes a
+    # production, so its hash is computed once; equality is still the
+    # dataclass's comparison of lhs and rhs.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so that an unpickled production hashes
+        # by the NonTerminal identities of its new process.
+        return Production, (self.lhs, self.rhs)
+
     @property
     def schema_specific(self) -> bool:
         return self.lhs in (NonTerminal.COL, NonTerminal.TAB)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, Tensor, _taping
+from .tensor import ContractError, DimensionError, Tensor, _rows_dot, _taping
 
 __all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence"]
 
@@ -57,18 +57,6 @@ class LSTMCellParams:
 
     def tensors(self) -> list[Tensor]:
         return [self.w_ih, self.w_hh, self.b]
-
-
-def _rows_dot(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``m`` times a vector, or times each row of a matrix.
-
-    Each row's result equals ``m.dot(row)`` bit for bit: the rows go
-    through one matrix-vector product each (the stacked ``matmul``), as
-    one GEMM over several rows would block the sums differently.
-    """
-    if rows.ndim == 1:
-        return m.dot(rows)
-    return np.matmul(rows[:, None, :], m.T)[:, 0]
 
 
 def _step(params: LSTMCellParams, zx: np.ndarray, h: np.ndarray,

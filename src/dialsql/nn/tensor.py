@@ -12,16 +12,17 @@ the gradient of each output and returns one delta per input, in input
 order. It reads only values, never gradients, and writes nothing: the
 tape alone decides which entries run and adds each delta to the inputs
 that require a gradient. A delta is an array of the input's shape, or,
-for a matrix input, a tuple of vectors ``(u1, v1, u2, v2, ...)``
-standing for the sum of outer products ``Σ u_k v_kᵀ``. The tape adds an
-array at once: a tensor's first array delta is adopted as an owned copy
-and later ones are added to it. It keeps the factors of a tensor
-pending and adds them as one product ``UᵀV`` of the stacked factors when
-the gradient is first read: by the vjp of the entry that produced the
-tensor, or at the end of :meth:`Tape.backward` for the leaves. A weight
-matrix that every decoder step multiplies (the LSTM cell's, the
-attention matrices, the output projections) thus gets one matrix
-product per backward instead of one outer product per step.
+for a matrix input, a tuple of factors ``(u1, v1, u2, v2, ...)``
+standing for the sum of outer products ``Σ u_k v_kᵀ``; a factor pair
+may also be two matrices with one row per pair, standing for ``UᵀV``.
+The tape adds an array at once: a tensor's first array delta is adopted
+as an owned copy and later ones are added to it. It keeps the factors
+of a tensor pending and adds them as one product ``UᵀV`` of the stacked
+factors when the gradient is first read: by the vjp of the entry that
+produced the tensor, or at the end of :meth:`Tape.backward` for the
+leaves. A weight matrix that every decoder step multiplies (the LSTM
+cell's, the attention matrices, the output projections) thus gets one
+matrix product per backward instead of one outer product per step.
 
 Three fused operations record a whole decoder composite as one entry:
 :func:`attention` (bilinear scores, softmax, optional gate rescaling,
@@ -30,6 +31,12 @@ sigmoid gate, mix) and :func:`nll` (a turn's summed negative
 log-likelihood); the array helpers ``_softmax_values``,
 ``_masked_softmax_values`` and ``_sigmoid_values`` compute their parts.
 A plain softmax is the one-part :func:`mixture` without copy inputs.
+:func:`mixture` and :func:`nll` also take matrices with one row per
+decoder step, and :func:`rows_matmul` multiplies each row of a matrix
+by a weight matrix, so a teacher-forced turn's output layer is a few
+entries per frontier, not per step. Every row-wise result equals the
+one-row (vector) case bit for bit: products run one row at a time
+(``_rows_dot``) and reductions run along each row.
 Each job has one op: :func:`take_rows` with an int index picks one row,
 :func:`matmul` of two vectors is their dot product, and
 :func:`scale_by` multiplies by a scalar. The parser calls every public
@@ -247,8 +254,15 @@ class Tape:
 
 def _add_factors(t: Tensor, factors: list) -> None:
     """Add ``Σ u_k v_kᵀ`` to ``t``'s gradient, given ``factors`` as
-    ``[u1, v1, u2, v2, ...]``, as one product of the stacked factors."""
-    delta = np.array(factors[0::2]).T.dot(np.array(factors[1::2]))
+    ``[u1, v1, u2, v2, ...]``, as one product of the stacked factors.
+    A pair of matrices contributes each of its rows as a pair."""
+    us, vs = factors[0::2], factors[1::2]
+    if any(u.ndim == 2 for u in us):
+        us = np.concatenate([u.reshape(-1, u.shape[-1]) for u in us])
+        vs = np.concatenate([v.reshape(-1, v.shape[-1]) for v in vs])
+    else:
+        us, vs = np.array(us), np.array(vs)
+    delta = us.T.dot(vs)
     if t.grad is None:
         t.grad = delta.astype(t.values.dtype, copy=False)
     else:
@@ -280,11 +294,16 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
+    """``a + b``; a scalar ``b`` is added to every entry of ``a``."""
+    if b.shape != ():
+        _require_same_shape(a, b, "add")
     out = Tensor(a.values + b.values)
     tape = _taping(a, b)
     if tape is not None:
-        tape.record((out,), (a, b), lambda g: (g, g))
+        if b.shape == a.shape:
+            tape.record((out,), (a, b), lambda g: (g, g))
+        else:       # b's delta: a's entries' deltas summed last to first, one by one
+            tape.record((out,), (a, b), lambda g: (g, np.add.accumulate(g.ravel()[::-1])[-1]))
     return out
 
 
@@ -431,6 +450,32 @@ def transpose(m: Tensor) -> Tensor:
     return out
 
 
+def partition(m: Tensor, blocks: Sequence[Sequence[int] | int]) -> list[Tensor]:
+    """Disjoint blocks of the rows of a matrix (entries of a vector) as
+    one tape entry: a list of indices gathers those rows, an int index
+    gives that one row as a vector, as in :func:`take_rows`. No row is
+    in two blocks, so the vjp places each block's gradient without
+    adding; a row in none gets a zero gradient."""
+    rows = m.values
+    if rows.ndim not in (1, 2):
+        raise DimensionError(f"partition: need a vector or a matrix, got shape {m.shape}")
+    picked = [i for b in blocks for i in ((b,) if type(b) is int else b)]
+    if len(set(picked)) != len(picked) or not all(0 <= i < len(rows) for i in picked):
+        raise ContractError(f"partition: blocks {list(blocks)} for {len(rows)} rows")
+    outs = [Tensor(rows[b] if type(b) is int else rows.take(b, axis=0)) for b in blocks]
+    tape = _taping(m)
+    if tape is not None:
+        def vjp(*grads):
+            delta = np.zeros_like(rows)
+            for b, g in zip(blocks, grads):
+                if g is not None:
+                    delta[b] = g
+            return (delta,)
+
+        tape.record(outs, (m,), vjp)
+    return outs
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d and 1d@1d.
 
@@ -461,43 +506,104 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _rows_dot(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``m`` times a vector, or times each row of a matrix.
+
+    Each row's result equals ``m.dot(row)`` bit for bit: the rows go
+    through one matrix-vector product each (the stacked ``matmul``), as
+    one GEMM over several rows would block the sums differently.
+    """
+    if rows.ndim == 1:
+        return m.dot(rows)
+    return np.matmul(rows[:, None, :], m.T)[:, 0]
+
+
+def rows_matmul(x: Tensor, m: Tensor, transpose: bool = False) -> Tensor:
+    """Each row of ``x`` times ``m``, or with ``transpose`` times ``mᵀ``
+    (``m`` times each row); a vector ``x`` is the one-row case. A vector
+    ``m`` gives each row's dot product with it.
+
+    Each row's result equals :func:`matmul` on that row alone bit for bit
+    (``matmul(row, m)``, or ``matmul(m, row)`` with ``transpose``): see
+    ``_rows_dot``. ``m``'s delta is one factor pair, so a weight that
+    several turns multiply still gets one matrix product per backward.
+    The factors list the rows last to first: the tape then sums them in
+    the order it sums those of one :func:`matmul` per row recorded in
+    row order, so the gradients equal that unrolled form's bit for bit.
+    """
+    xv, mv = x.values, m.values
+    if xv.ndim not in (1, 2) or mv.ndim not in (1, 2) or (transpose and mv.ndim != 2):
+        raise DimensionError(f"rows_matmul: unsupported shapes {x.shape} and {m.shape}"
+                             + " (transposed)" * transpose)
+    a = mv if transpose else mv.T        # each row's result is a · row
+    if xv.shape[-1] != a.shape[-1]:
+        raise DimensionError(f"rows_matmul: incompatible shapes {x.shape} and {m.shape}"
+                             + " (transposed)" * transpose)
+    out = Tensor(a.dot(xv) if xv.ndim == 1 else _rows_dot(a, xv))
+    tape = _taping(x, m)
+    if tape is not None:
+        def vjp(g):
+            if mv.ndim == 1:
+                if xv.ndim == 1:
+                    return g * mv, g * xv
+                # Each row's delta g[r] x[r], summed last row first.
+                return (g, mv), np.add.accumulate((xv.T * g).T[::-1], axis=0)[-1]
+            if xv.ndim == 1:
+                return a.T.dot(g), ((g, xv) if transpose else (xv, g))
+            g_up, x_up = g[::-1], xv[::-1]
+            return _rows_dot(a.T, g), ((g_up, x_up) if transpose else (x_up, g_up))
+
+        tape.record((out,), (x, m), vjp)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # softmax arithmetic of the fused operations
 
 
 def _softmax_values(v: np.ndarray) -> np.ndarray:
-    """Shift-stabilized softmax of a score vector, all positions admissible."""
-    if v.ndim != 1:
-        raise DimensionError(f"softmax: need a vector, got shape {v.shape}")
-    if not v.size:
+    """Shift-stabilized softmax of a score vector, or of each row of a
+    matrix, all positions admissible."""
+    if v.ndim not in (1, 2):
+        raise DimensionError(f"softmax: need a vector or rows, got shape {v.shape}")
+    if not v.shape[-1]:
         raise InvalidMaskError("softmax: no position to normalize over")
-    if not np.logical_and.reduce(np.isfinite(v)):
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise NumericError("softmax: non-finite score")
-    weights = np.exp(v - np.maximum.reduce(v))
-    return weights / np.add.reduce(weights)
+    if v.ndim == 1:
+        weights = np.exp(v - np.maximum.reduce(v))
+        return weights / np.add.reduce(weights)
+    # Each row reduced along itself: the same sums as one row alone.
+    weights = np.exp(v - np.maximum.reduce(v, axis=1, keepdims=True))
+    return weights / np.add.reduce(weights, axis=1, keepdims=True)
 
 
 def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
-    """Shift-stabilized softmax over the positions ``mask`` admits;
-    the others get probability exactly 0. :func:`mixture` takes its
-    copy distribution from it."""
-    if v.ndim != 1:
-        raise DimensionError(f"masked softmax: need a vector, got shape {v.shape}")
+    """Shift-stabilized softmax over the positions ``mask`` admits, of a
+    score vector or of each row of a matrix; the others get probability
+    exactly 0. :func:`mixture` takes its copy distribution from it."""
+    if v.ndim not in (1, 2):
+        raise DimensionError(f"masked softmax: need a vector or rows, got shape {v.shape}")
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != v.shape:
+    if mask.shape != v.shape[-1:]:
         raise DimensionError(f"masked softmax: mask shape {mask.shape} vs scores {v.shape}")
     if not mask.any():
         raise InvalidMaskError("masked softmax: mask admits no position")
-    if not np.isfinite(v[mask]).all():
+    admitted = v[..., mask]
+    if not np.isfinite(admitted).all():
         raise NumericError("masked softmax: non-finite score at an unmasked position")
-    shifted = v - v[mask].max()
+    shifted = v - admitted.max(axis=-1, keepdims=True)
     weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Scores delta of a (masked) softmax with output ``probs``."""
-    return probs * (g - np.dot(probs, g))
+    """Scores delta of a (masked) softmax with output ``probs``, a
+    vector or one distribution per row."""
+    if probs.ndim == 1:
+        return probs * (g - np.dot(probs, g))
+    # Each row's dot product alone, as np.dot forms it for one row.
+    return probs * (g - np.matmul(probs[:, None, :], g[:, :, None])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -570,34 +676,45 @@ def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
     restricted to ``copy_mask`` is summed onto the support by the 0/1
     matrix ``copy_agg`` into ``copy_probs``; ``p_copy = sigmoid(gate)``
     and ``probs = p_copy · copy_probs + (1 - p_copy) · gen_probs``.
+
+    Vectors and a scalar gate are one step. Matrices with one row per
+    step and one gate per step give one distribution per row, each
+    equal bit for bit to its step alone; the mask and the aggregation
+    are shared by every row.
     """
     parts = list(logits)
     if not parts:
         raise ContractError("mixture: need at least one logits part")
-    if any(p.values.ndim != 1 for p in parts):
-        raise DimensionError(f"mixture: need logit vectors, got shapes {[p.shape for p in parts]}")
-    v = parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts])
-    gen = _softmax_values(v)
+    try:
+        v = parts[0].values if len(parts) == 1 else np.concatenate([p.values for p in parts], -1)
+    except ValueError as err:       # scalars, mixed ranks or unequal numbers of rows
+        raise DimensionError(f"mixture: need logit vectors or equal numbers of rows, "
+                             f"got shapes {[p.shape for p in parts]}") from err
+    gen = _softmax_values(v)        # v is a vector or has rows
     out_gen = Tensor(gen)
+    axis = v.ndim - 1
 
     if copy_scores is None:
         if not (copy_mask is None and copy_agg is None and gate is None):
             raise ContractError("mixture: copy inputs need copy scores")
         tape = _taping(*parts)
         if tape is not None:
-            tape.record((out_gen,), parts, lambda g: _split(_softmax_vjp(gen, g), parts))
+            tape.record((out_gen,), parts, lambda g: _split(_softmax_vjp(gen, g), parts, axis))
         return out_gen, out_gen, None, None
 
     if copy_mask is None or copy_agg is None or gate is None:
         raise ContractError("mixture: copy scores need a mask, an aggregation and a gate")
-    if copy_agg.shape != (v.size, copy_scores.size) or gate.shape != ():
-        raise DimensionError(f"mixture: aggregation {copy_agg.shape} for {v.size} "
-                             f"candidates and {copy_scores.size} copy scores, gate {gate.shape}")
+    rows = v.shape[:-1]             # () for one step
+    if (copy_agg.shape != (v.shape[-1], copy_scores.shape[-1]) or copy_scores.shape[:-1] != rows
+            or gate.shape != rows):
+        raise DimensionError(f"mixture: aggregation {copy_agg.shape}, copy scores "
+                             f"{copy_scores.shape} and gate {gate.shape} for logits {v.shape}")
     pos = _masked_softmax_values(copy_scores.values, copy_mask)
-    copy = copy_agg.dot(pos)
+    copy = _rows_dot(copy_agg, pos)
     p = _sigmoid_values(gate.values)
     q = -1.0 * p + 1.0
-    out_probs = Tensor(copy * p + gen * q)
+    pc, qc = p[..., None], q[..., None]       # one per row of the distributions
+    out_probs = Tensor(copy * pc + gen * qc)
     out_copy = Tensor(copy)
     out_p = Tensor(p)
 
@@ -607,17 +724,17 @@ def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
         def vjp(g, g_gen, g_copy, g_p):
             if g is None:
                 g = np.zeros_like(out_probs.values)
-            dgen = g * q
-            dcopy = g * p
-            dp = np.sum(g * copy) - np.sum(g * gen)
+            dgen = g * qc
+            dcopy = g * pc
+            dp = np.add.reduce(g * copy, axis=-1) - np.add.reduce(g * gen, axis=-1)
             if g_gen is not None:
                 dgen += g_gen
             if g_copy is not None:
                 dcopy += g_copy
             if g_p is not None:
                 dp += g_p
-            dpos = copy_agg.T.dot(dcopy)
-            return (*_split(_softmax_vjp(gen, dgen), parts),
+            dpos = dcopy.dot(copy_agg)
+            return (*_split(_softmax_vjp(gen, dgen), parts, axis),
                     _softmax_vjp(pos, dpos), dp * p * (1.0 - p))
 
         tape.record((out_probs, out_gen, out_copy, out_p), inputs, vjp)
@@ -637,28 +754,54 @@ def _split(g: np.ndarray, parts: list[Tensor], axis: int = 0) -> list[np.ndarray
     return deltas
 
 
-def nll(probs: Sequence[Tensor], targets: Sequence[int]) -> Tensor:
-    """Summed negative log-likelihood ``-Σ_k log probs[k][targets[k]]``
-    as one tape entry; the terms are added left to right."""
+def nll(probs: Sequence[Tensor], targets: Sequence, order: Sequence[int] | None = None) -> Tensor:
+    """Summed negative log-likelihood ``-Σ log p[target]`` as one tape
+    entry.
+
+    A part of ``probs`` is one distribution (a vector, whose target is
+    one index) or several (a matrix with one distribution per row, whose
+    target is one index per row). The terms are numbered part by part
+    and row by row, and added left to right in the order ``order``
+    lists their numbers; without it, in numbered order.
+    """
     probs = list(probs)
     targets = list(targets)
     if not probs or len(probs) != len(targets):
         raise ContractError(f"nll: {len(probs)} distributions for {len(targets)} targets")
-    total = None
+    at, picked, size = [], [], 0        # each term's place among all entries, and value
     for p, t in zip(probs, targets):
-        if p.values.ndim != 1:
-            raise DimensionError(f"nll: need probability vectors, got shape {p.shape}")
-        term = 0.0 - np.log(p.values[t])
-        total = term if total is None else total + term
-    out = Tensor(total)
+        v = p.values
+        if v.ndim == 1:
+            if not 0 <= t < len(v):
+                raise ContractError(f"nll: target {t} of {len(v)} candidates")
+            at.append(size + t)
+            picked.append(v[t])
+        elif v.ndim == 2 and len(t) == len(v):
+            width = v.shape[1]
+            for row, k in enumerate(t):
+                if not 0 <= k < width:
+                    raise ContractError(f"nll: target {k} of {width} candidates")
+                at.append(size + row * width + k)
+                picked.append(v[row, k])
+        else:
+            raise DimensionError(f"nll: {p.shape} probabilities for targets {t}")
+        size += v.size
+    chosen = np.array(picked)           # in numbered order
+    terms = 0.0 - np.log(chosen)
+    if order is not None:
+        if sorted(order) != list(range(len(at))):
+            raise ContractError(f"nll: order {list(order)} for {len(at)} terms")
+        terms = terms[order]
+    out = Tensor(np.add.accumulate(terms)[-1])
     tape = _taping(*probs)
     if tape is not None:
         def vjp(g):
-            deltas = []
-            for p, t in zip(probs, targets):
-                delta = np.zeros_like(p.values)
-                delta[t] = -g / p.values[t]
-                deltas.append(delta)
+            delta = np.zeros(size, dtype=chosen.dtype)
+            delta[at] = -g / chosen
+            deltas, lo = [], 0
+            for p in probs:
+                deltas.append(delta[lo:lo + p.values.size].reshape(p.values.shape))
+                lo += p.values.size
             return deltas
 
         tape.record((out,), probs, vjp)

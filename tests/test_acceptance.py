@@ -260,7 +260,7 @@ def test_criterion_4_distribution_soundness():
             while not deriv.is_complete and steps < 100:
                 state, a = advance_state(model, encoded, state, prev)
                 frontier = deriv.frontier()
-                dist = output_distribution(model, GRAMMAR, frontier, state, a, encoded)
+                [dist] = output_distribution(model, GRAMMAR, [frontier], [state], [a], encoded)
                 probs = dist.probs.values
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9
                 assert np.all(probs >= 0.0) and np.all(np.isfinite(probs))

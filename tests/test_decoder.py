@@ -18,6 +18,7 @@ from dialsql.decoder import (
     teacher_forced_loss,
 )
 from dialsql.grammar import (
+    Derivation,
     extract_subtrees,
     DerivationError,
     IncompleteSequenceError,
@@ -28,7 +29,8 @@ from dialsql.grammar import (
     build_grammar,
     sql_to_ast,
 )
-from dialsql.nn import ContractError, DimensionError, Tape, Tensor, grad_check, ops
+from dialsql.nn import ContractError, DimensionError, Tape, Tensor, grad_check, ops, \
+    set_precision
 from dialsql.schema import linking_features, schema_from_dict
 
 from test_encoders import reference_step
@@ -210,7 +212,7 @@ class TestOutputDistribution:
             state, a = first_step(model, enc)
             for frontier in (NonTerminal.ROOT, NonTerminal.SELECT, NonTerminal.AGG,
                              NonTerminal.COL, NonTerminal.TAB):
-                dist = output_distribution(model, GRAMMAR, frontier, state, a, enc)
+                [dist] = output_distribution(model, GRAMMAR, [frontier], [state], [a], enc)
                 assert abs(dist.probs.values.sum() - 1.0) < 1e-9
                 assert (dist.probs.values >= 0).all()
                 legal = set(GRAMMAR.expansions(frontier))
@@ -224,7 +226,7 @@ class TestOutputDistribution:
         model = make_model("none", seed=5)
         enc = encode_for(model, [["show", "alpha", "?"]])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.START, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.START], [state], [a], enc)
         assert len(dist.support) == 1
         np.testing.assert_allclose(dist.probs.values, [1.0])
 
@@ -232,7 +234,7 @@ class TestOutputDistribution:
         model = make_model("none", seed=6)
         enc = encode_for(model, [["show", "alpha", "?"]])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.ROOT, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.ROOT], [state], [a], enc)
 
         p = model.params
         proj = np.tanh(np.concatenate([state.h.values, state.context.values])
@@ -248,7 +250,7 @@ class TestOutputDistribution:
         tokens = ["show", "wide", "load", "alpha", "?"]
         enc = encode_for(model, [tokens])
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.COL], [state], [a], enc)
 
         p = model.params
         cols = GRAMMAR.expansions(NonTerminal.COL)
@@ -292,6 +294,35 @@ class TestOutputDistribution:
                 assert (exact[i, j], partial[i, j]) == linking_features(tok, name)
         assert exact.any() and partial.any()
 
+    def test_linking_features_once_per_distinct_token(self, monkeypatch):
+        tokens = ["show", "alpha", "of", "t1", "and", "alpha", "of", "t2", "?"]
+        names = tuple(p.rhs[0] for p in GRAMMAR.expansions(NonTerminal.COL))
+        calls = []
+        monkeypatch.setattr(decoder, "linking_features",
+                            lambda tok, name: calls.append((tok, name)) or linking_features(tok, name))
+        exact, partial = decoder.linking_matrix(tokens, names)
+        assert len(calls) == len(set(tokens)) * len(names) < len(tokens) * len(names)
+        assert sorted(calls) == sorted({(t, n) for t in tokens for n in names})
+        for i, tok in enumerate(tokens):
+            for j, name in enumerate(names):
+                assert (exact[i, j], partial[i, j]) == linking_features(tok, name)
+        calls.clear()
+        decoder.linking_matrix(tokens, names)        # no memo across calls
+        assert len(calls) == len(set(tokens)) * len(names)
+
+    def test_transposed_names_made_once_per_embedder(self, monkeypatch):
+        transposed, real = [], ops.transpose
+        monkeypatch.setattr(ops, "transpose", lambda m: transposed.append(m) or real(m))
+        model = make_model("none", seed=2)
+        gold = list(actions_for("SELECT alpha, beta FROM t1"))
+        with Tape():
+            embedder = decoder.ActionEmbedder(model)
+            for tokens in (["show", "alpha", "of", "t1"], ["beta", "?"]):
+                enc = encode_turn(model, [tokens], [0], None, embedder)
+                teacher_forced_loss(model, enc, GRAMMAR, gold)
+        assert len(transposed) == 2          # the columns and the tables, once each
+        assert [m.shape[0] for m in transposed] == [3, 2]
+
     def test_linking_matrix_built_once_per_turn(self, monkeypatch):
         calls = []
         real = decoder.linking_matrix
@@ -317,7 +348,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "alpha", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.AGG, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.AGG], [state], [a], enc)
 
         p = model.params
         # generation component by hand (Eq. 5 path)
@@ -352,7 +383,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.COL, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.COL], [state], [a], enc)
         in_precedent = {act for act in prec if act.lhs == NonTerminal.COL}
         for cand, cp in zip(dist.support, dist.copy_probs.values):
             if cand in in_precedent:
@@ -366,7 +397,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.SELECT], [state], [a], enc)
         assert float(dist.p_copy.values) == 0.0
         np.testing.assert_array_equal(dist.probs.values, dist.gen_probs.values)
 
@@ -374,7 +405,7 @@ class TestOutputDistribution:
         model = make_model("action_copy", seed=11)
         enc = encode_for(model, [["show", "?"]], precedent=None)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.SELECT], [state], [a], enc)
         assert dist.p_copy is None and dist.copy_probs is None
         np.testing.assert_array_equal(dist.probs.values, dist.gen_probs.values)
 
@@ -383,7 +414,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1 WHERE alpha > 1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.SELECT, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.SELECT], [state], [a], enc)
 
         subtrees = [c for c in dist.support if isinstance(c, SubtreeCandidate)]
         assert len(subtrees) == 1          # exactly one Select subtree in the precedent
@@ -407,7 +438,7 @@ class TestOutputDistribution:
         prec = actions_for("SELECT beta FROM t1")
         enc = encode_for(model, [["show", "?"]], precedent=prec)
         state, a = first_step(model, enc)
-        dist = output_distribution(model, GRAMMAR, NonTerminal.ORDER, state, a, enc)
+        [dist] = output_distribution(model, GRAMMAR, [NonTerminal.ORDER], [state], [a], enc)
         assert all(isinstance(c, Production) for c in dist.support)
 
 
@@ -469,6 +500,127 @@ class TestPerTurnConstants:
             encoder_entries = len(tape)
             teacher_forced_loss(model, enc, GRAMMAR, gold)
         assert (len(tape) - encoder_entries) / len(gold) <= 12.0
+
+
+def model_for(method: str, seed: int = 0):
+    """A model for ``method``, a question method and SQL methods joined by
+    ``+``, also a combination the registry does not list."""
+    names = method.split("+")
+    question = names[0] if names[0] in ("none", "concat", "turn", "gate") else "none"
+    cfg = context.ContextConfig(question, frozenset(n for n in names if n != question), h=2,
+                                dims=tuple(sorted(TINY_DIMS.items())))
+    return context.build_model(cfg, VOCAB, seed)
+
+
+def gold_steps(model, enc, gold):
+    """The teacher-forced frontiers, decoder states and attention weights."""
+    deriv = Derivation(GRAMMAR)
+    state = initial_state(model, enc)
+    prev = model.params["bos_emb"]
+    frontiers, states, weights = [], [], []
+    for action in gold:
+        state, a = advance_state(model, enc, state, prev)
+        frontiers.append(deriv.frontier())
+        states.append(state)
+        weights.append(a)
+        deriv.apply(action)
+        prev = enc.embedder(action)
+    return frontiers, states, weights
+
+
+class TestTurnLevelOutput:
+    """A teacher-forced turn is scored by one output_distribution call
+    whose every step equals a one-step call bit for bit."""
+
+    PRECEDENT = "SELECT beta FROM t1 WHERE alpha > 1"
+    GOLD = "SELECT alpha, beta FROM t1 WHERE alpha > 1 ORDER BY beta ASC"
+    SEGMENTS = [["show", "beta", "?"], ["alpha", "of", "t1", "?"]]
+
+    def turn(self, method: str, seed: int = 3):
+        model = model_for(method, seed)
+        segments = ([[t for seg in self.SEGMENTS for t in seg]] if method.startswith("concat")
+                    else self.SEGMENTS)
+        enc = encode_for(model, segments, precedent=actions_for(self.PRECEDENT))
+        return model, enc, list(actions_for(self.GOLD))
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    @pytest.mark.parametrize("method", ["none", "concat", "gate", "turn+tree_copy",
+                                        "sql_attn+action_copy", "concat+tree_copy"])
+    def test_each_step_equals_a_one_step_call_bit_for_bit(self, method, bits, dtype):
+        set_precision(bits)
+        try:
+            model, enc, gold = self.turn(method)
+            frontiers, states, weights = gold_steps(model, enc, gold)
+            dists = output_distribution(model, GRAMMAR, frontiers, states, weights, enc)
+            assert sorted(k for dist in dists for k in dist.steps) == list(range(len(gold)))
+            assert any(len(dist.steps) > 1 for dist in dists)      # rows, not only vectors
+            fields = ("probs", "gen_probs", "copy_probs", "p_copy")
+            for dist in dists:
+                for row, k in enumerate(dist.steps):
+                    [one] = output_distribution(model, GRAMMAR, [frontiers[k]], [states[k]],
+                                                [weights[k]], enc)
+                    assert one.support is dist.support and one.steps == [0]
+                    for name in fields:
+                        got, want = getattr(dist, name), getattr(one, name)
+                        if want is None:
+                            assert got is None
+                            continue
+                        values = got.values if len(dist.steps) == 1 else got.values[row]
+                        assert values.dtype == want.values.dtype == dtype
+                        assert np.array_equal(values, want.values), (name, k)
+            if "tree_copy" in method:
+                assert any(isinstance(c, SubtreeCandidate) for d in dists for c in d.support)
+            if "action_copy" in method:
+                assert any(d.copy_probs is not None and len(d.steps) > 1 for d in dists)
+
+            # The loss adds the same terms in step order.
+            total = None
+            for k, action in enumerate(gold):
+                [one] = output_distribution(model, GRAMMAR, [frontiers[k]], [states[k]],
+                                            [weights[k]], enc)
+                term = 0.0 - np.log(one.probs.values[one.support.index(action)])
+                total = term if total is None else total + term
+            loss = teacher_forced_loss(model, enc, GRAMMAR, gold)
+            assert loss.values.dtype == dtype and loss.values == total
+        finally:
+            set_precision(64)
+
+    def test_one_output_call_per_turn(self, monkeypatch):
+        model, enc, gold = self.turn("turn+sql_attn+action_copy")
+        calls, steps = [], []
+        real_output, real_advance = decoder.output_distribution, decoder.advance_state
+        monkeypatch.setattr(decoder, "output_distribution",
+                            lambda *args: calls.append(args[2]) or real_output(*args))
+        monkeypatch.setattr(decoder, "advance_state",
+                            lambda *args: steps.append(1) or real_advance(*args))
+        with Tape():
+            teacher_forced_loss(model, enc, GRAMMAR, gold)
+        assert len(calls) == 1 and len(calls[0]) == len(gold)
+        assert len(steps) == len(gold)      # the decoder still steps one by one
+
+    @pytest.mark.parametrize("method", ["none", "turn+tree_copy", "turn+sql_attn+action_copy"])
+    def test_output_entries_do_not_grow_with_steps(self, method, monkeypatch):
+        """Two golds over the same frontiers, each repeated at least
+        twice: the longer one records as many output entries."""
+        real = decoder.output_distribution
+        counts = []
+
+        def counted(*args):
+            before = len(tape)
+            out = real(*args)
+            counts.append(len(tape) - before)
+            return out
+
+        monkeypatch.setattr(decoder, "output_distribution", counted)
+        model, enc, _ = self.turn(method)
+        golds = [list(actions_for(sql)) for sql in
+                 ("SELECT alpha, beta FROM t1", "SELECT alpha, beta, max(beta) FROM t1")]
+        assert len(golds[1]) > len(golds[0])
+        assert {a.lhs for a in golds[0]} == {a.lhs for a in golds[1]}
+        for gold in golds:
+            with Tape() as tape:
+                teacher_forced_loss(model, enc, GRAMMAR, gold)
+        assert counts[0] == counts[1] > 0
 
 
 class TestGreedyParse:

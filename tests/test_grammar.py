@@ -91,6 +91,23 @@ class TestConstruction:
         assert not any(l.startswith(("Col", "Tab")) for l in lines[:agnostic_count])
 
 
+    def test_equal_productions_hash_equal_and_share_a_dict_entry(self):
+        import pickle
+
+        made = [Production(NT.AGG, ("max", NT.COL, NT.TAB)),
+                Production(NT.AGG, ("max",) + (NT.COL, NT.TAB)),
+                pickle.loads(pickle.dumps(Production(NT.AGG, ("max", NT.COL, NT.TAB))))]
+        assert made[0] is not made[1] and made[0].rhs is not made[1].rhs
+        assert len({hash(p) for p in made}) == 1
+        assert hash(made[0]) == hash((NT.AGG, ("max", NT.COL, NT.TAB)))
+        index = {made[0]: "first"}
+        for p in made:
+            assert p == made[0] and index[p] == "first"
+        index[made[1]] = "second"
+        assert index == {made[2]: "second"}
+        assert Production(NT.AGG, ("min", NT.COL, NT.TAB)) not in index
+        assert Production(NT.AGG, ("max", NT.COL, NT.TAB)) != Production(NT.ORDER, ("max", NT.AGG))
+
 class TestTreeSequence:
     def test_figure2_sequence_roundtrip(self, cars_schema, figure2_actions_text):
         g = build_grammar(cars_schema)

@@ -22,6 +22,7 @@ from dialsql.nn import (
     lstm_cell,
     lstm_sequence,
     ops,
+    set_precision,
 )
 
 
@@ -134,7 +135,7 @@ class TestFastPaths:
         with pytest.raises(InvalidMaskError):
             softmax(Tensor(np.zeros(0)))
         with pytest.raises(DimensionError):
-            softmax(Tensor(np.zeros((2, 2))))
+            softmax(Tensor(np.zeros((2, 2, 2))))
 
     def test_sigmoid_equals_two_branch_reference_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -161,7 +162,8 @@ class TestFastPaths:
                 ops.take_rows(m, 1), ops.take_rows(m, [0, 0]),
                 ops.concat([x, x]), ops.stack([s, s]), ops.stack([x, x]),
                 ops.expand_by_counts(x, [1, 2]), ops.transpose(m),
-                ops.matmul(m, x),
+                ops.matmul(m, x), ops.rows_matmul(m, m, True),
+                ops.partition(x, [[1], [0]])[0],
                 ops.attention(m, m, x, x)[1],
                 ops.mixture([x], x, [True, False], np.eye(2), s)[0],
                 ops.nll([x], [0])]
@@ -644,14 +646,194 @@ class TestFusedOps:
         with pytest.raises(ContractError):
             ops.nll([], [])
 
+    @staticmethod
+    def _mixture_rows(rng, subtrees, copy, rows=3):
+        """:meth:`_mixture_inputs` with one row per step: matrix logits
+        and copy scores, one gate per row."""
+        parts = [leaf(rng.normal(size=(rows, 4)))]
+        if subtrees:
+            parts.append(leaf(rng.normal(size=(rows, 2))))
+        kwargs = {}
+        if copy:
+            n = sum(p.shape[1] for p in parts)
+            agg = np.zeros((n, 5))
+            for m in (0, 2, 3):
+                agg[m % n, m] = 1.0
+            agg[1, 4] = 1.0
+            kwargs = {"copy_scores": leaf(rng.normal(size=(rows, 5))),
+                      "copy_mask": [True, False, True, True, True],
+                      "copy_agg": agg, "gate": leaf(rng.normal(size=rows))}
+        return parts, kwargs
+
+    @pytest.mark.parametrize("subtrees", [False, True])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_mixture_rows_gradients_through_every_output(self, subtrees, copy):
+        rng = np.random.default_rng(50 + 2 * subtrees + copy)
+        parts, kwargs = self._mixture_rows(rng, subtrees, copy)
+        width = sum(p.shape[1] for p in parts)
+        weights = [Tensor(rng.normal(size=(3, width))) for _ in range(3)]
+
+        def loss():
+            probs, gen, mixed, p_copy = ops.mixture(parts, **kwargs)
+            total = ops.add(ops.nll([probs], [[2, 0, 1]]),
+                            ops.reduce_sum(ops.mul(gen, weights[0])))
+            if copy:
+                total = ops.add(total, ops.add(ops.reduce_sum(ops.mul(mixed, weights[1])),
+                                               ops.reduce_sum(ops.mul(p_copy, p_copy))))
+            return total
+
+        res = grad_check(loss, parts + [kwargs[k] for k in ("copy_scores", "gate") if k in kwargs])
+        assert res.max_rel_error < 1e-6, res
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    @pytest.mark.parametrize("subtrees", [False, True])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_mixture_rows_equal_one_row_calls_bit_for_bit(self, subtrees, copy, bits, dtype):
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(60)
+            parts, kwargs = self._mixture_rows(rng, subtrees, copy, rows=4)
+            outs = ops.mixture(parts, **kwargs)
+            for r in range(4):
+                row_kwargs = dict(kwargs)
+                if copy:
+                    row_kwargs["copy_scores"] = Tensor(kwargs["copy_scores"].values[r])
+                    row_kwargs["gate"] = Tensor(kwargs["gate"].values[r])
+                ones = ops.mixture([Tensor(p.values[r]) for p in parts], **row_kwargs)
+                for got, want in zip(outs, ones):
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert got.values.dtype == want.values.dtype == dtype
+                    assert np.array_equal(got.values[r], want.values)
+        finally:
+            set_precision(64)
+
+    def test_mixture_rows_check_their_shapes(self):
+        rng = np.random.default_rng(61)
+        parts, kwargs = self._mixture_rows(rng, True, True)
+        with pytest.raises(DimensionError):
+            ops.mixture([parts[0], leaf(rng.normal(size=(2, 2)))])     # unequal rows
+        with pytest.raises(DimensionError):
+            ops.mixture([parts[0], leaf(rng.normal(size=2))])          # a row and rows
+        with pytest.raises(DimensionError):
+            ops.mixture(parts, **{**kwargs, "gate": leaf(0.3)})        # one gate per row
+        with pytest.raises(DimensionError):
+            ops.mixture(parts, **{**kwargs, "copy_scores": leaf(rng.normal(size=(2, 5)))})
+
+    def test_nll_rows_added_in_the_given_order(self):
+        rng = np.random.default_rng(62)
+        probs = [leaf(rng.uniform(0.1, 1.0, size=3)), leaf(rng.uniform(0.1, 1.0, size=(3, 4))),
+                 leaf(rng.uniform(0.1, 1.0, size=(2, 2)))]
+        targets = [2, [0, 3, 1], [1, 1]]
+        # Terms, numbered part by part and row by row: p0[2], p1[0,0],
+        # p1[1,3], p1[2,1], p2[0,1], p2[1,1]; added in this order:
+        order = [1, 4, 0, 5, 2, 3]
+        picked = [probs[0].values[2], probs[1].values[0, 0], probs[1].values[1, 3],
+                  probs[1].values[2, 1], probs[2].values[0, 1], probs[2].values[1, 1]]
+        expected = None
+        for j in order:
+            term = 0.0 - np.log(picked[j])
+            expected = term if expected is None else expected + term
+        assert ops.nll(probs, targets, order).values == expected
+        res = grad_check(lambda: ops.nll(probs, targets, order), probs)
+        assert res.max_rel_error < 1e-6, res
+        with pytest.raises(ContractError):
+            ops.nll(probs, targets, order[:-1])
+        with pytest.raises(ContractError):
+            ops.nll(probs, targets, [0, 0, 1, 2, 3, 4])
+        with pytest.raises(DimensionError):
+            ops.nll(probs, [2, [0, 3], [1, 1]])           # one target per row
+
+    @staticmethod
+    def _row_products(rng):
+        """(x, m, transpose) for every form of :func:`ops.rows_matmul`."""
+        x = leaf(rng.normal(size=(4, 5)))
+        return [(x, leaf(rng.normal(size=(5, 3))), False),
+                (x, leaf(rng.normal(size=(3, 5))), True),
+                (x, leaf(rng.normal(size=5)), False),
+                (leaf(rng.normal(size=5)), leaf(rng.normal(size=(5, 3))), False),
+                (leaf(rng.normal(size=5)), leaf(rng.normal(size=(3, 5))), True),
+                (leaf(rng.normal(size=5)), leaf(rng.normal(size=5)), False)]
+
+    def test_rows_matmul_gradients(self):
+        rng = np.random.default_rng(63)
+        for x, m, transpose in self._row_products(rng):
+            out = ops.rows_matmul(x, m, transpose)
+            weights = Tensor(rng.normal(size=out.shape))
+            res = grad_check(lambda: ops.reduce_sum(ops.mul(ops.rows_matmul(x, m, transpose),
+                                                            weights)), [x, m])
+            assert res.max_rel_error < 1e-6, (x.shape, m.shape, transpose, res)
+        with pytest.raises(DimensionError):
+            ops.rows_matmul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3))))
+        with pytest.raises(DimensionError):
+            ops.rows_matmul(leaf(np.ones((2, 3))), leaf(np.ones(3)), transpose=True)
+
+    @pytest.mark.parametrize("bits", [64, 32])
+    def test_rows_matmul_equals_matmul_per_row_bit_for_bit(self, bits):
+        """Values, and the gradients of both operands, equal those of one
+        :func:`matmul` per row recorded in row order."""
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(64)
+            for x, m, transpose in self._row_products(rng)[:3]:
+                x, m = leaf(x.values), leaf(m.values)     # at the active precision
+                upstream = Tensor(rng.normal(size=ops.rows_matmul(x, m, transpose).shape))
+                with Tape() as tape:
+                    out = ops.rows_matmul(x, m, transpose)
+                    tape.backward(ops.reduce_sum(ops.mul(out, upstream)))
+                fused = out.values, x.grad, m.grad
+                x.grad = m.grad = None
+                rows = [leaf(r) for r in x.values]
+                with Tape() as tape:
+                    outs = [ops.matmul(m, r) if transpose else ops.matmul(r, m) for r in rows]
+                    total = None
+                    for o, u in zip(outs, upstream.values):
+                        term = ops.reduce_sum(ops.mul(o, Tensor(u)) if o.shape else
+                                              ops.scale_by(o, Tensor(u)))
+                        total = term if total is None else ops.add(total, term)
+                    tape.backward(total)
+                assert np.array_equal(fused[0], np.array([o.values for o in outs]))
+                assert np.array_equal(fused[1], np.array([r.grad for r in rows]))
+                assert np.array_equal(fused[2], m.grad), (m.shape, transpose)
+        finally:
+            set_precision(64)
+
+    def test_partition_blocks_and_gradients(self):
+        rng = np.random.default_rng(65)
+        m = leaf(rng.normal(size=(5, 3)))
+        parts = ops.partition(m, [[3, 0], 4, [1]])
+        assert [p.shape for p in parts] == [(2, 3), (3,), (1, 3)]
+        assert np.array_equal(parts[0].values, m.values[[3, 0]])
+        assert np.array_equal(parts[1].values, m.values[4])
+        weights = [Tensor(rng.normal(size=p.shape)) for p in parts]
+
+        def loss():
+            a, b, _ = ops.partition(m, [[3, 0], 4, [1]])     # row 2 in no block
+            return ops.add(ops.reduce_sum(ops.mul(a, weights[0])),
+                           ops.reduce_sum(ops.mul(b, weights[1])))
+
+        res = grad_check(loss, [m])
+        assert res.max_rel_error < 1e-6, res
+        with Tape() as tape:
+            tape.backward(loss())
+        assert not m.grad[[1, 2]].any()
+        with pytest.raises(ContractError):
+            ops.partition(m, [[0, 1], 1])
+        with pytest.raises(ContractError):
+            ops.partition(m, [[0, 5]])
+
 
 def _dense(delta):
     """A factored delta ``(u1, v1, u2, v2, ...)`` as its dense sum of
-    outer products, added step by step; other deltas unchanged."""
+    outer products, added step by step (a pair of matrices row by row);
+    other deltas unchanged."""
     if type(delta) is not tuple:
         return delta
-    total = delta[0][:, None] * delta[1]
-    for u, v in zip(delta[2::2], delta[3::2]):
+    pairs = [pair for u, v in zip(delta[0::2], delta[1::2])
+             for pair in (zip(u, v) if u.ndim == 2 else [(u, v)])]
+    total = pairs[0][0][:, None] * pairs[0][1]
+    for u, v in pairs[1:]:
         total = total + u[:, None] * v
     return total
 

@@ -22,8 +22,9 @@ The sections, in order:
 - ``forward``: on the same turns, without a tape, the attention memory,
   the precedent's action states and subtree embeddings, and at every
   teacher-forced step the attention weights and context vectors and the
-  output probabilities. A forward change of a few ulps can leave the
-  losses and greedy actions as they were, but it moves these values;
+  output probabilities, as the turn-level output call gives them. A
+  forward change of a few ulps can leave the losses and greedy actions
+  as they were, but it moves these values;
 - ``checkpoints``: the bytes of every checkpoint in ``bench/models``
   loaded and saved again;
 - ``fit``: ``SqlParser.fit`` for two configurations, 2 epochs at dims
@@ -83,7 +84,9 @@ def corpora(h: dict, tmp: Path) -> None:
 
 def forward(h, model, encoded, grammar, gold) -> None:
     """Hash the turn's encodings and, along the gold derivation, each
-    step's attention outputs and output probabilities."""
+    step's attention outputs and output probabilities, the latter read
+    from one turn-level :func:`output_distribution` call as
+    ``teacher_forced_loss`` makes it."""
     h.update(encoded.attention.memory.values.tobytes())
     if encoded.copy.states is not None:
         h.update(encoded.copy.states.values.tobytes())
@@ -92,13 +95,22 @@ def forward(h, model, encoded, grammar, gold) -> None:
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
+    frontiers, states, weights = [], [], []
     for action in gold:
         state, a = advance_state(model, encoded, state, prev)
-        dist = output_distribution(model, grammar, deriv.frontier(), state, a, encoded)
-        for t in (a, state.context, state.sql_context, dist.probs):
-            h.update(b"-" if t is None else t.values.tobytes())
+        frontiers.append(deriv.frontier())
+        states.append(state)
+        weights.append(a)
         deriv.apply(action)
         prev = encoded.embedder(action)
+    probs = {}
+    for dist in output_distribution(model, grammar, frontiers, states, weights, encoded):
+        values = dist.probs.values
+        probs.update(zip(dist.steps, [values] if values.ndim == 1 else values))
+    for k, (state, a) in enumerate(zip(states, weights)):
+        for t in (a, state.context, state.sql_context):
+            h.update(b"-" if t is None else t.values.tobytes())
+        h.update(probs[k].tobytes())
 
 
 def teacher_forced_turns():
