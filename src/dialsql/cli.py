@@ -4,14 +4,21 @@ synth-data, convert, analyze.
 Every command is reproducible from (config file, seed) alone; logs and
 checkpoint sidecars embed the configuration hash. Exit codes: 0 on
 success, 1 on runtime failure, 2 on usage errors.
+
+The settings are ``SqlParser``'s fields plus ``precision``: each field
+is a ``--<name>`` flag (underscores become dashes) and a ``--config``
+key, of the field's type, and its default is the field's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from . import checks
@@ -22,7 +29,7 @@ from .estimator import SqlParser, predict_corpus
 from .evaluation import MetricsReport, apply_annotations, compute_metrics, \
     emit_report, load_annotations
 from .grammar import GrammarError, ast_to_sql, sql_to_ast
-from .nn import ContractError, TensorError, set_precision
+from .nn import ContractError, TensorError, get_precision, set_precision
 from .schema import SchemaError
 
 logger = logging.getLogger(__name__)
@@ -30,16 +37,19 @@ logger = logging.getLogger(__name__)
 _RUNTIME_ERRORS = (ConfigError, ContractError, DataError, GrammarError,
                    SchemaError, TensorError, OSError, ValueError)
 
-# Estimator parameters a --config file or an override flag may set.
-_CONFIG_TYPES = {
-    "method": str, "h": int, "embedding_dim": int, "hidden_dim": int,
-    "distance_dim": int, "lr": (int, float), "epochs": int,
-    "batch_size": int, "clip_norm": (int, float), "max_steps": int,
-    "min_freq": int, "embeddings": str, "target_ques_match": (int, float),
-    "eval_every": int, "seed": int, "precision": int,
-}
-_CONFIG_KEYS = tuple(_CONFIG_TYPES)
-_OPTIONAL_KEYS = ("embeddings", "target_ques_match")
+
+def _setting_types() -> dict[str, tuple[type, bool]]:
+    """Each setting's type (str, int or float; ``X`` of ``X | None``) and
+    whether it may be null."""
+    types = {}
+    for name, hint in typing.get_type_hints(SqlParser).items():
+        kinds = typing.get_args(hint) or (hint,)
+        types[name] = (kinds[0], type(None) in kinds)
+    types["precision"] = (int, False)
+    return types
+
+
+_SETTING_TYPES = _setting_types()
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -58,16 +68,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
         except OSError as err:
             raise _usage_error(f"cannot read config file: {err}")
         checks.of_type(_usage_error, args.config, loaded, dict)
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - set(_SETTING_TYPES)
         if unknown:
             raise _usage_error(
                 f"{args.config}: unknown config keys {sorted(unknown)}")
         for key, value in loaded.items():
-            if value is None and key in _OPTIONAL_KEYS:
+            kind, nullable = _SETTING_TYPES[key]
+            if value is None and nullable:
                 continue
-            checks.of_type(_usage_error, f"{args.config}: {key}", value, _CONFIG_TYPES[key])
+            # a float setting also takes an integer
+            checks.of_type(_usage_error, f"{args.config}: {key}", value,
+                           (int, float) if kind is float else kind)
         merged.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in _SETTING_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -76,23 +89,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _parser_from(settings: dict) -> SqlParser:
-    params = {k: v for k, v in settings.items() if k != "precision"}
-    return SqlParser(**params)
-
-
-def _load_data(args: argparse.Namespace) -> Corpus:
-    return load_corpus(args.dialogues, args.schemas)
-
-
-def _write_train_log(path: Path, parser: SqlParser, settings: dict) -> None:
+def _write_train_log(path: Path, parser: SqlParser) -> None:
     rows = ["epoch,loss,grad_norm,clipped,ques_match"]
     for entry in parser.history_:
         metric = entry.get("ques_match")
         rows.append(f"{entry['epoch']},{entry['loss']!r},{entry['grad_norm']!r},"
                     f"{entry['clipped']!r},{'' if metric is None else repr(metric)}")
     header = (f"# config_hash={config_hash(parser.model_.config)}"
-              f" seed={settings['seed']} precision={settings['precision']}")
+              f" seed={parser.seed} precision={get_precision()}")
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
 
 
@@ -115,28 +119,23 @@ def _write_reports(report: MetricsReport, prefix: Path) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes its arguments and an unfitted SqlParser that holds
+# the resolved settings (None for a command without config flags)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    set_precision(settings["precision"])
-    corpus = _load_data(args)
-    parser = _parser_from(settings)
-    parser.fit(corpus)
+def cmd_train(args: argparse.Namespace, parser: SqlParser) -> int:
+    parser.fit(load_corpus(args.dialogues, args.schemas))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     parser.save(out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log.csv")
-    _write_train_log(log_path, parser, settings)
+    _write_train_log(log_path, parser)
     logger.info("wrote checkpoint %s and training log %s", out, log_path)
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    set_precision(settings["precision"])
-    corpus = _load_data(args)
+def cmd_evaluate(args: argparse.Namespace, parser: SqlParser) -> int:
+    corpus = load_corpus(args.dialogues, args.schemas)
     if args.annotations:
         corpus = apply_annotations(corpus, load_annotations(args.annotations))
     model = load_checkpoint(args.checkpoint)
@@ -144,7 +143,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 config_hash(model.config))
     predictions = predict_corpus(model, corpus,
                                  gold_previous_sql=args.gold_previous_sql,
-                                 max_steps=settings["max_steps"])
+                                 max_steps=parser.max_steps)
     report = compute_metrics(predictions, corpus)
     for path in _write_reports(report, Path(args.out)):
         logger.info("wrote %s", path)
@@ -152,34 +151,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    set_precision(settings["precision"])
-    corpus = _load_data(args)
+def cmd_predict(args: argparse.Namespace, parser: SqlParser) -> int:
+    corpus = load_corpus(args.dialogues, args.schemas)
     model = load_checkpoint(args.checkpoint)
     predictions = predict_corpus(model, corpus,
                                  gold_previous_sql=args.gold_previous_sql,
-                                 max_steps=settings["max_steps"])
+                                 max_steps=parser.max_steps)
     write_predictions(predictions, corpus, args.out)
     logger.info("wrote predictions for %d turns to %s", len(predictions), args.out)
     return 0
 
 
-def cmd_ood_experiment(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    set_precision(settings["precision"])
-    corpus = _load_data(args)
-    train_corpus, eval_corpus = ood_split(corpus)
+def cmd_ood_experiment(args: argparse.Namespace, parser: SqlParser) -> int:
+    train_corpus, eval_corpus = ood_split(load_corpus(args.dialogues, args.schemas))
     if not eval_corpus.dialogues:
         raise DataError(f"{args.dialogues}: no dialogue has a third turn to evaluate")
     logger.info("ood split: %d training examples, %d evaluation dialogues",
                 len(train_corpus.supported_examples()), len(eval_corpus.dialogues))
-    parser = _parser_from(settings)
     parser.fit(train_corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     parser.save(out_dir / "model.ckpt")
-    _write_train_log(out_dir / "train.log.csv", parser, settings)
+    _write_train_log(out_dir / "train.log.csv", parser)
     predictions = parser.predict(eval_corpus,
                                  gold_previous_sql=args.gold_previous_sql)
     write_predictions(predictions, eval_corpus, out_dir / "predictions.tsv")
@@ -189,9 +182,8 @@ def cmd_ood_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth_data(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    corpus = gen_synthetic(seed=settings["seed"], n_dialogues=args.n_dialogues,
+def cmd_synth_data(args: argparse.Namespace, parser: SqlParser) -> int:
+    corpus = gen_synthetic(seed=parser.seed, n_dialogues=args.n_dialogues,
                            max_turns=args.max_turns, share_prob=args.share_prob)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,7 +194,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace, parser: None) -> int:
     n_dialogues, n_turns = convert_public(args.dialogues, args.tables,
                                           Path(args.out_dir), args.prefix)
     logger.info("converted %d dialogues (%d turns) into %s",
@@ -210,11 +202,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = resolve_config(args)
-    set_precision(settings["precision"])
-    corpus = _load_data(args)
-    corpus = apply_annotations(corpus, load_annotations(args.annotations))
+def cmd_analyze(args: argparse.Namespace, parser: SqlParser) -> int:
+    corpus = apply_annotations(load_corpus(args.dialogues, args.schemas),
+                               load_annotations(args.annotations))
     predictions = read_predictions(args.predictions, corpus)
     report = compute_metrics(predictions, corpus)
     if not report.per_phenomenon:
@@ -381,26 +371,16 @@ def convert_public(dialogues_path, tables_path, out_dir: Path,
 # argument parsing
 
 
-def _add_config_flags(cmd: argparse.ArgumentParser) -> None:
+def _add_config_flags(cmd: argparse.ArgumentParser, names=None) -> None:
+    """``--config``, a flag for each setting in ``names`` (default: all)
+    and ``--precision``; a str setting's flag keeps argparse's default type."""
     cmd.add_argument("--config", help="JSON file of configuration overrides")
-    cmd.add_argument("--method", help="context method name")
-    cmd.add_argument("--h", type=int, help="recent-question window size")
-    cmd.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-    cmd.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    cmd.add_argument("--distance-dim", type=int, dest="distance_dim")
-    cmd.add_argument("--lr", type=float, help="Adam learning rate")
-    cmd.add_argument("--epochs", type=int)
-    cmd.add_argument("--batch-size", type=int, dest="batch_size")
-    cmd.add_argument("--clip-norm", type=float, dest="clip_norm")
-    cmd.add_argument("--max-steps", type=int, dest="max_steps",
-                     help="decode step budget per turn")
-    cmd.add_argument("--min-freq", type=int, dest="min_freq",
-                     help="vocabulary frequency cutoff")
-    cmd.add_argument("--embeddings", help="pretrained embedding text file")
-    cmd.add_argument("--target-ques-match", type=float, dest="target_ques_match",
-                     help="stop early once training accuracy reaches this")
-    cmd.add_argument("--eval-every", type=int, dest="eval_every")
-    cmd.add_argument("--seed", type=int)
+    for f in fields(SqlParser):
+        if names is None or f.name in names:
+            kind, _ = _SETTING_TYPES[f.name]
+            cmd.add_argument("--" + f.name.replace("_", "-"),
+                             type=None if kind is str else kind,
+                             help=f.metadata.get("help"))
     cmd.add_argument("--precision", type=int, choices=(32, 64))
 
 
@@ -451,12 +431,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("synth-data", help="generate a synthetic corpus")
     cmd.add_argument("--out-dir", required=True, dest="out_dir")
-    cmd.add_argument("--n-dialogues", type=int, default=20, dest="n_dialogues")
-    cmd.add_argument("--max-turns", type=int, default=4, dest="max_turns")
-    cmd.add_argument("--share-prob", type=float, default=0.5, dest="share_prob")
-    cmd.add_argument("--config")
-    cmd.add_argument("--seed", type=int)
-    cmd.add_argument("--precision", type=int, choices=(32, 64))
+    params = inspect.signature(gen_synthetic).parameters
+    for name in ("n_dialogues", "max_turns", "share_prob"):
+        default = params[name].default
+        cmd.add_argument("--" + name.replace("_", "-"), type=type(default),
+                         default=default)
+    _add_config_flags(cmd, names=("seed",))
     cmd.set_defaults(run=cmd_synth_data)
 
     cmd = sub.add_parser("convert",
@@ -484,13 +464,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
+        parser = None
+        if "config" in args:            # the commands that take config flags
+            settings = resolve_config(args)
+            set_precision(settings.pop("precision"))
+            parser = SqlParser(**settings)
+        return args.run(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except _RUNTIME_ERRORS as err:

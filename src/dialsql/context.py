@@ -31,6 +31,7 @@ __all__ = [
     "TurnInputs",
     "method_names",
     "method_config",
+    "method_name",
     "build_model",
     "param_shapes",
     "prepare_inputs",
@@ -108,10 +109,10 @@ class ContextConfig:
         dims = dict(DEFAULT_DIMS)
         dims.update(checks.of_type(ConfigError, "dims", data.get("dims", {}), dict))
         return cls(
-            question_method=data.get("question_method", "none"),
+            question_method=data.get("question_method", cls.question_method),
             sql_methods=frozenset(checks.strings(ConfigError, "sql_methods",
                                                  data.get("sql_methods", []))),
-            h=data.get("h", 5),
+            h=data.get("h", cls.h),
             dims=tuple(sorted(dims.items())),
         )
 
@@ -126,7 +127,8 @@ def method_names() -> list[str]:
     return list(_manifest())
 
 
-def method_config(name: str, h: int = 5, dims: dict | None = None) -> ContextConfig:
+def method_config(name: str, h: int = ContextConfig.h,
+                  dims: dict | None = None) -> ContextConfig:
     manifest = _manifest()
     if name not in manifest:
         raise ConfigError(f"unknown method {name!r}; choose from {', '.join(manifest)}")
@@ -135,6 +137,14 @@ def method_config(name: str, h: int = 5, dims: dict | None = None) -> ContextCon
     if dims is not None:
         entry["dims"] = dims
     return ContextConfig.from_dict(entry)
+
+
+def method_name(config: ContextConfig) -> str:
+    """The registered name of ``config``'s methods (at its own h and dims)."""
+    for name in method_names():
+        if method_config(name, config.h, dict(config.dims)) == config:
+            return name
+    raise ConfigError(f"no registered method has the config {config.to_dict()}")
 
 
 def config_hash(config: ContextConfig) -> str:
@@ -334,7 +344,7 @@ def load_checkpoint(path: str | Path) -> ModelBundle:
     tokens = checks.strings(ConfigError, f"{path}: vocab", blob["vocab"])
     try:
         config = ContextConfig.from_dict(raw_config)
-        vocab = Vocabulary.from_list(tokens)
+        vocab = Vocabulary(tokens)
     except (ConfigError, DataError) as err:
         raise ConfigError(f"{path}: bad config or vocab: {err}") from err
     expected = param_shapes(config, vocab)

@@ -152,10 +152,6 @@ class Vocabulary:
     def to_list(self) -> list[str]:
         return list(self._tokens[len(self.RESERVED):])
 
-    @classmethod
-    def from_list(cls, tokens: list[str]) -> "Vocabulary":
-        return cls(tokens)
-
 
 def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
     """Corpus tokens at or above min_freq plus all schema-name tokens.

@@ -86,6 +86,9 @@ __all__ = [
     "linking_matrix",
 ]
 
+# Decoding stops after this many actions unless the caller sets a budget.
+MAX_STEPS = 200
+
 
 class FrontierError(GrammarError):
     """No legal candidate exists for the current frontier."""
@@ -570,7 +573,7 @@ class ParseResult:
 
 
 def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
-                 max_steps: int = 200) -> ParseResult:
+                 max_steps: int = MAX_STEPS) -> ParseResult:
     """Argmax decoding; ties go to the lowest candidate index.
 
     A chosen subtree appends its whole action sequence in one step.

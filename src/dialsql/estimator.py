@@ -3,23 +3,28 @@ sequential per-dialogue prediction."""
 
 from __future__ import annotations
 
+import inspect
 import logging
 import time
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .context import (
-    SQL_METHODS,
+    DEFAULT_DIMS,
+    ContextConfig,
     ModelBundle,
     build_model,
     config_hash,
     load_checkpoint,
     method_config,
+    method_name,
     prepare_inputs,
     save_checkpoint,
 )
 from .data import Corpus, build_vocab, load_embeddings
-from .decoder import ActionEmbedder, encode_turn, greedy_parse, teacher_forced_loss
+from .decoder import MAX_STEPS, ActionEmbedder, encode_turn, greedy_parse, \
+    teacher_forced_loss
 from .evaluation import compute_metrics
 from .grammar import AST, Grammar, actions_to_ast, build_grammar
 from .nn import Adam, ContractError, Tape, Tensor, clip_global_norm, ops
@@ -35,7 +40,7 @@ def _grammars(corpus: Corpus) -> dict[str, Grammar]:
 
 def predict_corpus(model: ModelBundle, corpus: Corpus,
                    gold_previous_sql: bool = False,
-                   max_steps: int = 200) -> dict[tuple[str, int], AST | None]:
+                   max_steps: int = MAX_STEPS) -> dict[tuple[str, int], AST | None]:
     """Greedy-decode every turn, dialogues in order, turns sequentially.
 
     The precedent query fed to copy mechanisms is the model's own
@@ -62,48 +67,48 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     return out
 
 
+def _help(default, text: str):
+    """A setting's field whose CLI flag shows ``text`` in ``--help``."""
+    return field(default=default, metadata={"help": text})
+
+
+@dataclass(eq=False)
 class SqlParser:
     """Context-dependent text-to-SQL parser with a fit/predict surface.
 
-    Constructor arguments are stored verbatim (get_params/set_params
-    compatible); fitted state lives in ``model_`` and ``history_``.
+    The fields are the settings, in one list: the constructor takes them
+    in this order, get_params/set_params read and write them, and the
+    command line makes each a ``--<name>`` flag and a ``--config`` key.
+    Fitted state lives in ``model_`` and ``history_``.
     """
 
-    _PARAM_NAMES = ("method", "h", "embedding_dim", "hidden_dim", "distance_dim",
-                    "lr", "epochs", "batch_size", "clip_norm", "seed", "max_steps",
-                    "min_freq", "embeddings", "target_ques_match", "eval_every")
-
-    def __init__(self, method: str = "none", h: int = 5,
-                 embedding_dim: int = 100, hidden_dim: int = 200,
-                 distance_dim: int = 100, lr: float = 1e-3, epochs: int = 50,
-                 batch_size: int = 16, clip_norm: float = 5.0, seed: int = 0,
-                 max_steps: int = 200, min_freq: int = 1,
-                 embeddings: str | None = None,
-                 target_ques_match: float | None = None, eval_every: int = 1):
-        self.method = method
-        self.h = h
-        self.embedding_dim = embedding_dim
-        self.hidden_dim = hidden_dim
-        self.distance_dim = distance_dim
-        self.lr = lr
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.clip_norm = clip_norm
-        self.seed = seed
-        self.max_steps = max_steps
-        self.min_freq = min_freq
-        self.embeddings = embeddings
-        self.target_ques_match = target_ques_match
-        self.eval_every = eval_every
+    method: str = _help("none", "context method name")
+    h: int = _help(ContextConfig.h, "recent-question window size")
+    embedding_dim: int = DEFAULT_DIMS["embedding"]
+    hidden_dim: int = DEFAULT_DIMS["hidden"]
+    distance_dim: int = DEFAULT_DIMS["distance"]
+    lr: float = _help(1e-3, "Adam learning rate")
+    epochs: int = 50
+    batch_size: int = 16
+    clip_norm: float = 5.0
+    seed: int = 0
+    max_steps: int = _help(MAX_STEPS, "decode step budget per turn")
+    min_freq: int = _help(inspect.signature(build_vocab).parameters["min_freq"].default,
+                          "vocabulary frequency cutoff")
+    embeddings: str | None = _help(None, "pretrained embedding text file")
+    target_ques_match: float | None = _help(
+        None, "stop early once training accuracy reaches this")
+    eval_every: int = 1
 
     # -- sklearn-style parameter plumbing ---------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "SqlParser":
+        names = {f.name for f in fields(self)}
         for name, value in params.items():
-            if name not in self._PARAM_NAMES:
+            if name not in names:
                 raise ContractError(f"unknown parameter {name!r}")
             setattr(self, name, value)
         return self
@@ -212,17 +217,9 @@ class SqlParser:
     def load(cls, path) -> "SqlParser":
         model = load_checkpoint(path)
         config = model.config
-        dims = dict(config.dims)
-        parts = ([config.question_method] if config.question_method != "none"
-                 else [])
-        parts += [m for m in SQL_METHODS if m in config.sql_methods]
-        parser = cls(
-            method="+".join(parts) or "none",
-            h=config.h,
-            embedding_dim=dims["embedding"],
-            hidden_dim=dims["hidden"],
-            distance_dim=dims["distance"],
-        )
+        parser = cls(method=method_name(config), h=config.h,
+                     embedding_dim=config.embedding_dim, hidden_dim=config.hidden_dim,
+                     distance_dim=config.distance_dim)
         parser.model_ = model
         parser.history_ = []
         return parser

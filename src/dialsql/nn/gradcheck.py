@@ -20,14 +20,17 @@ class GradCheckResult:
         return f"GradCheckResult(max_rel_error={self.max_rel_error:.3e}, worst={self.worst})"
 
 
+_EPS = 1e-5        # the central-difference step
+_ATOL = 1e-7       # an absolute gap this small counts as exact
+
+
 def grad_check(loss_fn: Callable[[], Tensor], params: Iterable[Tensor],
-               eps: float = 1e-5, names: list[str] | None = None,
-               atol: float = 1e-7) -> GradCheckResult:
+               names: list[str] | None = None) -> GradCheckResult:
     """Compare tape gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must be deterministic and must read the current values
     of ``params`` each call. A coordinate where analytic and numeric
-    gradients agree within ``atol`` counts as exact; central differences
+    gradients agree within ``_ATOL`` counts as exact; central differences
     cannot resolve anything finer. Otherwise the relative error is
     |analytic - numeric| / max(|analytic|, |numeric|). Requires 64-bit
     precision; finite differences at 32 bits drown in roundoff.
@@ -53,14 +56,14 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Iterable[Tensor],
         a_flat = a.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + eps
+            flat[k] = orig + _EPS
             up = float(loss_fn().values)
-            flat[k] = orig - eps
+            flat[k] = orig - _EPS
             down = float(loss_fn().values)
             flat[k] = orig
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * _EPS)
             gap = abs(a_flat[k] - numeric)
-            if gap <= atol:
+            if gap <= _ATOL:
                 continue
             rel = gap / max(abs(a_flat[k]), abs(numeric))
             if rel > max_rel:

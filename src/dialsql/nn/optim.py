@@ -23,10 +23,12 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-def init_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                 scale: float = 0.1) -> np.ndarray:
-    """Uniform initialization on [-scale, scale]."""
-    return rng.uniform(-scale, scale, size=shape).astype(active_dtype())
+_INIT_SCALE = 0.1
+
+
+def init_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform initialization on [-_INIT_SCALE, _INIT_SCALE]."""
+    return rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape).astype(active_dtype())
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
@@ -47,23 +49,22 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8        # Adam's decay rates and denominator floor
+
+
 class Adam:
     """Adam with bias correction, matching the standard formulation."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.values) for p in params]
         self.v = [np.zeros_like(p.values) for p in params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -76,7 +77,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

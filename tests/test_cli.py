@@ -1,4 +1,8 @@
+import argparse
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -560,3 +564,143 @@ class TestExitCodes:
                      "--method", "psychic"])
         assert code == 1
         assert "psychic" in capsys.readouterr().err
+
+
+# The CLI surface, option by option: strings -> (dest, type, default,
+# choices, required). Argparse may list the options in any order.
+DATA_OPTIONS = {
+    ("--dialogues",): ("dialogues", None, None, None, True),
+    ("--schemas",): ("schemas", None, None, None, True),
+}
+CONFIG_OPTIONS = {
+    ("--config",): ("config", None, None, None, False),
+    ("--method",): ("method", None, None, None, False),
+    ("--h",): ("h", int, None, None, False),
+    ("--embedding-dim",): ("embedding_dim", int, None, None, False),
+    ("--hidden-dim",): ("hidden_dim", int, None, None, False),
+    ("--distance-dim",): ("distance_dim", int, None, None, False),
+    ("--lr",): ("lr", float, None, None, False),
+    ("--epochs",): ("epochs", int, None, None, False),
+    ("--batch-size",): ("batch_size", int, None, None, False),
+    ("--clip-norm",): ("clip_norm", float, None, None, False),
+    ("--seed",): ("seed", int, None, None, False),
+    ("--max-steps",): ("max_steps", int, None, None, False),
+    ("--min-freq",): ("min_freq", int, None, None, False),
+    ("--embeddings",): ("embeddings", None, None, None, False),
+    ("--target-ques-match",): ("target_ques_match", float, None, None, False),
+    ("--eval-every",): ("eval_every", int, None, None, False),
+    ("--precision",): ("precision", int, None, (32, 64), False),
+}
+GOLD_PREVIOUS_SQL = {("--gold-previous-sql",): ("gold_previous_sql", None, False, None, False)}
+SURFACE = {
+    "train": {**DATA_OPTIONS, **CONFIG_OPTIONS,
+              ("--out",): ("out", None, None, None, True),
+              ("--log",): ("log", None, None, None, False)},
+    "evaluate": {**DATA_OPTIONS, **CONFIG_OPTIONS, **GOLD_PREVIOUS_SQL,
+                 ("--checkpoint",): ("checkpoint", None, None, None, True),
+                 ("--out",): ("out", None, None, None, True),
+                 ("--annotations",): ("annotations", None, None, None, False)},
+    "predict": {**DATA_OPTIONS, **CONFIG_OPTIONS, **GOLD_PREVIOUS_SQL,
+                ("--checkpoint",): ("checkpoint", None, None, None, True),
+                ("--out",): ("out", None, None, None, True)},
+    "ood-experiment": {**DATA_OPTIONS, **CONFIG_OPTIONS, **GOLD_PREVIOUS_SQL,
+                       ("--out-dir",): ("out_dir", None, None, None, True)},
+    "synth-data": {("--out-dir",): ("out_dir", None, None, None, True),
+                   ("--n-dialogues",): ("n_dialogues", int, 20, None, False),
+                   ("--max-turns",): ("max_turns", int, 4, None, False),
+                   ("--share-prob",): ("share_prob", float, 0.5, None, False),
+                   ("--config",): ("config", None, None, None, False),
+                   ("--seed",): ("seed", int, None, None, False),
+                   ("--precision",): ("precision", int, None, (32, 64), False)},
+    "convert": {("--dialogues",): ("dialogues", None, None, None, True),
+                ("--tables",): ("tables", None, None, None, True),
+                ("--out-dir",): ("out_dir", None, None, None, True),
+                ("--prefix",): ("prefix", None, "dlg", None, False)},
+    "analyze": {**DATA_OPTIONS, **CONFIG_OPTIONS,
+                ("--predictions",): ("predictions", None, None, None, True),
+                ("--annotations",): ("annotations", None, None, None, True),
+                ("--out",): ("out", None, None, None, True)},
+}
+
+# Each --config key and the JSON values it takes, of a string, an
+# integer, a fraction, null and a boolean.
+CONFIG_KEYS = {
+    "method": {"str"}, "h": {"int"}, "embedding_dim": {"int"}, "hidden_dim": {"int"},
+    "distance_dim": {"int"}, "lr": {"int", "float"}, "epochs": {"int"},
+    "batch_size": {"int"}, "clip_norm": {"int", "float"}, "seed": {"int"},
+    "max_steps": {"int"}, "min_freq": {"int"}, "embeddings": {"str", "null"},
+    "target_ques_match": {"int", "float", "null"}, "eval_every": {"int"},
+    "precision": {"int"},
+}
+PROBES = {"str": "x", "int": 64, "float": 0.5, "null": None, "bool": True}
+
+# What resolve_config returns when neither a file nor a flag sets anything.
+DEFAULT_SETTINGS = {
+    "precision": 64, "method": "none", "h": 5, "embedding_dim": 100, "hidden_dim": 200,
+    "distance_dim": 100, "lr": 1e-3, "epochs": 50, "batch_size": 16, "clip_norm": 5.0,
+    "seed": 0, "max_steps": 200, "min_freq": 1, "embeddings": None,
+    "target_ques_match": None, "eval_every": 1,
+}
+
+
+def _subcommands():
+    from dialsql.cli import build_arg_parser
+    [sub] = [a for a in build_arg_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestSurface:
+    def test_every_option_of_every_subcommand(self):
+        commands = _subcommands()
+        assert list(commands) == list(SURFACE)
+        for name, command in commands.items():
+            options = {tuple(a.option_strings): (a.dest, a.type, a.default, a.choices,
+                                                 a.required)
+                       for a in command._actions if not isinstance(a, argparse._HelpAction)}
+            assert options == SURFACE[name], name
+
+    def test_config_keys_and_the_values_they_take(self, tmp_path, capsys):
+        from dialsql.cli import resolve_config
+        cfg = tmp_path / "c.json"
+        for key, kinds in CONFIG_KEYS.items():
+            taken = set()
+            for kind, value in PROBES.items():
+                cfg.write_text(json.dumps({key: value}))
+                try:
+                    settings = resolve_config(argparse.Namespace(config=str(cfg)))
+                except SystemExit as exc:
+                    assert exc.code == 2
+                else:
+                    assert settings[key] == value
+                    taken.add(kind)
+            assert taken == kinds, key
+        capsys.readouterr()
+
+    def test_defaults_that_resolve_config_merges(self):
+        from dialsql.cli import resolve_config
+        assert resolve_config(argparse.Namespace()) == DEFAULT_SETTINGS
+
+
+class TestSettingsAgree:
+    def test_readme_lists_every_config_key(self):
+        from dialsql.estimator import SqlParser
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        start = readme.index("A `--config` file is a flat JSON object")
+        listed = readme[readme.index(":", start):readme.index(". Unknown keys", start)]
+        assert re.findall(r"`(\w+)`", listed) == [*SqlParser().get_params(), "precision"]
+
+    def test_synth_data_defaults_are_gen_synthetic_defaults(self):
+        signature = inspect.signature(gen_synthetic).parameters
+        flags = {a.dest: a.default for a in _subcommands()["synth-data"]._actions
+                 if a.dest in ("n_dialogues", "max_turns", "share_prob")}
+        assert flags == {name: signature[name].default for name in flags}
+        assert len(flags) == 3
+
+    def test_parser_window_and_dims_are_context_defaults(self):
+        from dialsql.context import ContextConfig
+        from dialsql.estimator import SqlParser
+        parser, config = SqlParser(), ContextConfig()
+        assert parser.h == config.h
+        assert (parser.embedding_dim, parser.hidden_dim, parser.distance_dim) == \
+            (config.embedding_dim, config.hidden_dim, config.distance_dim)

@@ -14,6 +14,7 @@ from dialsql.context import (
     config_hash,
     load_checkpoint,
     method_config,
+    method_name,
     method_names,
     prepare_inputs,
     save_checkpoint,
@@ -73,6 +74,16 @@ class TestConfig:
         assert cfg.sql_methods == frozenset({"sql_attn", "action_copy"})
         assert method_config("gate").sql_methods == frozenset()
         assert method_config("action_copy").question_method == "none"
+
+    def test_method_name_inverts_method_config(self):
+        for name in method_names():
+            assert method_name(method_config(name, h=2, dims=dict(TINY_DIMS))) == name
+        assert method_name(ContextConfig.from_dict({})) == "none"
+
+    def test_unregistered_combination_has_no_name(self):
+        config = ContextConfig(question_method="gate", sql_methods=frozenset({"tree_copy"}))
+        with pytest.raises(ConfigError, match="no registered method"):
+            method_name(config)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

@@ -63,7 +63,7 @@ class TestVocabulary:
     def test_round_trip(self):
         v = Vocabulary(["alpha", "beta", "gamma"])
         assert v.to_list() == ["alpha", "beta", "gamma"]
-        again = Vocabulary.from_list(v.to_list())
+        again = Vocabulary(v.to_list())
         assert again.index("gamma") == v.index("gamma")
 
     def test_token_lookup(self):
