@@ -85,7 +85,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     if merged["precision"] not in (32, 64):
-        raise _usage_error("precision must be 32 or 64")
+        # Not the default, nor the flag (whose choices are 32 and 64): the file.
+        source = f"{args.config}: " if getattr(args, "precision", None) is None else ""
+        raise _usage_error(f"{source}precision must be 32 or 64")
     return merged
 
 

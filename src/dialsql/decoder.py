@@ -8,10 +8,15 @@ Functions here take the assembled model bundle (parameter dict plus
 config and vocabulary) rather than owning parameters, so the same code
 drives every method configuration.
 
-A teacher-forced step records a handful of tape entries: the LSTM
-input (one :func:`ops.concat`) and one :func:`lstm_cell` step, and one
-fused :func:`ops.attention` entry per attended memory (the questions,
-and under ``sql_attn`` the precedent query's action states). The output
+A decoder step (:func:`advance_state`) builds the LSTM input (one
+:func:`ops.concat`), runs one :func:`lstm_cell` step, and one fused
+:func:`ops.attention` per attended memory (the questions, and under
+``sql_attn`` the precedent query's action states). Greedy decoding
+calls it as it is. A teacher-forced turn calls it with the tape paused
+and then records the turn's recurrence as one
+:func:`record_input_feeding` entry, whose backward runs through the
+steps with the per-step operations' arithmetic, so the gradients are
+theirs bit for bit. The output
 layer then scores the whole turn in one :func:`output_distribution`
 call, with the steps grouped by frontier: a few entries for the turn
 (the stacked step vectors, each product over them, and each product's
@@ -62,7 +67,7 @@ from .grammar import (
     Production,
     extract_subtrees,
 )
-from .nn import ContractError, Tensor, lstm_cell, ops
+from .nn import ContractError, Tape, Tensor, lstm_cell, ops, record_input_feeding
 from .schema import linking_features, name_tokens
 
 __all__ = [
@@ -448,10 +453,9 @@ def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
         if "tokens" not in memo:
             memo["tokens"] = _embed_tokens(model, tokens)
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
-        scorer = ops.add(
-            ops.add(ops.scale_by(Tensor(exact), params["link.w_exact"]),
-                    ops.scale_by(Tensor(partial), params["link.w_partial"])),
-            ops.matmul(memo["tokens"], embedder.transposed(productions)))
+        scorer = ops.link_scores(Tensor(exact), Tensor(partial), params["link.w_exact"],
+                                 params["link.w_partial"], memo["tokens"],
+                                 embedder.transposed(productions))
     else:
         scorer = embedder.embed_all(productions)     # one row per production
     record = FrontierRecord(list(productions), scorer)
@@ -602,20 +606,23 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
 def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
                         gold: list[Production]) -> Tensor:
     """Sum of -log P(gold action), feeding gold actions back in: the
-    decoder steps one by one, then :func:`output_distribution` scores
-    the whole turn in one call."""
+    decoder steps one by one with the tape paused, the steps are recorded
+    as one entry, then :func:`output_distribution` scores the whole turn
+    in one call."""
     embedder = encoded.embedder
     deriv = Derivation(grammar)
     state = initial_state(model, encoded)
     prev = model.params["bos_emb"]
     frontiers: list[NonTerminal] = []
-    states: list[DecoderState] = []
+    inputs: list[Tensor] = []
+    states: list[DecoderState] = [state]
     weights: list[Tensor] = []
     targets: list[int] = []
     for step, action in enumerate(gold, start=1):
         if deriv.is_complete:
             raise DerivationError("derivation already complete", step=step)
-        state, a = advance_state(model, encoded, state, prev)
+        with Tape.paused():
+            state, a = advance_state(model, encoded, state, prev)
         frontier = deriv.frontier()
         # Built here, before the step's action is embedded, so that a
         # Col/Tab frontier encodes all its names in one pass.
@@ -625,13 +632,15 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
         except ValueError:
             raise DerivationError(f"gold action {action} is illegal here", step=step) from None
         frontiers.append(frontier)
+        inputs.append(prev)
         states.append(state)
         weights.append(a)
         deriv.apply(action)
         prev = embedder(action)
     if not deriv.is_complete:
         raise IncompleteSequenceError("gold sequence leaves the derivation open")
-    dists = output_distribution(model, grammar, frontiers, states, weights, encoded)
+    _record_steps(model, encoded, inputs, states, weights)
+    dists = output_distribution(model, grammar, frontiers, states[1:], weights, encoded)
     # The loss numbers its terms frontier by frontier; add them in step order.
     order = [0] * len(gold)
     for number, k in enumerate(k for dist in dists for k in dist.steps):
@@ -639,3 +648,20 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
     return ops.nll([dist.probs for dist in dists],
                    [targets[dist.steps[0]] if dist.probs.values.ndim == 1
                     else [targets[k] for k in dist.steps] for dist in dists], order)
+
+
+def _record_steps(model, encoded: EncodedTurn, inputs: list[Tensor],
+                  states: list[DecoderState], weights: list[Tensor]) -> None:
+    """Record the :func:`advance_state` steps from ``states[0]``, each
+    fed the action embedding in ``inputs``, as one tape entry."""
+    attended = [(encoded.attention.memory, model.params["attn.we"],
+                 encoded.attention.gate_coeffs)]
+    if states[0].sql_context is not None:
+        copy_states = encoded.copy.states
+        attended.append(None if copy_states is None
+                        else (copy_states, model.params["sql_attn.we"], None))
+    record_input_feeding(
+        model.cell("dec"), inputs,
+        [(s.h, s.cell, s.context) if s.sql_context is None
+         else (s.h, s.cell, s.context, s.sql_context) for s in states],
+        weights, attended)

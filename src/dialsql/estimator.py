@@ -123,8 +123,15 @@ class SqlParser:
 
     def fit(self, corpus: Corpus) -> "SqlParser":
         """Teacher-forced training with Adam and global-norm clipping."""
-        if self.lr <= 0:
-            raise ContractError("lr must be positive")
+        # clip_norm <= 0 would zero or negate every gradient.
+        for name in ("lr", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 1),
+                            ("epochs", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ContractError(f"{name} must be at least {least}, got {value}")
         config = self._config()
         vocab = build_vocab(corpus, min_freq=self.min_freq)
         model = build_model(config, vocab, self.seed)

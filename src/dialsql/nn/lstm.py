@@ -1,7 +1,8 @@
-"""LSTM cells and fused sequence passes on top of the tensor tape.
+"""LSTM cells, fused sequence passes and a recorded decoder recurrence
+on top of the tensor tape.
 
-Two operations share one step kernel, :func:`_step`, so a step computes
-the same values bit for bit in both. Their backwards share one
+Three operations share one step kernel, :func:`_step`, so a step
+computes the same values bit for bit in each. Their backwards share one
 derivation: :func:`_gate_factors` holds a step's local derivatives and
 :func:`_back_step` applies the chain rule through one step.
 
@@ -21,6 +22,15 @@ derivation: :func:`_gate_factors` holds a step's local derivatives and
   runs :func:`_back_step` over the batch, and each direction's weight
   gradients are one ``dZᵀX`` and one ``dZᵀH_prev`` product over the
   valid steps of all sequences.
+- :func:`record_input_feeding` records a decoder turn whose steps (an
+  :func:`lstm_cell` step, then attention over one or more memories,
+  whose contexts feed the next step's input) ran with the tape paused,
+  as one tape entry. It recomputes the turn's gates with :func:`_step`
+  and :func:`_gate_factors` on one row per step; its vjp runs
+  :func:`_back_step` and the attention's backward (the tensor module's
+  ``_attention_back``, which :func:`attention`'s own vjp calls) step by
+  step, adding each delta in the order the per-step entries would have,
+  so the gradients equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +41,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, Tensor, _rows_dot, _taping
+from .tensor import (
+    ContractError,
+    DimensionError,
+    Tensor,
+    _attention_back,
+    _rows_dot,
+    _softmax_values,
+    _taping,
+)
 
-__all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence"]
+__all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence", "record_input_feeding"]
 
 
 class LSTMCellParams:
@@ -211,6 +229,147 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
 
         tape.record([t for states_r, ends_r in out for t in (states_r, *ends_r)], inputs, vjp)
     return out
+
+
+def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
+                         states: Sequence[Sequence[Tensor]], weights: Sequence[Tensor],
+                         attended: Sequence[tuple[Tensor, Tensor, Tensor | None] | None]) -> None:
+    """Record ``T`` steps of an input-feeding attention LSTM, which ran
+    with the tape paused (see ``Tape.paused``), as one tape entry.
+
+    ``states[0]`` is the start state and ``states[t]`` the state after
+    step ``t``, each ``(h, c, ctx_1, ..., ctx_K)``: the hidden and cell
+    states and one context per entry of ``attended``. Step ``t`` ran
+    :func:`lstm_cell` on ``[inputs[t-1]; ctx_1; ...; ctx_K]`` of state
+    ``t-1`` and its ``h`` and ``c``, then, for each entry ``(memory,
+    w_e, coeffs)`` of ``attended``, ``ops.attention(memory, w_e, h,
+    coeffs)`` on its new ``h``, whose context is ``ctx_k`` of state
+    ``t``; ``weights[t-1]`` are the first attention's weights. A None
+    entry attends nothing: its context stays the start state's. The
+    start state's cell state and contexts are constants.
+
+    The vjp runs backpropagation through time, step by step, and
+    repeats the arithmetic of those per-step entries in the order the
+    tape would apply them, so every gradient equals theirs bit for bit:
+    the weight, memory and matrix deltas are factors listed last step
+    first, and ``b``, the coefficients and the inputs are listed once
+    per step, last step first. The turn's gates and ``w_e·h`` are
+    recomputed for all steps at once, row-exact.
+    """
+    steps = len(inputs)
+    if not steps or len(states) != steps + 1 or len(weights) != steps:
+        raise ContractError(f"record_input_feeding: {len(inputs)} inputs, {len(states)} "
+                            f"states and {len(weights)} weights")
+    if not attended or attended[0] is None or any(len(s) != 2 + len(attended) for s in states):
+        raise ContractError("record_input_feeding: each state needs h, c and one context "
+                            "per attention, and the first attention attends")
+    h0, c0, *feeds0 = states[0]
+    if c0.requires_grad or any(f.requires_grad for f in feeds0):
+        raise ContractError("record_input_feeding: the start cell state and contexts "
+                            "must be constants")
+    live = [k for k, spec in enumerate(attended) if spec is not None]
+    att_inputs = [[memory, w_e] + ([] if coeffs is None else [coeffs] * steps)
+                  for memory, w_e, coeffs in (attended[k] for k in live)]
+    all_inputs = [cell.w_ih, cell.w_hh] + [cell.b] * steps
+    all_inputs += [t for group in att_inputs for t in group] + [h0] + list(inputs)[::-1]
+    tape = _taping(*all_inputs)
+    if tape is None:
+        return
+
+    # The forward's arrays, one row per step: H and C hold the start
+    # state's row first, and row t of X is step t's input.
+    hs = cell.hidden_size
+    after = states[1:]
+    H = np.array([s[0].values for s in states])
+    C = np.array([s[1].values for s in states])
+    X = np.concatenate([np.array([x.values for x in inputs])]
+                       + [np.array([s[2 + k].values for s in states[:-1]])
+                          for k in range(len(attended))], axis=1)
+    bounds = list(accumulate([inputs[0].values.shape[0]]
+                             + [f.values.shape[0] for f in feeds0]))
+    _, _, sig, g = _step(cell, _rows_dot(cell.w_ih.values, X), H[:-1], C[:-1])
+    by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, C[1:], C[:-1])
+    fwd = []        # per attention: what its vjp reads, one row per step
+    for k in live:
+        memory, w_e, coeffs = attended[k]
+        m = memory.values
+        u = _rows_dot(w_e.values, H[1:])
+        a = np.array([t.values for t in weights]) if k == 0 else None
+        base = a if k == 0 and coeffs is None else _softmax_values(_rows_dot(m, u))
+        if coeffs is None:
+            cv = weighted = total = None
+            wts = base
+        else:
+            cv = coeffs.values
+            weighted = base * cv
+            total = np.add.reduce(weighted, axis=1)
+            wts = weighted / total[:, None]
+        fwd.append((k, m, w_e.values, u, base, wts if a is None else a, cv, weighted, total))
+
+    # The outputs by kind, each kind step by step: h, c, the weights,
+    # then each attention's contexts.
+    outputs = ([s[0] for s in after] + [s[1] for s in after] + list(weights)
+               + [s[2 + k] for k in live for s in after])
+
+    def vjp(*grads):
+        g_h, g_c, g_a = grads[:steps], grads[steps:2 * steps], grads[2 * steps:3 * steps]
+        g_ctx = [grads[(3 + j) * steps:(4 + j) * steps] for j in range(len(live))]
+        zero = np.zeros(hs, dtype=H.dtype)
+        dz_all = np.empty((steps, 4 * hs), dtype=H.dtype)
+        w_ih_t, w_hh_t = cell.w_ih.values.T, cell.w_hh.values.T
+        back = [([], [], []) for _ in live]     # memory and matrix factors, coefficient deltas
+        d_inputs = [None] * steps
+        carry = dc_next = dx = None             # from the step after t
+        ran = 0                                 # steps 1..ran ran their LSTM backward
+        for t in range(steps - 1, -1, -1):
+            # h_t's gradient: the loss's, then the next step's cell, then
+            # each attention on h_t, last recorded first.
+            dh = g_h[t]
+            if carry is not None:
+                dh = carry if dh is None else dh + carry
+            for j in range(len(live) - 1, -1, -1):
+                k, m, w, u, base, wts, cv, weighted, total = fwd[j]
+                gc = g_ctx[j][t]
+                if dx is not None:
+                    part = dx[bounds[k]:bounds[k + 1]]
+                    gc = part if gc is None else gc + part
+                ga = g_a[t] if k == 0 else None
+                if ga is None and gc is None:
+                    continue            # an attention no path to the loss reached
+                d_m, d_w, d_h, *d_coeffs = _attention_back(
+                    m, w, H[t + 1], u[t], base[t], wts[t], ga, gc,
+                    *(() if cv is None else (cv, weighted[t], total[t])))
+                m_factors, w_factors, coeff_deltas = back[j]
+                m_factors += d_m
+                w_factors += d_w
+                coeff_deltas += d_coeffs
+                dh = d_h if dh is None else dh + d_h
+            dc = g_c[t]
+            if dc_next is not None:
+                dc = dc_next if dc is None else dc + dc_next
+            if dh is None and dc is None:
+                carry = dc_next = dx = None
+                continue
+            ran = ran or t + 1
+            dz = dz_all[t]
+            dc_next = _back_step(zero if dh is None else dh, zero if dc is None else dc,
+                                 by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz)
+            carry = w_hh_t.dot(dz)
+            dx = w_ih_t.dot(dz)
+            d_inputs[t] = dx[:bounds[0]]
+        # Steps 1..ran, last first; step t's previous hidden state is row t-1 of H.
+        dz_up = dz_all[ran - 1::-1]
+        out = [(dz_up, X[ran - 1::-1]), (dz_up, H[ran - 1::-1])]
+        out += [None] * (steps - ran) + list(dz_up)
+        for (m_factors, w_factors, coeff_deltas), group in zip(back, att_inputs):
+            out += [tuple(m_factors) or None, tuple(w_factors) or None]
+            if len(group) > 2:
+                out += coeff_deltas + [None] * (steps - len(coeff_deltas))
+        out.append(carry)
+        out += d_inputs[::-1]
+        return out
+
+    tape.record(outputs, all_inputs, vjp)
 
 
 class _Layout:

@@ -11,7 +11,8 @@ An operation's backward is a vector-Jacobian product (vjp): it takes
 the gradient of each output and returns one delta per input, in input
 order. It reads only values, never gradients, and writes nothing: the
 tape alone decides which entries run and adds each delta to the inputs
-that require a gradient. A delta is an array of the input's shape, or,
+that require a gradient. A delta is None when no path from the input
+reaches the loss through the entry, an array of the input's shape, or,
 for a matrix input, a tuple of factors ``(u1, v1, u2, v2, ...)``
 standing for the sum of outer products ``Σ u_k v_kᵀ``; a factor pair
 may also be two matrices with one row per pair, standing for ``UᵀV``.
@@ -24,11 +25,14 @@ leaves. A weight matrix that every decoder step multiplies (the LSTM
 cell's, the attention matrices, the output projections) thus gets one
 matrix product per backward instead of one outer product per step.
 
-Three fused operations record a whole decoder composite as one entry:
+Four fused operations record a whole decoder composite as one entry:
 :func:`attention` (bilinear scores, softmax, optional gate rescaling,
-context), :func:`mixture` (generation softmax, masked copy softmax,
-sigmoid gate, mix) and :func:`nll` (a turn's summed negative
-log-likelihood); the array helpers ``_softmax_values``,
+context), :func:`link_scores` (a schema frontier's scorer),
+:func:`mixture` (generation softmax, masked copy softmax, sigmoid gate,
+mix) and :func:`nll` (a turn's summed negative log-likelihood). A
+caller may also run several operations with the tape paused
+(:meth:`Tape.paused`) and record them as one entry itself, as the LSTM
+module does for a decoder turn. The array helpers ``_softmax_values``,
 ``_masked_softmax_values`` and ``_sigmoid_values`` compute their parts.
 A plain softmax is the one-part :func:`mixture` without copy inputs.
 :func:`mixture` and :func:`nll` also take matrices with one row per
@@ -165,8 +169,9 @@ class Tape:
 
     Entries are (outputs, inputs, vjp). Construction order is a
     topological order, so :meth:`backward` replays entries reversed.
-    ``vjp(*output_grads)`` returns one delta per input: an array, or
-    factors ``(u1, v1, ...)`` (see the module docstring). A single-output
+    ``vjp(*output_grads)`` returns one delta per input: an array,
+    factors ``(u1, v1, ...)`` (see the module docstring), or None for an
+    input no path to the loss reaches through the entry. A single-output
     entry always receives its output's gradient; an entry with several
     outputs receives None for each output no path to the loss reached.
     """
@@ -191,6 +196,15 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @staticmethod
+    def paused() -> "_Pause":
+        """A context manager in whose block no operation of this thread
+        records on a tape: ops compute values alone, as with no tape
+        open. The thread's active tape resumes when the block ends, also
+        when it raises. A caller that pauses the tape around a forward
+        records that forward itself, as one entry."""
+        return _PAUSE
 
     def record(self, outputs: Sequence[Tensor], inputs: Sequence[Tensor],
                vjp: Callable) -> None:
@@ -228,7 +242,9 @@ class Tape:
             for t, delta in zip(inputs, vjp(*grads)):
                 if not t.requires_grad:
                     continue
-                if type(delta) is tuple:
+                if delta is None:           # no path from this input to the loss
+                    skipped.append((t,))
+                elif type(delta) is tuple:
                     factors = pending.get(t)
                     if factors is None:
                         pending[t] = list(delta)
@@ -244,12 +260,30 @@ class Tape:
                     t.grad += delta
         for t, factors in pending.items():
             _add_factors(t, factors)
-        # Every input of an entry that ran got a delta, so only the
-        # inputs of skipped entries can still lack a gradient.
+        # Every input of an entry that ran got a delta or None, so only
+        # those and the inputs of skipped entries can still lack a gradient.
         for inputs in skipped:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
+
+
+class _Pause:
+    """:meth:`Tape.paused`: marks the thread's tape stack with None, which
+    :func:`_taping` reads as no tape, for one block."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        _tape_stack().append(None)
+
+    def __exit__(self, *exc) -> None:
+        stack = _tape_stack()
+        assert stack and stack[-1] is None
+        stack.pop()
+
+
+_PAUSE = _Pause()
 
 
 def _add_factors(t: Tensor, factors: list) -> None:
@@ -506,6 +540,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def link_scores(exact: Tensor, partial: Tensor, w_exact: Tensor, w_partial: Tensor,
+                tokens: Tensor, names: Tensor) -> Tensor:
+    """``exact · w_exact + partial · w_partial + tokens · names`` as one
+    tape entry: two feature matrices scaled by scalar weights, plus the
+    product of a matrix with one row per feature row (the question
+    tokens' embeddings) and one with a column per feature column (the
+    schema names'). Values and deltas equal, bit for bit, those of the
+    same expression composed of :func:`scale_by`, :func:`add` and
+    :func:`matmul`.
+    """
+    ev, pv, tv, nv = exact.values, partial.values, tokens.values, names.values
+    if w_exact.shape != () or w_partial.shape != ():
+        raise DimensionError(f"link_scores: weights must be scalars, got {w_exact.shape} "
+                             f"and {w_partial.shape}")
+    if tv.ndim != 2 or nv.ndim != 2 or tv.shape[1] != nv.shape[0] \
+            or not ev.shape == pv.shape == (tv.shape[0], nv.shape[1]):
+        raise DimensionError(f"link_scores: features {exact.shape} and {partial.shape} "
+                             f"for the product of {tokens.shape} and {names.shape}")
+    we, wp = w_exact.values, w_partial.values
+    out = Tensor(ev * we + pv * wp + tv.dot(nv))
+    inputs = (exact, partial, w_exact, w_partial, tokens, names)
+    tape = _taping(*inputs)
+    if tape is not None:
+        tape.record((out,), inputs, lambda g: (
+            g * we if exact.requires_grad else None, g * wp if partial.requires_grad else None,
+            np.add.reduce(g * ev, axis=None), np.add.reduce(g * pv, axis=None),
+            g.dot(nv.T), tv.T.dot(g)))
+    return out
+
+
 def _rows_dot(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``m`` times a vector, or times each row of a matrix.
 
@@ -630,9 +694,10 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
     u = w_e.values.dot(h.values)
     base = _softmax_values(m.dot(u))
     if coeffs is None:
-        weights = base
+        weights, cv, weighted, total = base, None, None, None
     else:
-        weighted = base * coeffs.values
+        cv = coeffs.values
+        weighted = base * cv
         total = np.add.reduce(weighted, axis=None)
         weights = weighted / total
     out_a = Tensor(weights)
@@ -641,26 +706,37 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
     inputs = (memory, w_e, h) if coeffs is None else (memory, w_e, h, coeffs)
     tape = _taping(*inputs)
     if tape is not None:
-        def vjp(ga, gc):
-            if gc is None:
-                da = ga
-            else:
-                da = m.dot(gc) if ga is None else ga + m.dot(gc)
-            dbase = da
-            deltas = []
-            if coeffs is not None:
-                # The quotient rule as d(w / S) plus the sum's broadcast
-                # delta; (da - da·a) / S loses digits to cancellation.
-                dweighted = da / total + (-np.sum(da * weighted) / (total * total))
-                dbase = dweighted * coeffs.values
-                deltas.append(dweighted * base)
-            ds = _softmax_vjp(base, dbase)
-            du = m.T.dot(ds)
-            dm = (ds, u) if gc is None else (ds, u, weights, gc)
-            return (dm, (du, h.values), w_e.values.T.dot(du), *deltas)
-
-        tape.record((out_a, out_c), inputs, vjp)
+        w, hv = w_e.values, h.values
+        tape.record((out_a, out_c), inputs, lambda ga, gc: _attention_back(
+            m, w, hv, u, base, weights, ga, gc, cv, weighted, total))
     return out_a, out_c
+
+
+def _attention_back(m, w_e, h, u, base, weights, ga, gc, coeffs=None, weighted=None,
+                    total=None) -> tuple:
+    """The deltas of :func:`attention`'s inputs (memory, matrix, query,
+    then the coefficients when given), from the gradients ``ga`` and
+    ``gc`` of its weights and context, at most one of them None, and the
+    arrays of its forward: ``u = w_e·h``, the softmax ``base`` and the
+    ``weights``, and with coefficients ``weighted = base·coeffs`` and
+    its sum ``total``. The LSTM module's recorded decoder recurrence
+    runs each step's attentions back through it too."""
+    if gc is None:
+        da = ga
+    else:
+        da = m.dot(gc) if ga is None else ga + m.dot(gc)
+    dbase = da
+    if coeffs is not None:
+        # The quotient rule as d(w / S) plus the sum's broadcast
+        # delta; (da - da·a) / S loses digits to cancellation.
+        dweighted = da / total + (-np.add.reduce(da * weighted, axis=None) / (total * total))
+        dbase = dweighted * coeffs
+    ds = _softmax_vjp(base, dbase)
+    du = m.T.dot(ds)
+    dm = (ds, u) if gc is None else (ds, u, weights, gc)
+    if coeffs is None:
+        return dm, (du, h), w_e.T.dot(du)
+    return dm, (du, h), w_e.T.dot(du), dweighted * base
 
 
 def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,

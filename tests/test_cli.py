@@ -526,6 +526,25 @@ class TestExitCodes:
         assert code == 2
         assert "lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eval-every", "0", "--target-ques-match", "0.5"], "eval_every must be at least 1, got 0"),
+        (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    ])
+    def test_setting_out_of_range_exits_1(self, data_args, tmp_path, capsys, flags, message):
+        code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS,
+                     *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_config_precision_out_of_range_names_the_file(self, data_args, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"precision": 16}')
+        code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert f"{cfg}: precision must be 32 or 64" in capsys.readouterr().err
+
     def test_config_invalid_json(self, data_args, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")

@@ -455,7 +455,7 @@ class TestPerTurnConstants:
         schema_steps = sum(a.lhs in (NonTerminal.COL, NonTerminal.TAB) for a in gold)
         assert schema_steps == 4
         gathers, products = [], []
-        real_embed, real_matmul = decoder._embed_tokens, ops.matmul
+        real_embed, real_link = decoder._embed_tokens, ops.link_scores
 
         def embed(m, tokens):
             out = real_embed(m, tokens)
@@ -463,15 +463,15 @@ class TestPerTurnConstants:
                 gathers.append(out)
             return out
 
-        def matmul(a, b):
-            if any(a is g for g in gathers):
-                products.append(b.shape)
-            return real_matmul(a, b)
+        def link_scores(exact, partial, w_exact, w_partial, tokens, names):
+            if any(tokens is g for g in gathers):
+                products.append(names.shape)
+            return real_link(exact, partial, w_exact, w_partial, tokens, names)
 
         with Tape():
             enc = encode_for(model, [self.TOKENS])
             monkeypatch.setattr(decoder, "_embed_tokens", embed)
-            monkeypatch.setattr(ops, "matmul", matmul)
+            monkeypatch.setattr(ops, "link_scores", link_scores)
             teacher_forced_loss(model, enc, GRAMMAR, gold)
         # One gather of the question tokens' word embeddings for the
         # turn, and one token-rule product per schema frontier kind.
@@ -499,7 +499,10 @@ class TestPerTurnConstants:
             enc = encode_for(model, [self.TOKENS])
             encoder_entries = len(tape)
             teacher_forced_loss(model, enc, GRAMMAR, gold)
-        assert (len(tape) - encoder_entries) / len(gold) <= 12.0
+        # One entry records the 9 steps' recurrence; the others are the
+        # frontier records, the action embeddings, the output layer and
+        # the loss: 4.9 entries per step.
+        assert len(gold) == 9 and len(tape) - encoder_entries == 44
 
 
 def model_for(method: str, seed: int = 0):
@@ -621,6 +624,119 @@ class TestTurnLevelOutput:
             with Tape() as tape:
                 teacher_forced_loss(model, enc, GRAMMAR, gold)
         assert counts[0] == counts[1] > 0
+
+
+def step_by_step_loss(model, enc, grammar, gold):
+    """:func:`teacher_forced_loss` with each step's :func:`advance_state`
+    entries on the tape: the step, then its frontier's record (built by
+    a one-step output call whose own entries stay off the loss's path),
+    then the action's embedding; then the turn's output call and loss."""
+    deriv = Derivation(grammar)
+    state = initial_state(model, enc)
+    prev = model.params["bos_emb"]
+    frontiers, states, weights = [], [], []
+    for action in gold:
+        state, a = advance_state(model, enc, state, prev)
+        frontiers.append(deriv.frontier())
+        output_distribution(model, grammar, frontiers[-1:], [state], [a], enc)
+        states.append(state)
+        weights.append(a)
+        deriv.apply(action)
+        prev = enc.embedder(action)
+    dists = output_distribution(model, grammar, frontiers, states, weights, enc)
+    order = [0] * len(gold)
+    for number, k in enumerate(k for dist in dists for k in dist.steps):
+        order[k] = number
+    targets = [[dist.support.index(gold[k]) for k in dist.steps] for dist in dists]
+    return ops.nll([dist.probs for dist in dists],
+                   [t[0] if dist.probs.values.ndim == 1 else t
+                    for dist, t in zip(dists, targets)], order)
+
+
+class TestRecordedRecurrence:
+    """A teacher-forced turn's decoder steps run with the tape paused
+    and are recorded as one entry, with the gradients of per-step
+    entries bit for bit."""
+
+    PRECEDENT = TestTurnLevelOutput.PRECEDENT
+    GOLD = TestTurnLevelOutput.GOLD
+    SEGMENTS = TestTurnLevelOutput.SEGMENTS
+
+    def run(self, model, loss_fn, precedent=True):
+        """The loss of a batch of two turns, which share an embedder, and
+        every parameter's gradient."""
+        segments = ([[t for seg in self.SEGMENTS for t in seg]]
+                    if model.config.question_method == "concat" else self.SEGMENTS)
+        for p in model.parameters():
+            p.grad = None
+        with Tape() as tape:
+            embedder, losses = decoder.ActionEmbedder(model), []
+            for gold in (self.GOLD, "SELECT alpha FROM t1 WHERE beta > 1"):
+                enc = encode_turn(model, segments, list(range(len(segments) - 1, -1, -1)),
+                                  actions_for(self.PRECEDENT) if precedent else None, embedder)
+                losses.append(loss_fn(model, enc, GRAMMAR, list(actions_for(gold))))
+            loss = ops.add(*losses)
+            tape.backward(loss)
+        # Without a precedent the precedent's encoder gets no gradient.
+        return loss.values, {name: None if p.grad is None else p.grad.tobytes()
+                             for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("method, precedent",
+                             [(m, True) for m in context.method_names()]
+                             + [("sql_attn", False), ("turn+sql_attn+action_copy", False)])
+    def test_gradients_equal_a_step_by_step_tape_bit_for_bit(self, method, precedent):
+        model = make_model(method, seed=3)
+        loss, got = self.run(model, teacher_forced_loss, precedent)
+        want_loss, want = self.run(model, step_by_step_loss, precedent)
+        assert loss == want_loss
+        assert got == want
+
+    @pytest.mark.parametrize("method", ["gate", "turn+tree_copy", "turn+sql_attn+action_copy"])
+    def test_gradients_equal_at_32_bits(self, method):
+        set_precision(32)
+        try:
+            model = make_model(method, seed=4)
+            loss, got = self.run(model, teacher_forced_loss)
+            want_loss, want = self.run(model, step_by_step_loss)
+        finally:
+            set_precision(64)
+        assert loss.dtype == np.float32 and loss == want_loss
+        assert got == want
+
+    @pytest.mark.parametrize("method", ["gate", "turn+sql_attn+action_copy"])
+    def test_gradients_match_finite_differences(self, method):
+        # gate rescales the question attention by its coefficients;
+        # sql_attn adds the precedent's attention to every step.
+        model = make_model(method, seed=5)
+        gold = list(actions_for("SELECT alpha FROM t1 WHERE beta > 1"))
+        precedent = actions_for("SELECT beta FROM t1")
+
+        def loss():
+            enc = encode_for(model, self.SEGMENTS, precedent=precedent)
+            return teacher_forced_loss(model, enc, GRAMMAR, gold)
+
+        names = [name for name in model.params if not name.startswith(("word_emb", "q_enc"))]
+        result = grad_check(loss, [model.params[name] for name in names], names)
+        assert result.max_rel_error < 1e-5, result.worst
+
+    def test_one_entry_per_turn_and_none_per_step(self, monkeypatch):
+        model = make_model("turn+sql_attn+action_copy", seed=3)
+        recorded = {"advance_state": [], "record_input_feeding": []}
+        for name in recorded:
+            real = getattr(decoder, name)
+
+            def counted(*args, real=real, name=name):
+                before = len(tape)
+                out = real(*args)
+                recorded[name].append(len(tape) - before)
+                return out
+
+            monkeypatch.setattr(decoder, name, counted)
+        gold = list(actions_for(self.GOLD))
+        with Tape() as tape:
+            enc = encode_for(model, self.SEGMENTS, precedent=actions_for(self.PRECEDENT))
+            teacher_forced_loss(model, enc, GRAMMAR, gold)
+        assert recorded == {"advance_state": [0] * len(gold), "record_input_feeding": [1]}
 
 
 class TestGreedyParse:

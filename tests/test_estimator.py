@@ -88,6 +88,18 @@ class TestFit:
         with pytest.raises(ContractError, match="lr"):
             quick_parser(lr=0.0).fit(corpus)
 
+    @pytest.mark.parametrize("name, value, bound", [
+        ("batch_size", 0, "at least 1"), ("batch_size", -3, "at least 1"),
+        ("eval_every", 0, "at least 1"), ("max_steps", 0, "at least 1"),
+        ("epochs", -1, "at least 0"), ("clip_norm", 0.0, "positive"),
+        ("clip_norm", -1.0, "positive")])
+    def test_settings_out_of_range_rejected_before_training(self, corpus, name, value, bound,
+                                                            monkeypatch):
+        monkeypatch.setattr(est_mod, "build_vocab",
+                            lambda *a, **k: pytest.fail("fit started work"))
+        with pytest.raises(ContractError, match=f"^{name} must be {bound}, got {value}$"):
+            quick_parser(**{name: value}).fit(corpus)
+
     def test_empty_corpus(self, corpus):
         empty = Corpus(dialogues=[], schemas=corpus.schemas)
         with pytest.raises(ContractError, match="no supported examples"):

@@ -1,5 +1,7 @@
 """LSTM cell and fused sequence pass against an independent reference."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dialsql.nn import (
     lstm_cell,
     lstm_sequence,
     ops,
+    record_input_feeding,
     set_precision,
 )
 
@@ -478,3 +481,172 @@ class TestBatchedPass:
             lstm_sequence([cell], seqs, [tails[0], Tensor(np.zeros(3))])
         with pytest.raises(ContractError):
             lstm_sequence([cell], seqs + [Tensor(np.zeros((0, 3)))], tails + tails[:1])
+
+
+class Feeding:
+    """An input-feeding attention LSTM over a few steps: a question
+    memory with per-row coefficients (or none), and optionally a second
+    memory (or a constant second context, which attends nothing)."""
+
+    E, Q, S, HS, T = 3, 4, 2, 4, 4
+
+    def __init__(self, seed, coeffs=True, second="attend"):
+        rng = np.random.default_rng(seed)
+        self.second = second
+        feed = self.E + self.Q + (self.S if second else 0)
+        self.cell = make_params(rng, feed, self.HS, "dec")
+
+        def param(name, shape, scale=1.0):
+            return Parameter(name, scale * init_uniform(rng, shape))
+
+        self.memory = param("memory", (5, self.Q), 4.0)
+        self.w_e = param("w_e", (self.Q, self.HS), 4.0)
+        self.coeffs = param("coeffs", (5,)) if coeffs else None
+        if coeffs:
+            self.coeffs.values += 1.5          # positive, as gate coefficients are
+        self.sql_memory = param("sql_memory", (3, self.S), 4.0)
+        self.w_s = param("w_s", (self.S, self.HS), 4.0)
+        self.h0 = param("h0", (self.HS,))
+        self.inputs = [param(f"x{t}", (self.E,)) for t in range(self.T - 1)]
+        self.inputs.insert(2, self.inputs[0])   # one input fed at two steps
+        # Each output's weight in the loss.
+        self.probes = [Tensor(rng.normal(size=n)) for _ in range(self.T)
+                       for n in (self.HS, self.HS, 5, self.Q, self.S)]
+
+    def leaves(self):
+        leaves = self.cell.tensors() + [self.memory, self.w_e, self.h0]
+        leaves += self.inputs[:2] + self.inputs[3:]
+        if self.second == "attend":
+            leaves += [self.sql_memory, self.w_s]
+        return leaves + ([self.coeffs] if self.coeffs is not None else [])
+
+    def run(self, recorded: bool):
+        """Each step's (h, c, weights, context, second context), the
+        start state's contexts being zero, stepped with the tape on, or
+        paused and then recorded."""
+        zero = Tensor(np.zeros(self.HS))
+        state = (self.h0, zero, Tensor(np.zeros(self.Q)))
+        if self.second:
+            state += (Tensor(np.zeros(self.S)),)
+        states, weights = [state], []
+        for x in self.inputs:
+            h, c, ctx, *sql = state
+            with Tape.paused() if recorded else nullcontext():
+                h, c = lstm_cell(self.cell, ops.concat([x, ctx, *sql]), h, c)
+                a, ctx = ops.attention(self.memory, self.w_e, h, self.coeffs)
+                if self.second == "attend":
+                    _, sql = ops.attention(self.sql_memory, self.w_s, h)
+                    sql = [sql]
+            state = (h, c, ctx, *sql)
+            states.append(state)
+            weights.append(a)
+        if recorded:
+            attended = [(self.memory, self.w_e, self.coeffs)]
+            if self.second:
+                attended.append((self.sql_memory, self.w_s, None)
+                                if self.second == "attend" else None)
+            record_input_feeding(self.cell, self.inputs, states, weights, attended)
+        return [(s[0], s[1], a, *s[2:]) for s, a in zip(states[1:], weights)]
+
+    def loss(self, outputs, reached):
+        """Σ probe · output over the outputs ``reached`` picks, by step
+        and by field index (h, c, weights, context, second context)."""
+        terms = [ops.matmul(out, self.probes[5 * t + k])
+                 for t, outs in enumerate(outputs) for k, out in enumerate(outs)
+                 if reached(t, k)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ops.add(total, term)
+        return total
+
+    def gradients(self, recorded, reached=lambda t, k: True):
+        """The loss of two runs on one tape, as a batch of two turns:
+        the second run's deltas reach each weight first."""
+        for t in self.leaves():
+            t.grad = None
+        with Tape() as tape:
+            loss = ops.add(self.loss(self.run(recorded), reached),
+                           self.loss(self.run(recorded), reached))
+            tape.backward(loss)
+        return loss.values, [t.grad.copy() for t in self.leaves()]
+
+
+class TestRecordedInputFeeding:
+    """``record_input_feeding`` records paused steps as one entry whose
+    gradients equal those of the per-step entries bit for bit."""
+
+    REACHED = {
+        "every output": lambda t, k: True,
+        "last hidden state": lambda t, k: (t, k) == (3, 0),
+        "first cell state": lambda t, k: (t, k) == (0, 1),
+        "weights and contexts": lambda t, k: k >= 2,
+        "second contexts, last cell state": lambda t, k: k == 4 and t < 3 or (t, k) == (3, 1),
+    }
+
+    @pytest.mark.parametrize("reached", sorted(REACHED))
+    @pytest.mark.parametrize("coeffs, second", [(True, "attend"), (False, "attend"),
+                                                (True, None), (False, "constant")])
+    def test_gradients_equal_per_step_entries_bit_for_bit(self, coeffs, second, reached):
+        feeding = Feeding(60, coeffs, second)
+        want = feeding.gradients(False, self.REACHED[reached])
+        got = feeding.gradients(True, self.REACHED[reached])
+        assert got[0] == want[0]
+        for g, w, t in zip(got[1], want[1], feeding.leaves()):
+            assert g.tobytes() == w.tobytes(), t.name
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    def test_values_equal_per_step_entries_bit_for_bit(self, bits, dtype):
+        set_precision(bits)
+        try:
+            feeding = Feeding(61)
+            with Tape():
+                want = feeding.run(False)
+            with Tape():
+                got = feeding.run(True)
+        finally:
+            set_precision(64)
+        for outs_got, outs_want in zip(got, want):
+            for g, w in zip(outs_got, outs_want):
+                assert g.values.dtype == dtype and g.requires_grad
+                assert g.values.tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("coeffs", [True, False])
+    def test_gradients_match_finite_differences(self, coeffs):
+        feeding = Feeding(62, coeffs)
+        res = grad_check(lambda: feeding.loss(feeding.run(True), lambda t, k: True),
+                         feeding.leaves())
+        assert res.max_rel_error < 1e-6, res
+
+    def test_one_entry_and_nothing_paused(self):
+        feeding = Feeding(63)
+        with Tape() as tape:
+            feeding.run(True)
+        assert len(tape) == 1
+        with Tape() as tape:
+            feeding.run(False)
+        assert len(tape) == 4 * Feeding.T       # concat, lstm_cell and two attentions per step
+
+    def test_nothing_recorded_without_a_tape(self):
+        outputs = Feeding(64).run(True)
+        assert not any(t.requires_grad for outs in outputs for t in outs)
+
+    def test_rejects_what_it_cannot_record(self):
+        feeding = Feeding(65, second=None)
+        zero = Tensor(np.zeros(Feeding.HS))
+        start = (feeding.h0, zero, Tensor(np.zeros(Feeding.Q)))
+        attended = [(feeding.memory, feeding.w_e, None)]
+        with Tape():
+            with Tape.paused():
+                h, c = lstm_cell(feeding.cell, ops.concat([feeding.inputs[0], start[2]]),
+                                 feeding.h0, zero)
+                a, ctx = ops.attention(feeding.memory, feeding.w_e, h)
+            with pytest.raises(ContractError):      # two inputs for one step
+                record_input_feeding(feeding.cell, feeding.inputs[:2], [start, (h, c, ctx)],
+                                     [a], attended)
+            with pytest.raises(ContractError):      # no context for the attention
+                record_input_feeding(feeding.cell, feeding.inputs[:1],
+                                     [start[:2], (h, c)], [a], attended)
+            with pytest.raises(ContractError):      # a start cell state with a gradient
+                record_input_feeding(feeding.cell, feeding.inputs[:1],
+                                     [(feeding.h0, feeding.h0, start[2]), (h, c, ctx)],
+                                     [a], attended)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -84,24 +85,75 @@ def test_every_public_op_has_a_caller_in_the_package():
     assert _unnamed(sources, defining) == set(UNNAMED)
 
 
-def _private_op_uses(source: str) -> set[str]:
-    """The ``ops._<name>`` attributes that ``source`` reaches."""
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "ops" and node.attr.startswith("_")}
+def _private_nn_uses(source: str, package: str = "dialsql") -> set[str]:
+    """The private names (``_<name>``) of ``dialsql.nn`` modules that
+    ``source``, a module of ``package``, imports from one, or reaches as
+    an attribute of one bound by its imports (``ops``, ``nn.lstm``, ...)."""
+    def is_nn(name):
+        return name == "dialsql.nn" or name.startswith("dialsql.nn.")
+
+    tree = ast.parse(source)
+    modules, found = {}, set()      # local name -> the module it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name if alias.asname else alias.name.split(".")[0]
+                modules[alias.asname or top] = top
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")[:len(package.split(".")) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            for alias in node.names:
+                if is_nn(base) and alias.name.startswith("_"):
+                    found.add(alias.name)
+                try:
+                    value = getattr(importlib.import_module(base), alias.name, None)
+                except ImportError:
+                    value = None
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value.__name__
+
+    def owner(node):
+        """The module an expression names, or None."""
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute):
+            inner = owner(node.value)
+            return None if inner is None else f"{inner}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and is_nn(owner(node.value) or ""):
+            found.add(node.attr)
+    return found
 
 
 def test_no_module_reaches_a_private_op():
-    """``ops._<name>`` is private to ``nn/tensor.py``: another module
-    calls a public op, or the helper becomes one."""
-    assert _private_op_uses("x = ops._join(parts, 0) + ops.concat(parts)") == {"_join"}
+    """The ``_<name>`` helpers of ``dialsql.nn`` are private to
+    ``src/dialsql/nn/``: another module calls a public op, or the helper
+    becomes one."""
+    assert _private_nn_uses("from .nn import ops\n"
+                            "x = ops._join(parts, 0) + ops.concat(parts)") == {"_join"}
+    assert _private_nn_uses("from .nn.lstm import _step") == {"_step"}
+    assert _private_nn_uses("from .nn import lstm, ops\nimport dialsql.nn.optim as optim\n"
+                            "lstm._gate_factors(); dialsql.nn.tensor._tls; optim._BETA1\n"
+                            "lstm._step; ops.Tape._PAUSE; tape._entries\n"
+                            "import dialsql\ndialsql.nn.tensor._tls\n") \
+        == {"_gate_factors", "_BETA1", "_step", "_PAUSE", "_tls"}
+    assert _private_nn_uses("from ..grammar import _private\nfrom .. import nn\n"
+                            "nn.lstm._bptt", "dialsql.grammar") == {"_bptt"}
+    assert _private_nn_uses("from .schema import _split\nschema._words") == set()
     found = {}
-    for path in sorted(Path(dialsql.__file__).parent.rglob("*.py")):
-        if path.name == "tensor.py" and path.parent.name == "nn":
+    package = Path(dialsql.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        if parts[:2] == ("dialsql", "nn"):
             continue
-        names = _private_op_uses(path.read_text(encoding="utf-8"))
+        names = _private_nn_uses(path.read_text(encoding="utf-8"), ".".join(parts[:-1]))
         if names:
-            found[path.name] = sorted(names)
+            found[path.relative_to(package).as_posix()] = sorted(names)
     assert found == {}
 
 

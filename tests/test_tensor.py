@@ -164,7 +164,7 @@ class TestFastPaths:
                 ops.expand_by_counts(x, [1, 2]), ops.transpose(m),
                 ops.matmul(m, x), ops.rows_matmul(m, m, True),
                 ops.partition(x, [[1], [0]])[0],
-                ops.attention(m, m, x, x)[1],
+                ops.attention(m, m, x, x)[1], ops.link_scores(m, m, s, s, m, m),
                 ops.mixture([x], x, [True, False], np.eye(2), s)[0],
                 ops.nll([x], [0])]
         return outs
@@ -304,6 +304,43 @@ class TestBackwardBasics:
         x = leaf([1.0, 2.0])
         y = ops.tanh(x)
         assert y.requires_grad is False
+
+    def test_none_delta_leaves_an_input_as_if_unreached(self):
+        x, y = leaf([1.0, 2.0]), leaf([5.0])
+        with Tape() as tape:
+            out = Tensor([0.0, 0.0])
+            tape.record((out,), (x, y), lambda g: (3.0 * g, None))
+            tape.backward(ops.reduce_sum(out))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(y.grad, [0.0])
+
+    def test_paused_block_records_nothing(self):
+        x = leaf([0.5, -1.0])
+        with Tape() as tape:
+            before = ops.tanh(x)
+            with Tape.paused():
+                inside = ops.tanh(x)
+            after = ops.tanh(x)
+        assert len(tape) == 2
+        assert before.requires_grad and after.requires_grad
+        assert inside.requires_grad is False
+        np.testing.assert_array_equal(inside.values, before.values)
+
+    def test_pause_ends_when_its_block_raises(self):
+        x = leaf([0.5, -1.0])
+        with Tape() as tape:
+            with pytest.raises(ZeroDivisionError):
+                with Tape.paused():
+                    1 / 0
+            ops.tanh(x)
+            with Tape() as inner:           # a tape opened after the pause
+                with Tape.paused(), Tape.paused():
+                    ops.tanh(x)
+                ops.tanh(x)
+        assert len(tape) == 1 and len(inner) == 1
+        with Tape.paused():                 # no tape open: nothing to pause
+            assert ops.tanh(x).requires_grad is False
+        assert ops.tanh(x).requires_grad is False
 
     def test_nonscalar_loss_rejected(self):
         x = leaf([1.0, 2.0])
@@ -507,6 +544,52 @@ class TestFusedOps:
     """The decoder step's fused entries: finite differences, and forward
     values equal, bit for bit, to NumPy expressions of the same
     arithmetic."""
+
+    @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
+    def test_link_scores_equal_their_five_op_composition_bit_for_bit(self, bits, dtype):
+        set_precision(bits)
+        try:
+            rng = np.random.default_rng(19)
+            exact = Tensor(rng.integers(0, 2, size=(4, 3)).astype(float))
+            partial = Tensor(rng.uniform(size=(4, 3)))
+            w_exact, w_partial = leaf(rng.normal()), leaf(rng.normal())
+            tokens, names = leaf(rng.normal(size=(4, 5))), leaf(rng.normal(size=(5, 3)))
+            probe = Tensor(rng.normal(size=3))
+            leaves = [w_exact, w_partial, tokens, names]
+
+            def run(scores):
+                for t in leaves:
+                    t.grad = None
+                with Tape() as tape:
+                    out = scores()
+                    # Every row reaches the loss, through a shared product.
+                    tape.backward(ops.reduce_sum(ops.rows_matmul(out, probe)))
+                return out.values.tobytes(), [t.grad.tobytes() for t in leaves]
+
+            fused = run(lambda: ops.link_scores(exact, partial, w_exact, w_partial,
+                                                tokens, names))
+            composed = run(lambda: ops.add(ops.add(ops.scale_by(exact, w_exact),
+                                                   ops.scale_by(partial, w_partial)),
+                                           ops.matmul(tokens, names)))
+        finally:
+            set_precision(64)
+        assert w_exact.grad.dtype == dtype
+        assert fused == composed
+
+    def test_link_scores_gradients_and_shapes(self):
+        rng = np.random.default_rng(18)
+        exact, partial = leaf(rng.normal(size=(2, 3))), leaf(rng.normal(size=(2, 3)))
+        w_exact, w_partial = leaf(rng.normal()), leaf(rng.normal())
+        tokens, names = leaf(rng.normal(size=(2, 4))), leaf(rng.normal(size=(4, 3)))
+        weights = Tensor(rng.normal(size=(2, 3)))
+        res = grad_check(lambda: ops.reduce_sum(ops.mul(
+            ops.link_scores(exact, partial, w_exact, w_partial, tokens, names), weights)),
+            [exact, partial, w_exact, w_partial, tokens, names])
+        assert res.max_rel_error < 1e-7, res
+        with pytest.raises(DimensionError):
+            ops.link_scores(exact, partial, w_exact, w_partial, tokens, tokens)
+        with pytest.raises(DimensionError):
+            ops.link_scores(exact, partial, exact, w_partial, tokens, names)
 
     @staticmethod
     def _attention_inputs(rng, gated):
@@ -955,8 +1038,8 @@ class TestFactoredDeltas:
         formed = []
         add_factors = ops._add_factors
 
-        def counting(t, factors):
-            formed.append((t, len(factors) // 2))
+        def counting(t, factors):     # the pairs a sum forms: a matrix pair is one per row
+            formed.append((t, sum(len(u) if u.ndim == 2 else 1 for u in factors[0::2])))
             add_factors(t, factors)
 
         monkeypatch.setattr(ops, "_add_factors", counting)
