@@ -146,9 +146,6 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index.get(token, self.unk_index)
 
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
     def to_list(self) -> list[str]:
         return list(self._tokens[len(self.RESERVED):])
 
@@ -444,18 +441,21 @@ def _question_for(start: AST) -> tuple[str, ...]:
 
 
 def gen_synthetic(seed: int, n_dialogues: int = 20, max_turns: int = 4,
-                  schemas: dict[str, DatabaseSchema] | None = None,
                   share_prob: float = 0.5) -> Corpus:
-    """Deterministic synthetic corpus for desk-scale experiments.
+    """Deterministic synthetic corpus on :func:`synthetic_schemas`.
 
     Consecutive turns reuse the previous turn's SELECT subtree with
     probability ``share_prob`` so copy mechanisms have signal. Gold
     actions are derived by re-parsing the rendered SQL, exactly as
     load_corpus would.
     """
-    if n_dialogues < 1:
-        raise DataError("need at least one dialogue")
-    schemas = schemas or synthetic_schemas()
+    for name, value, least in (("seed", seed, 0), ("n_dialogues", n_dialogues, 1),
+                               ("max_turns", max_turns, 1)):
+        if value < least:
+            raise DataError(f"{name} must be at least {least}, got {value}")
+    if not 0 <= share_prob <= 1:
+        raise DataError(f"share_prob must be in [0, 1], got {share_prob}")
+    schemas = synthetic_schemas()
     db_ids = sorted(schemas)
     rng = np.random.default_rng(seed)
     samplers = {db: _TreeSampler(schemas[db], rng) for db in db_ids}

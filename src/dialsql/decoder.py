@@ -12,12 +12,12 @@ A decoder step (:func:`advance_state`) builds the LSTM input (one
 :func:`ops.concat`), runs one :func:`lstm_cell` step, and one fused
 :func:`ops.attention` per attended memory (the questions, and under
 ``sql_attn`` the precedent query's action states). Greedy decoding
-calls it as it is. A teacher-forced turn calls it with the tape paused
-and then records the turn's recurrence as one
-:func:`record_input_feeding` entry, whose backward runs through the
-steps with the per-step operations' arithmetic, so the gradients are
-theirs bit for bit. The output
-layer then scores the whole turn in one :func:`output_distribution`
+calls it as it is. A teacher-forced turn walks its gold derivation
+first, then calls it for every step in one block with the tape paused,
+and records the turn's recurrence as one :func:`record_input_feeding`
+entry, whose backward runs through the steps with the per-step
+operations' arithmetic, so the gradients are theirs bit for bit. The
+output layer then scores the whole turn in one :func:`output_distribution`
 call, with the steps grouped by frontier: a few entries for the turn
 (the stacked step vectors, each product over them, and each product's
 partition among the frontiers) and, per frontier, one logit product per
@@ -116,7 +116,7 @@ class ActionEmbedder:
     table; schema-specific ones (column and table rules) are encoded from
     their name tokens, so unseen schemas need no new parameters. The
     names one :meth:`embed_all` call lacks share one encoder pass, and
-    :meth:`embed_all` builds each list's matrix, and its transpose, once.
+    :meth:`embed_all` builds each list's matrix once.
 
     Question encodings: :meth:`questions` encodes the segments of the
     attention windows it is given that it lacks, all of them in one pass,
@@ -134,7 +134,6 @@ class ActionEmbedder:
         self.model = model
         self._cache: dict[Production, Tensor] = {}
         self._lists: dict[tuple[Production, ...], Tensor] = {}
-        self._transposed: dict[int, Tensor] = {}
         self._questions: dict[tuple, QuestionEncoding] = {}
         self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
 
@@ -162,15 +161,6 @@ class ActionEmbedder:
                                        [model.agnostic_index[p] for p in key])
             self._lists[key] = matrix
         return matrix
-
-    def transposed(self, productions) -> Tensor:
-        """:meth:`embed_all`'s matrix transposed, one column per
-        production, made once per list."""
-        matrix = self.embed_all(productions)
-        columns = self._transposed.get(id(matrix))      # the matrix lives as long as self
-        if columns is None:
-            columns = self._transposed[id(matrix)] = ops.transpose(matrix)
-        return columns
 
     def _encode_names(self, productions) -> None:
         """Encode the schema names among ``productions`` that it lacks, in one pass."""
@@ -455,7 +445,7 @@ def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
         exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
         scorer = ops.link_scores(Tensor(exact), Tensor(partial), params["link.w_exact"],
                                  params["link.w_partial"], memo["tokens"],
-                                 embedder.transposed(productions))
+                                 embedder.embed_all(productions))
     else:
         scorer = embedder.embed_all(productions)     # one row per production
     record = FrontierRecord(list(productions), scorer)
@@ -605,24 +595,19 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
 
 def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
                         gold: list[Production]) -> Tensor:
-    """Sum of -log P(gold action), feeding gold actions back in: the
-    decoder steps one by one with the tape paused, the steps are recorded
-    as one entry, then :func:`output_distribution` scores the whole turn
-    in one call."""
+    """Sum of -log P(gold action), feeding gold actions back in: one pass
+    over the gold derivation builds each step's frontier record and
+    embeds its action, the decoder then steps through the turn with the
+    tape paused, the steps are recorded as one entry, and
+    :func:`output_distribution` scores the whole turn in one call."""
     embedder = encoded.embedder
     deriv = Derivation(grammar)
-    state = initial_state(model, encoded)
-    prev = model.params["bos_emb"]
     frontiers: list[NonTerminal] = []
-    inputs: list[Tensor] = []
-    states: list[DecoderState] = [state]
-    weights: list[Tensor] = []
+    inputs = [model.params["bos_emb"]]
     targets: list[int] = []
     for step, action in enumerate(gold, start=1):
         if deriv.is_complete:
             raise DerivationError("derivation already complete", step=step)
-        with Tape.paused():
-            state, a = advance_state(model, encoded, state, prev)
         frontier = deriv.frontier()
         # Built here, before the step's action is embedded, so that a
         # Col/Tab frontier encodes all its names in one pass.
@@ -632,14 +617,27 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
         except ValueError:
             raise DerivationError(f"gold action {action} is illegal here", step=step) from None
         frontiers.append(frontier)
-        inputs.append(prev)
-        states.append(state)
-        weights.append(a)
         deriv.apply(action)
-        prev = embedder(action)
+        if step < len(gold):            # the last action feeds no step
+            inputs.append(embedder(action))
     if not deriv.is_complete:
         raise IncompleteSequenceError("gold sequence leaves the derivation open")
-    _record_steps(model, encoded, inputs, states, weights)
+    states = [initial_state(model, encoded)]
+    weights: list[Tensor] = []
+    with Tape.paused():
+        for prev in inputs:
+            state, a = advance_state(model, encoded, states[-1], prev)
+            states.append(state)
+            weights.append(a)
+    attended = [(encoded.attention.memory, model.params["attn.we"],
+                 encoded.attention.gate_coeffs)]
+    if states[0].sql_context is not None:
+        copy_states = encoded.copy.states
+        attended.append(None if copy_states is None
+                        else (copy_states, model.params["sql_attn.we"], None))
+    record_input_feeding(model.cell("dec"), inputs,
+                         [(s.h, s.cell, s.context, s.sql_context)[:2 + len(attended)]
+                          for s in states], weights, attended)
     dists = output_distribution(model, grammar, frontiers, states[1:], weights, encoded)
     # The loss numbers its terms frontier by frontier; add them in step order.
     order = [0] * len(gold)
@@ -648,20 +646,3 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
     return ops.nll([dist.probs for dist in dists],
                    [targets[dist.steps[0]] if dist.probs.values.ndim == 1
                     else [targets[k] for k in dist.steps] for dist in dists], order)
-
-
-def _record_steps(model, encoded: EncodedTurn, inputs: list[Tensor],
-                  states: list[DecoderState], weights: list[Tensor]) -> None:
-    """Record the :func:`advance_state` steps from ``states[0]``, each
-    fed the action embedding in ``inputs``, as one tape entry."""
-    attended = [(encoded.attention.memory, model.params["attn.we"],
-                 encoded.attention.gate_coeffs)]
-    if states[0].sql_context is not None:
-        copy_states = encoded.copy.states
-        attended.append(None if copy_states is None
-                        else (copy_states, model.params["sql_attn.we"], None))
-    record_input_feeding(
-        model.cell("dec"), inputs,
-        [(s.h, s.cell, s.context) if s.sql_context is None
-         else (s.h, s.cell, s.context, s.sql_context) for s in states],
-        weights, attended)

@@ -123,12 +123,14 @@ class SqlParser:
 
     def fit(self, corpus: Corpus) -> "SqlParser":
         """Teacher-forced training with Adam and global-norm clipping."""
-        # clip_norm <= 0 would zero or negate every gradient.
-        for name in ("lr", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ContractError(f"lr must be positive and finite, got {self.lr}")
+        # clip_norm <= 0 would zero or negate every gradient, and NaN
+        # would never clip; inf is the way to never clip.
+        if not self.clip_norm > 0:
+            raise ContractError(f"clip_norm must be positive, got {self.clip_norm}")
         for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 1),
-                            ("epochs", 0)):
+                            ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ContractError(f"{name} must be at least {least}, got {value}")

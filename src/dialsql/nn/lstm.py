@@ -25,12 +25,14 @@ derivation: :func:`_gate_factors` holds a step's local derivatives and
 - :func:`record_input_feeding` records a decoder turn whose steps (an
   :func:`lstm_cell` step, then attention over one or more memories,
   whose contexts feed the next step's input) ran with the tape paused,
-  as one tape entry. It recomputes the turn's gates with :func:`_step`
-  and :func:`_gate_factors` on one row per step; its vjp runs
-  :func:`_back_step` and the attention's backward (the tensor module's
-  ``_attention_back``, which :func:`attention`'s own vjp calls) step by
-  step, adding each delta in the order the per-step entries would have,
-  so the gradients equal theirs bit for bit.
+  as one tape entry whose outputs are each step's hidden state and
+  first attention's weights and context. It recomputes the turn's
+  gates with :func:`_step` and :func:`_gate_factors`, and the weights
+  with the tensor module's ``_attention_weights``, on one row per step;
+  its vjp runs :func:`_back_step` and ``_attention_back`` (the halves
+  of :func:`attention`) step by step, adding each delta in the order
+  the per-step entries would have, so the gradients equal theirs bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .tensor import (
     DimensionError,
     Tensor,
     _attention_back,
+    _attention_weights,
     _rows_dot,
-    _softmax_values,
     _taping,
 )
 
@@ -248,13 +250,18 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
     entry attends nothing: its context stays the start state's. The
     start state's cell state and contexts are constants.
 
+    The entry's outputs are each step's ``h``, then the ``weights``,
+    then the first attention's contexts. The cell states and the other
+    contexts only feed later steps, so they get no gradient.
+
     The vjp runs backpropagation through time, step by step, and
     repeats the arithmetic of those per-step entries in the order the
     tape would apply them, so every gradient equals theirs bit for bit:
     the weight, memory and matrix deltas are factors listed last step
     first, and ``b``, the coefficients and the inputs are listed once
-    per step, last step first. The turn's gates and ``w_e·h`` are
-    recomputed for all steps at once, row-exact.
+    per step, last step first. A step's ``h`` that no gradient reaches
+    counts as zero. The turn's gates and ``w_e·h`` are recomputed for
+    all steps at once, row-exact.
     """
     steps = len(inputs)
     if not steps or len(states) != steps + 1 or len(weights) != steps:
@@ -279,7 +286,6 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
     # The forward's arrays, one row per step: H and C hold the start
     # state's row first, and row t of X is step t's input.
     hs = cell.hidden_size
-    after = states[1:]
     H = np.array([s[0].values for s in states])
     C = np.array([s[1].values for s in states])
     X = np.concatenate([np.array([x.values for x in inputs])]
@@ -292,35 +298,22 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
     fwd = []        # per attention: what its vjp reads, one row per step
     for k in live:
         memory, w_e, coeffs = attended[k]
-        m = memory.values
+        m, cv = memory.values, None if coeffs is None else coeffs.values
         u = _rows_dot(w_e.values, H[1:])
-        a = np.array([t.values for t in weights]) if k == 0 else None
-        base = a if k == 0 and coeffs is None else _softmax_values(_rows_dot(m, u))
-        if coeffs is None:
-            cv = weighted = total = None
-            wts = base
+        if k == 0 and cv is None:       # the forward's weights are the softmax
+            a = np.array([t.values for t in weights])
+            fwd.append((m, w_e.values, u, cv, a, a, None, None))
         else:
-            cv = coeffs.values
-            weighted = base * cv
-            total = np.add.reduce(weighted, axis=1)
-            wts = weighted / total[:, None]
-        fwd.append((k, m, w_e.values, u, base, wts if a is None else a, cv, weighted, total))
-
-    # The outputs by kind, each kind step by step: h, c, the weights,
-    # then each attention's contexts.
-    outputs = ([s[0] for s in after] + [s[1] for s in after] + list(weights)
-               + [s[2 + k] for k in live for s in after])
+            fwd.append((m, w_e.values, u, cv) + _attention_weights(m, u, cv))
 
     def vjp(*grads):
-        g_h, g_c, g_a = grads[:steps], grads[steps:2 * steps], grads[2 * steps:3 * steps]
-        g_ctx = [grads[(3 + j) * steps:(4 + j) * steps] for j in range(len(live))]
+        g_h, g_a, g_ctx = grads[:steps], grads[steps:2 * steps], grads[2 * steps:]
         zero = np.zeros(hs, dtype=H.dtype)
         dz_all = np.empty((steps, 4 * hs), dtype=H.dtype)
         w_ih_t, w_hh_t = cell.w_ih.values.T, cell.w_hh.values.T
         back = [([], [], []) for _ in live]     # memory and matrix factors, coefficient deltas
-        d_inputs = [None] * steps
-        carry = dc_next = dx = None             # from the step after t
-        ran = 0                                 # steps 1..ran ran their LSTM backward
+        d_inputs = []
+        carry = dc = dx = None                  # from the step after t
         for t in range(steps - 1, -1, -1):
             # h_t's gradient: the loss's, then the next step's cell, then
             # each attention on h_t, last recorded first.
@@ -328,12 +321,12 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
             if carry is not None:
                 dh = carry if dh is None else dh + carry
             for j in range(len(live) - 1, -1, -1):
-                k, m, w, u, base, wts, cv, weighted, total = fwd[j]
-                gc = g_ctx[j][t]
+                m, w, u, cv, base, wts, weighted, total = fwd[j]
+                ga, gc = (g_a[t], g_ctx[t]) if j == 0 else (None, None)
                 if dx is not None:
+                    k = live[j]
                     part = dx[bounds[k]:bounds[k + 1]]
                     gc = part if gc is None else gc + part
-                ga = g_a[t] if k == 0 else None
                 if ga is None and gc is None:
                     continue            # an attention no path to the loss reached
                 d_m, d_w, d_h, *d_coeffs = _attention_back(
@@ -344,32 +337,24 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
                 w_factors += d_w
                 coeff_deltas += d_coeffs
                 dh = d_h if dh is None else dh + d_h
-            dc = g_c[t]
-            if dc_next is not None:
-                dc = dc_next if dc is None else dc + dc_next
-            if dh is None and dc is None:
-                carry = dc_next = dx = None
-                continue
-            ran = ran or t + 1
             dz = dz_all[t]
-            dc_next = _back_step(zero if dh is None else dh, zero if dc is None else dc,
-                                 by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz)
+            dc = _back_step(zero if dh is None else dh, zero if dc is None else dc,
+                            by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz)
             carry = w_hh_t.dot(dz)
             dx = w_ih_t.dot(dz)
-            d_inputs[t] = dx[:bounds[0]]
-        # Steps 1..ran, last first; step t's previous hidden state is row t-1 of H.
-        dz_up = dz_all[ran - 1::-1]
-        out = [(dz_up, X[ran - 1::-1]), (dz_up, H[ran - 1::-1])]
-        out += [None] * (steps - ran) + list(dz_up)
+            d_inputs.append(dx[:bounds[0]])
+        # Last step first; step t's previous hidden state is row t-1 of H.
+        dz_up = dz_all[::-1]
+        out = [(dz_up, X[::-1]), (dz_up, H[-2::-1]), *dz_up]
         for (m_factors, w_factors, coeff_deltas), group in zip(back, att_inputs):
             out += [tuple(m_factors) or None, tuple(w_factors) or None]
             if len(group) > 2:
                 out += coeff_deltas + [None] * (steps - len(coeff_deltas))
         out.append(carry)
-        out += d_inputs[::-1]
-        return out
+        return out + d_inputs
 
-    tape.record(outputs, all_inputs, vjp)
+    tape.record([s[0] for s in states[1:]] + list(weights) + [s[2] for s in states[1:]],
+                all_inputs, vjp)
 
 
 class _Layout:

@@ -32,8 +32,10 @@ context), :func:`link_scores` (a schema frontier's scorer),
 mix) and :func:`nll` (a turn's summed negative log-likelihood). A
 caller may also run several operations with the tape paused
 (:meth:`Tape.paused`) and record them as one entry itself, as the LSTM
-module does for a decoder turn. The array helpers ``_softmax_values``,
-``_masked_softmax_values`` and ``_sigmoid_values`` compute their parts.
+module does for a decoder turn, with :func:`attention`'s own halves,
+``_attention_weights`` and ``_attention_back``. The array helpers
+``_softmax_values``, ``_masked_softmax_values`` and ``_sigmoid_values``
+compute their parts.
 A plain softmax is the one-part :func:`mixture` without copy inputs.
 :func:`mixture` and :func:`nll` also take matrices with one row per
 decoder step, and :func:`rows_matmul` multiplies each row of a matrix
@@ -542,31 +544,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def link_scores(exact: Tensor, partial: Tensor, w_exact: Tensor, w_partial: Tensor,
                 tokens: Tensor, names: Tensor) -> Tensor:
-    """``exact · w_exact + partial · w_partial + tokens · names`` as one
+    """``exact · w_exact + partial · w_partial + tokens · namesᵀ`` as one
     tape entry: two feature matrices scaled by scalar weights, plus the
     product of a matrix with one row per feature row (the question
-    tokens' embeddings) and one with a column per feature column (the
-    schema names'). Values and deltas equal, bit for bit, those of the
-    same expression composed of :func:`scale_by`, :func:`add` and
-    :func:`matmul`.
+    tokens' embeddings) and the transposed view of one with a row per
+    feature column (the schema names'). Values and deltas equal, bit for
+    bit, those of the same expression composed of :func:`scale_by`,
+    :func:`add`, :func:`matmul` and :func:`transpose`.
     """
     ev, pv, tv, nv = exact.values, partial.values, tokens.values, names.values
     if w_exact.shape != () or w_partial.shape != ():
         raise DimensionError(f"link_scores: weights must be scalars, got {w_exact.shape} "
                              f"and {w_partial.shape}")
-    if tv.ndim != 2 or nv.ndim != 2 or tv.shape[1] != nv.shape[0] \
-            or not ev.shape == pv.shape == (tv.shape[0], nv.shape[1]):
+    if tv.ndim != 2 or nv.ndim != 2 or tv.shape[1] != nv.shape[1] \
+            or not ev.shape == pv.shape == (tv.shape[0], nv.shape[0]):
         raise DimensionError(f"link_scores: features {exact.shape} and {partial.shape} "
-                             f"for the product of {tokens.shape} and {names.shape}")
+                             f"for the product of {tokens.shape} and {names.shape} transposed")
     we, wp = w_exact.values, w_partial.values
-    out = Tensor(ev * we + pv * wp + tv.dot(nv))
+    out = Tensor(ev * we + pv * wp + tv.dot(nv.T))
     inputs = (exact, partial, w_exact, w_partial, tokens, names)
     tape = _taping(*inputs)
     if tape is not None:
         tape.record((out,), inputs, lambda g: (
             g * we if exact.requires_grad else None, g * wp if partial.requires_grad else None,
             np.add.reduce(g * ev, axis=None), np.add.reduce(g * pv, axis=None),
-            g.dot(nv.T), tv.T.dot(g)))
+            g.dot(nv), tv.T.dot(g).T))
     return out
 
 
@@ -692,14 +694,8 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
         raise DimensionError(f"attention: {coeffs.shape} coefficients for "
                              f"{m.shape[0]} memory rows")
     u = w_e.values.dot(h.values)
-    base = _softmax_values(m.dot(u))
-    if coeffs is None:
-        weights, cv, weighted, total = base, None, None, None
-    else:
-        cv = coeffs.values
-        weighted = base * cv
-        total = np.add.reduce(weighted, axis=None)
-        weights = weighted / total
+    cv = None if coeffs is None else coeffs.values
+    base, weights, weighted, total = _attention_weights(m, u, cv)
     out_a = Tensor(weights)
     out_c = Tensor(m.T.dot(weights))
 
@@ -710,6 +706,21 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
         tape.record((out_a, out_c), inputs, lambda ga, gc: _attention_back(
             m, w, hv, u, base, weights, ga, gc, cv, weighted, total))
     return out_a, out_c
+
+
+def _attention_weights(m: np.ndarray, u: np.ndarray, coeffs: np.ndarray | None) -> tuple:
+    """:func:`attention`'s weights over the rows of ``m``, for one query
+    ``u = w_e·h`` or for each row of ``u``: returns the softmax ``base``
+    of the scores ``m·u``, the ``weights``, and with coefficients
+    ``weighted = base·coeffs`` and its sum ``total`` (both None
+    without). Each row's values equal those of its query alone bit for
+    bit."""
+    base = _softmax_values(_rows_dot(m, u))
+    if coeffs is None:
+        return base, base, None, None
+    weighted = base * coeffs
+    total = np.add.reduce(weighted, axis=-1)
+    return base, weighted / total[..., None], weighted, total
 
 
 def _attention_back(m, w_e, h, u, base, weights, ga, gc, coeffs=None, weighted=None,

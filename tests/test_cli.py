@@ -529,6 +529,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, message", [
         (["--eval-every", "0", "--target-ques-match", "0.5"], "eval_every must be at least 1, got 0"),
         (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+        (["--lr", "nan"], "lr must be positive and finite, got nan"),
+        (["--clip-norm", "nan"], "clip_norm must be positive, got nan"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
     ])
     def test_setting_out_of_range_exits_1(self, data_args, tmp_path, capsys, flags, message):
         code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS,
@@ -536,6 +539,18 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-3"], "seed must be at least 0, got -3"),
+        (["--max-turns", "0"], "max_turns must be at least 1, got 0"),
+        (["--share-prob", "7"], "share_prob must be in [0, 1], got 7.0"),
+    ])
+    def test_synth_data_setting_out_of_range_exits_1(self, tmp_path, capsys, flags, message):
+        code = main(["synth-data", "--out-dir", str(tmp_path / "data"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     def test_config_precision_out_of_range_names_the_file(self, data_args, tmp_path, capsys):
         cfg = tmp_path / "c.json"

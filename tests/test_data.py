@@ -66,10 +66,6 @@ class TestVocabulary:
         again = Vocabulary(v.to_list())
         assert again.index("gamma") == v.index("gamma")
 
-    def test_token_lookup(self):
-        v = Vocabulary(["alpha"])
-        assert v.token(v.index("alpha")) == "alpha"
-
     def test_duplicates_rejected(self):
         with pytest.raises(DataError):
             Vocabulary(["alpha", "alpha"])
@@ -380,6 +376,20 @@ class TestGenSynthetic:
                 assert ta.gold_sql == tb.gold_sql
                 assert ta.gold_actions == tb.gold_actions
 
-    def test_rejects_empty_request(self):
-        with pytest.raises(DataError):
-            gen_synthetic(0, n_dialogues=0)
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_dialogues": 0}, "n_dialogues must be at least 1, got 0"),
+        ({"seed": -3}, "seed must be at least 0, got -3"),
+        ({"max_turns": 0}, "max_turns must be at least 1, got 0"),
+        ({"share_prob": 7.0}, "share_prob must be in [0, 1], got 7.0"),
+        ({"share_prob": -0.5}, "share_prob must be in [0, 1], got -0.5"),
+        ({"share_prob": float("nan")}, "share_prob must be in [0, 1], got nan"),
+    ])
+    def test_rejects_settings_out_of_range(self, setting, message):
+        with pytest.raises(DataError) as err:
+            gen_synthetic(**{"seed": 0, **setting})
+        assert str(err.value) == message
+
+    def test_accepts_share_prob_bounds_and_one_turn(self):
+        for share_prob in (0.0, 1.0):
+            corpus = gen_synthetic(0, n_dialogues=2, max_turns=1, share_prob=share_prob)
+            assert all(len(d.turns) == 1 for d in corpus.dialogues)

@@ -310,18 +310,32 @@ class TestOutputDistribution:
         decoder.linking_matrix(tokens, names)        # no memo across calls
         assert len(calls) == len(set(tokens)) * len(names)
 
-    def test_transposed_names_made_once_per_embedder(self, monkeypatch):
-        transposed, real = [], ops.transpose
-        monkeypatch.setattr(ops, "transpose", lambda m: transposed.append(m) or real(m))
+    def test_name_matrices_embedded_once_per_embedder_and_never_transposed(self, monkeypatch):
+        transposed, real_transpose = [], ops.transpose
+        monkeypatch.setattr(ops, "transpose",
+                            lambda m: transposed.append(m) or real_transpose(m))
+        linked, real_link = [], ops.link_scores
+        monkeypatch.setattr(ops, "link_scores", lambda *args: linked.append(args[-1])
+                            or real_link(*args))
+        encoded, real_encode = [], decoder.encode_name
+        monkeypatch.setattr(decoder, "encode_name",
+                            lambda embedded, cell: encoded.extend(embedded)
+                            or real_encode(embedded, cell))
         model = make_model("none", seed=2)
         gold = list(actions_for("SELECT alpha, beta FROM t1"))
+        cols, tabs = (GRAMMAR.expansions(nt) for nt in (NonTerminal.COL, NonTerminal.TAB))
         with Tape():
             embedder = decoder.ActionEmbedder(model)
             for tokens in (["show", "alpha", "of", "t1"], ["beta", "?"]):
                 enc = encode_turn(model, [tokens], [0], None, embedder)
                 teacher_forced_loss(model, enc, GRAMMAR, gold)
-        assert len(transposed) == 2          # the columns and the tables, once each
-        assert [m.shape[0] for m in transposed] == [3, 2]
+        assert not transposed
+        # Each turn scores the columns and the tables with the rows the
+        # embedder made once per list, one per name.
+        assert len(encoded) == len(cols) + len(tabs)
+        matrices = [embedder.embed_all(cols), embedder.embed_all(tabs)]
+        assert [m.shape[0] for m in matrices] == [3, 2]
+        assert len(linked) == 4 and {id(n) for n in linked} == {id(m) for m in matrices}
 
     def test_linking_matrix_built_once_per_turn(self, monkeypatch):
         calls = []
@@ -476,7 +490,7 @@ class TestPerTurnConstants:
         # One gather of the question tokens' word embeddings for the
         # turn, and one token-rule product per schema frontier kind.
         assert len(gathers) == 1 and gathers[0].requires_grad
-        assert sorted(products) == [(3, 2), (3, 3)]     # tables, columns
+        assert sorted(products) == [(2, 3), (3, 3)]     # tables, columns
 
     def test_turn_decodes_with_the_embedder_it_was_encoded_with(self, monkeypatch):
         # The precedent names t1 and beta; the gold query's Col and Tab
@@ -501,8 +515,8 @@ class TestPerTurnConstants:
             teacher_forced_loss(model, enc, GRAMMAR, gold)
         # One entry records the 9 steps' recurrence; the others are the
         # frontier records, the action embeddings, the output layer and
-        # the loss: 4.9 entries per step.
-        assert len(gold) == 9 and len(tape) - encoder_entries == 44
+        # the loss: 4.7 entries per step.
+        assert len(gold) == 9 and len(tape) - encoder_entries == 42
 
 
 def model_for(method: str, seed: int = 0):

@@ -92,13 +92,19 @@ class TestFit:
         ("batch_size", 0, "at least 1"), ("batch_size", -3, "at least 1"),
         ("eval_every", 0, "at least 1"), ("max_steps", 0, "at least 1"),
         ("epochs", -1, "at least 0"), ("clip_norm", 0.0, "positive"),
-        ("clip_norm", -1.0, "positive")])
+        ("clip_norm", -1.0, "positive"), ("clip_norm", np.nan, "positive"),
+        ("lr", np.nan, "positive and finite"), ("lr", np.inf, "positive and finite"),
+        ("lr", -1e-2, "positive and finite"), ("seed", -1, "at least 0")])
     def test_settings_out_of_range_rejected_before_training(self, corpus, name, value, bound,
                                                             monkeypatch):
         monkeypatch.setattr(est_mod, "build_vocab",
                             lambda *a, **k: pytest.fail("fit started work"))
         with pytest.raises(ContractError, match=f"^{name} must be {bound}, got {value}$"):
             quick_parser(**{name: value}).fit(corpus)
+
+    def test_infinite_clip_norm_never_clips(self, corpus):
+        p = quick_parser(epochs=1, clip_norm=np.inf).fit(corpus)
+        assert p.history_[0]["clipped"] == 0.0
 
     def test_empty_corpus(self, corpus):
         empty = Corpus(dialogues=[], schemas=corpus.schemas)

@@ -548,12 +548,16 @@ class Feeding:
             record_input_feeding(self.cell, self.inputs, states, weights, attended)
         return [(s[0], s[1], a, *s[2:]) for s, a in zip(states[1:], weights)]
 
+    # The fields the recorded entry outputs: h, weights and context.
+    RECORDED = (0, 2, 3)
+
     def loss(self, outputs, reached):
-        """Σ probe · output over the outputs ``reached`` picks, by step
-        and by field index (h, c, weights, context, second context)."""
+        """Σ probe · output over the recorded outputs ``reached`` picks,
+        by step and by field index (h, c, weights, context, second
+        context)."""
         terms = [ops.matmul(out, self.probes[5 * t + k])
                  for t, outs in enumerate(outputs) for k, out in enumerate(outs)
-                 if reached(t, k)]
+                 if k in self.RECORDED and reached(t, k)]
         total = terms[0]
         for term in terms[1:]:
             total = ops.add(total, term)
@@ -578,9 +582,7 @@ class TestRecordedInputFeeding:
     REACHED = {
         "every output": lambda t, k: True,
         "last hidden state": lambda t, k: (t, k) == (3, 0),
-        "first cell state": lambda t, k: (t, k) == (0, 1),
         "weights and contexts": lambda t, k: k >= 2,
-        "second contexts, last cell state": lambda t, k: k == 4 and t < 3 or (t, k) == (3, 1),
     }
 
     @pytest.mark.parametrize("reached", sorted(REACHED))
@@ -606,9 +608,19 @@ class TestRecordedInputFeeding:
         finally:
             set_precision(64)
         for outs_got, outs_want in zip(got, want):
-            for g, w in zip(outs_got, outs_want):
-                assert g.values.dtype == dtype and g.requires_grad
+            for k, (g, w) in enumerate(zip(outs_got, outs_want)):
+                assert g.values.dtype == dtype
+                assert g.requires_grad == (k in Feeding.RECORDED)
                 assert g.values.tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("second", ["attend", "constant"])
+    def test_cell_states_and_second_contexts_get_no_gradient(self, second):
+        feeding = Feeding(66, second=second)
+        with Tape():
+            outputs = feeding.run(True)
+        for h, c, a, ctx, sql in outputs:
+            assert h.requires_grad and a.requires_grad and ctx.requires_grad
+            assert not c.requires_grad and not sql.requires_grad
 
     @pytest.mark.parametrize("coeffs", [True, False])
     def test_gradients_match_finite_differences(self, coeffs):

@@ -25,6 +25,10 @@ UNNAMED = {
     # full-rank weighted sum over a matrix (``matmul`` contracts one axis).
     "src/dialsql/nn/tensor.py:mul": "elementwise weights for matrix-valued test losses",
     "src/dialsql/nn/tensor.py:reduce_sum": "sums a matrix-valued output into a scalar test loss",
+    # link_scores multiplies by a transposed view itself; the tests'
+    # reference compositions of the Col/Tab scorer transpose the names.
+    "src/dialsql/nn/tensor.py:transpose":
+        "the name matrix of criterion 3's linking reference and of link_scores' composition",
     "src/dialsql/estimator.py:SqlParser.set_params":
         "the scikit-learn parameter protocol, with get_params",
     "src/dialsql/evaluation.py:read_report":
@@ -38,17 +42,23 @@ def _unnamed(sources: dict[str, str], defining: set[str]) -> set[str]:
     """``<file>:<qualified name>`` of each function, method and class
     defined in a file of ``defining`` whose name no module of
     ``sources`` uses outside the definition's own body: as a name, an
-    attribute or an import. Dunder methods are called implicitly."""
+    attribute or an import. A name inside a function that has a
+    parameter of that name is the parameter. Dunder methods are called
+    implicitly."""
     defs, uses = [], {}
 
-    def visit(node, path, scope):
+    def visit(node, path, scope, params=frozenset()):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if path in defining and not (node.name.startswith("__")
                                          and node.name.endswith("__")):
                 defs.append((path, ".".join(scope + [node.name]), node))
             scope = scope + [node.name]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = params | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                               + [a for a in (args.vararg, args.kwarg) if a]}
         if isinstance(node, ast.Name):
-            names = [node.id]
+            names = [] if node.id in params else [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         elif isinstance(node, ast.ImportFrom):
@@ -58,7 +68,7 @@ def _unnamed(sources: dict[str, str], defining: set[str]) -> set[str]:
         for name in names:
             uses.setdefault(name, []).append((path, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, path, scope)
+            visit(child, path, scope, params)
 
     for path, source in sources.items():
         visit(ast.parse(source), path, [])
@@ -73,8 +83,10 @@ def test_every_public_op_has_a_caller_in_the_package():
     only tests reach is deleted."""
     sample = ("def used():\n    return 1\n"
               "def unused():\n    return unused()\n"
-              "class C:\n    def __len__(self):\n        return used()\n")
-    assert _unnamed({"m.py": sample}, {"m.py"}) == {"m.py:unused", "m.py:C"}
+              "def shadowed():\n    return 2\n"
+              "def f(shadowed):\n    return shadowed or used()\n"
+              "class C:\n    def __len__(self):\n        return f(0)\n")
+    assert _unnamed({"m.py": sample}, {"m.py"}) == {"m.py:unused", "m.py:shadowed", "m.py:C"}
 
     package = Path(dialsql.__file__).resolve().parent
     repo = package.parent.parent
