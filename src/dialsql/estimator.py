@@ -129,6 +129,11 @@ class SqlParser:
         # would never clip; inf is the way to never clip.
         if not self.clip_norm > 0:
             raise ContractError(f"clip_norm must be positive, got {self.clip_norm}")
+        # A target above 1 or NaN is never reached, and one below 0 stops
+        # at the first evaluation.
+        target = self.target_ques_match
+        if target is not None and not 0 <= target <= 1:
+            raise ContractError(f"target_ques_match must be in [0, 1], got {target}")
         for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 1),
                             ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)

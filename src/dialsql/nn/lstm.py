@@ -14,14 +14,22 @@ derivation: :func:`_gate_factors` holds a step's local derivatives and
   ``dZᵀX`` and one ``dZᵀH`` product per backward.
 - :func:`lstm_sequence` runs a batch of encoder passes from zero states,
   one or two directions over each of several matrices of rows, as one
-  tape entry. The sequences are padded to the longest and stepped side
-  by side, one row of every array per sequence. Every product of a
-  weight matrix with a row is one matrix-vector product per row
-  (:func:`_rows_dot`), never one GEMM over the rows, so each sequence's
-  states equal those of a pass over it alone bit for bit. :func:`_bptt`
-  runs :func:`_back_step` over the batch, and each direction's weight
+  tape entry, in one packed, direction-stacked pass. The sequences are
+  ranked longest first, so the ones still running at step ``t`` are the
+  first ranks, and each step runs on their rows alone: a packed array
+  holds only real steps, ``sum(lengths)`` rows, step after step
+  (:class:`_Packing`). The two directions' weights stack along a
+  leading axis and each packed row holds both directions' entries, so
+  one :func:`_step` advances both. Every product of a weight matrix
+  with a row is one matrix-vector product per row (:func:`_rows_dot`,
+  the stacked ``matmul`` against the weights' transposed view), never
+  one GEMM over the rows, so each sequence's states equal those of a
+  pass over it alone bit for bit. :func:`_bptt` forms
+  :func:`_gate_factors` once over the packed arrays and runs
+  :func:`_back_step` step by step, last step first; a sequence joins
+  with zero carries at its own last step. Each direction's weight
   gradients are one ``dZᵀX`` and one ``dZᵀH_prev`` product over the
-  valid steps of all sequences.
+  rows of all sequences.
 - :func:`record_input_feeding` records a decoder turn whose steps (an
   :func:`lstm_cell` step, then attention over one or more memories,
   whose contexts feed the next step's input) ran with the tape paused,
@@ -79,20 +87,23 @@ class LSTMCellParams:
         return [self.w_ih, self.w_hh, self.b]
 
 
-def _step(params: LSTMCellParams, zx: np.ndarray, h: np.ndarray,
+def _step(w_hh: np.ndarray, b: np.ndarray, zx: np.ndarray, h: np.ndarray,
           c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One LSTM step on arrays; returns (h', c', sig, g).
 
     ``zx`` is the input's projection ``W_ih·x``; the arrays are vectors,
-    or matrices with one row per sequence. ``sig`` holds the i, f and o
+    or matrices with one row per sequence. With a stack of weights, one
+    per direction (``w_hh`` of shape ``(D, 4H, H)``, ``b`` of ``(D,
+    4H)``), each array has one row per direction: ``(D, ·)`` for one
+    sequence, ``(n, D, ·)`` for ``n``. ``sig`` holds the i, f and o
     gates at their blocks of the stacked pre-activation (the g block's
     entries go unused) and ``g`` the candidate cell input.
     """
-    hs = params.hidden_size
+    hs = h.shape[-1]
     # W_hh·h + W_ih·x equals W_ih·x + W_hh·h bit for bit: addition commutes.
-    z = _rows_dot(params.w_hh.values, h)
+    z = _rows_dot(w_hh, h)
     z += zx
-    z += params.b.values
+    z += b
     # One exp for the three sigmoid gates, computed in place:
     # sig = 1 / (1 + exp(-z)).
     sig = np.negative(z)
@@ -115,7 +126,8 @@ def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     if h.values.shape != (hs,) or c.values.shape != (hs,):
         raise DimensionError("lstm_cell: state shapes do not match hidden size")
 
-    h_new, c_new, sig, g = _step(params, params.w_ih.values.dot(x.values), h.values, c.values)
+    h_new, c_new, sig, g = _step(params.w_hh.values, params.b.values,
+                                 params.w_ih.values.dot(x.values), h.values, c.values)
     out_h = Tensor(h_new)
     out_c = Tensor(c_new)
 
@@ -181,31 +193,51 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
             raise DimensionError(f"lstm_sequence: step input has {x.shape[1]} entries, "
                                  f"the cell expects {cell.input_size}")
 
-    layout = _layout(tuple(lengths))
+    directions = len(cells)
+    hs = cells[0].hidden_size
+    if cells[-1].hidden_size != hs:
+        raise DimensionError("lstm_sequence: the two cells' hidden sizes differ")
+    pack = _packing(tuple(lengths), directions)
     inputs = [w for cell in cells for w in cell.tensors()] + list(seqs)
     if tails is not None:
         inputs += tails
     tape = _taping(*inputs)
-    runs, blocks = [], []
-    for k, cell in enumerate(cells):
-        hidden, kept = _unroll(cell, layout.to_steps(_rows_dot(cell.w_ih.values, x), k),
-                               keep=tape is not None)
-        runs.append((hidden, kept))
-        blocks.append(layout.to_rows(hidden, k))
-    states = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    starts = layout.starts
+    if directions == 1:
+        cell = cells[0]
+        w_ih, w_hh, b = cell.w_ih.values, cell.w_hh.values, cell.b.values
+    else:   # the weights stack along a leading direction axis
+        w_ih, w_hh, b = (np.array([w.values for w in ws])
+                         for ws in zip(*(cell.tensors() for cell in cells)))
+    proj = _rows_dot(w_ih, x if pack.sources is None else x.take(pack.sources, axis=0))
+    # _step writes into neither.
+    h = c = np.zeros(proj[pack.steps[0][0]].shape[:-1] + (hs,), dtype=proj.dtype)
+    live = len(seqs)
+    hidden, kept = [], []
+    for at, m in pack.steps:
+        if m < live:
+            h, c, live = h[:m], c[:m], m
+        h, c, sig, g = _step(w_hh, b, proj[at], h, c)
+        hidden.append(h)
+        if tape is not None:
+            kept.append((c, sig, g))
+    join = np.concatenate if len(seqs) > 1 else np.array     # one sequence steps vectors
+    H = join(hidden)
+    states = (H if pack.rows is None else
+              H.reshape(-1, hs).take(pack.rows, axis=0).reshape(-1, directions * hs))
+    blocks = [states[:, k * hs:(k + 1) * hs] for k in range(directions)]
+    starts = pack.starts
     # Each direction's end state: forward at a sequence's last row,
     # backward at its first.
-    end_rows = (layout.lasts, starts)[:len(cells)]
+    end_rows = (pack.lasts, starts)[:directions]
     out = [(Tensor(states[a:a + m]),
             [Tensor(block[rows[r]]) for block, rows in zip(blocks, end_rows)])
            for r, (a, m) in enumerate(zip(starts, lengths))]
 
     if tape is not None:
-        cols = list(accumulate((cell.hidden_size for cell in cells), initial=0))
+        C, SIG, G = (join(parts) for parts in zip(*kept))
 
         def vjp(*grads):
-            per_seq = len(cells) + 1
+            per_seq = directions + 1
             d_states = np.zeros_like(states)
             for r, (a, m) in enumerate(zip(starts, lengths)):
                 if grads[r * per_seq] is not None:
@@ -213,16 +245,24 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
                 for k, rows in enumerate(end_rows):
                     g = grads[r * per_seq + 1 + k]
                     if g is not None:
-                        d_states[rows[r], cols[k]:cols[k + 1]] += g
+                        d_states[rows[r], k * hs:(k + 1) * hs] += g
+            d_hidden = (d_states if pack.reads is None else
+                        d_states.reshape(-1, hs).take(pack.reads, axis=0))
+            zero = np.zeros((1,) + H.shape[1:], dtype=H.dtype)
+            c_prev, h_prev = (np.concatenate([zero, v]).take(pack.prev, axis=0) for v in (C, H))
+            # Back to each direction's rows, in stacked order.
+            dz, h_prev = (v.reshape(-1, v.shape[-1]).take(pack.rows_by_direction, axis=0)
+                          for v in (_bptt(w_hh, pack, c_prev, C, SIG, G, d_hidden), h_prev))
             deltas = []
             dx = np.zeros_like(x)
-            for k, (cell, (hidden, kept)) in enumerate(zip(cells, runs)):
-                d_hidden = layout.to_steps(d_states[:, cols[k]:cols[k + 1]], k)
-                dz = layout.to_rows(_bptt(cell, kept, d_hidden), k)
-                h_prev = np.concatenate([np.zeros_like(hidden[:1]), hidden[:-1]])
-                h_prev = layout.to_rows(h_prev, k)
-                deltas += [dz.T.dot(x), dz.T.dot(h_prev), np.add.reduce(dz, axis=0)]
-                dx += dz.dot(cell.w_ih.values)
+            for k, cell in enumerate(cells):
+                dz_t = dz[k].T
+                if k and len(seqs) == 1:
+                    # One sequence read backwards: BLAS gets dzᵀ in C order,
+                    # whose kernel rounds these two products as it always has.
+                    dz_t = dz_t.copy()
+                deltas += [dz_t.dot(x), dz_t.dot(h_prev[k]), np.add.reduce(dz[k], axis=0)]
+                dx += dz[k].dot(cell.w_ih.values)
             deltas += [dx[a:a + m, :width] for a, m in zip(starts, lengths)]
             if tails is not None:
                 deltas += [np.add.reduce(dx[a:a + m, width:], axis=0)
@@ -293,7 +333,8 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
                           for k in range(len(attended))], axis=1)
     bounds = list(accumulate([inputs[0].values.shape[0]]
                              + [f.values.shape[0] for f in feeds0]))
-    _, _, sig, g = _step(cell, _rows_dot(cell.w_ih.values, X), H[:-1], C[:-1])
+    _, _, sig, g = _step(cell.w_hh.values, cell.b.values, _rows_dot(cell.w_ih.values, X),
+                         H[:-1], C[:-1])
     by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, C[1:], C[:-1])
     fwd = []        # per attention: what its vjp reads, one row per step
     for k in live:
@@ -357,78 +398,61 @@ def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
                 all_inputs, vjp)
 
 
-class _Layout:
+class _Packing:
     """Where the rows of a pass's sequences, stacked in order, sit in its
-    step-major arrays.
+    packed arrays (see the module docstring).
 
-    Step t of direction k reads one row per sequence, in order: direction
-    0 from each sequence's first row, direction 1 from its last. A single
-    sequence needs no padding, and its step-major arrays have no sequence
-    axis. Otherwise a sequence that has ended reads a zero row, so the
-    padding follows every sequence's own steps in both directions, and
-    no state of a sequence depends on it.
+    A packed array holds step 0's rows, then step 1's, and so on: one row
+    per running sequence, longest first (ties keep their order), with
+    one entry per direction when there are two. One sequence is stepped
+    as vectors, without a sequence axis.
     """
 
-    def __init__(self, lengths: tuple[int, ...]):
+    def __init__(self, lengths: tuple[int, ...], directions: int):
         n, total = len(lengths), sum(lengths)
         size = np.array(lengths)
         begin = np.cumsum(size) - size
         self.starts = begin.tolist()
         self.lasts = (begin + size - 1).tolist()
-        if n == 1:
-            # Reversing the rows is its own inverse.
-            self.reads = self.places = (slice(None), slice(None, None, -1))
-            return
-        seq = np.repeat(np.arange(n), size)         # each row's sequence
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(-size, kind="stable")] = np.arange(n)
+        live = (size > np.arange(max(lengths))[:, None]).sum(axis=1)
+        offset = np.cumsum(live) - live
+        #: per step, its packed rows (a slice, or the one row's index)
+        #: and how many sequences still run
+        self.steps = [(slice(a, a + m) if n > 1 else a, m)
+                      for a, m in zip(offset.tolist(), live.tolist())]
+        #: per packed row, the row one step earlier, counting a leading
+        #: zero row (the start state) as row 0
+        self.prev = np.zeros(total, dtype=np.intp)
+        step = np.repeat(np.arange(len(live)), live)[live[0]:]
+        self.prev[live[0]:] = 1 + np.arange(live[0], total) - live[step - 1]
+
+        # A stacked row's entries, and a packed row's, are numbered
+        # row * directions + direction. Direction 0 reads a sequence
+        # first row to last, direction 1 last to first.
+        seq = np.repeat(np.arange(n), size)         # each stacked row's sequence
         at = np.arange(total) - begin[seq]          # and its position there
-        self.reads, self.places = [], []
-        for step in (at, size[seq] - 1 - at):       # the step that reads each row
-            place = step * n + seq                  # its flat step-major index
-            read = np.full(max(lengths) * n, total)     # total: the zero row
-            read[place] = np.arange(total)
-            self.places.append(place)
-            self.reads.append(read.reshape(-1, n))
-
-    def to_steps(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Rows in stacked order -> direction ``k``'s step-major array."""
-        read = self.reads[k]
-        if type(read) is slice:
-            return rows[read]
-        zero = np.zeros((1,) + rows.shape[1:], rows.dtype)
-        return np.concatenate([rows, zero]).take(read, axis=0)
-
-    def to_rows(self, steps: np.ndarray, k: int) -> np.ndarray:
-        """Direction ``k``'s step-major array -> its sequences' rows, in
-        stacked order; padded steps are dropped."""
-        place = self.places[k]
-        if type(place) is slice:
-            return steps[place]
-        return steps.reshape((-1,) + steps.shape[-1:]).take(place, axis=0)
+        steps = np.stack([at, size[seq] - 1 - at][:directions], axis=1)
+        packed = (offset[steps] + rank[seq][:, None]) * directions + np.arange(directions)
+        #: per direction and stacked row, its packed entry
+        self.rows_by_direction = packed.T
+        #: per stacked row its packed entries (``rows``), per packed row
+        #: its stacked entries (``reads``) and rows (``sources``); None
+        #: where the two orders agree: one direction, and one sequence or
+        #: all of length 1
+        self.rows = self.reads = self.sources = None
+        if directions > 1 or total > n > 1:
+            reads = np.empty_like(packed)
+            reads.flat[packed] = np.arange(packed.size)
+            self.rows, self.reads, self.sources = packed, reads, reads // directions
+            if directions == 1:     # the arrays have no direction axis
+                self.rows, self.reads, self.sources = packed[:, 0], reads[:, 0], reads[:, 0]
 
 
-# Layouts recur (a schema's names, a turn checked again and again), and
+# Packings recur (a schema's names, a turn checked again and again), and
 # building one costs more than a short pass.
-_layout = lru_cache(maxsize=256)(_Layout)
-
-
-def _unroll(cell: LSTMCellParams, proj: np.ndarray,
-            keep: bool) -> tuple[np.ndarray, tuple | None]:
-    """One direction over a batch, given the input projections ``proj``
-    step-major in reading order (see :class:`_Layout`): the hidden state
-    after each step, and, when ``keep``, the cell states, gates and
-    candidates the vjp needs, laid out alike."""
-    # _step writes into neither.
-    h = c = np.zeros(proj.shape[1:-1] + (cell.hidden_size,), dtype=proj.dtype)
-    hidden, cells, sigs, gs = [], [], [], []
-    for zx in proj:
-        h, c, sig, g = _step(cell, zx, h, c)
-        hidden.append(h)
-        if keep:
-            cells.append(c)
-            sigs.append(sig)
-            gs.append(g)
-    kept = (np.array(cells), np.array(sigs), np.array(gs)) if keep else None
-    return np.array(hidden), kept
+_packing = lru_cache(maxsize=256)(_Packing)
 
 
 def _gate_factors(sig: np.ndarray, g: np.ndarray, c: np.ndarray,
@@ -440,7 +464,7 @@ def _gate_factors(sig: np.ndarray, g: np.ndarray, c: np.ndarray,
     ``dc * by_dc`` (``by_dc`` holds one row per block) and an o block
     ``dh * by_dh``, where ``dc`` already includes ``dh * dc_by_dh``; the
     gradient of the previous cell state is ``dc * f``. The arrays hold
-    one step, or leading axes of steps and sequences.
+    one step, or leading axes of steps, sequences and directions.
     """
     hs = c.shape[-1]
     i, f, o = sig[..., :hs], sig[..., hs:2 * hs], sig[..., 3 * hs:]
@@ -456,9 +480,9 @@ def _back_step(dh: np.ndarray, dc: np.ndarray, by_dc: np.ndarray, by_dh: np.ndar
                dc_by_dh: np.ndarray, f: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """The chain rule through one step, given the gradients ``dh`` and
     ``dc`` of its hidden and cell states and its :func:`_gate_factors`,
-    for one sequence or one row per sequence. Writes the gate
-    pre-activations' gradient into ``dz`` (contiguous) and returns that
-    of the previous cell state."""
+    for one sequence or one row per sequence, and per direction. Writes
+    the gate pre-activations' gradient into ``dz`` (contiguous) and
+    returns that of the previous cell state."""
     hs = dh.shape[-1]
     dc = dc + dh * dc_by_dh
     blocks = dz.reshape(dz.shape[:-1] + (4, hs))
@@ -467,22 +491,31 @@ def _back_step(dh: np.ndarray, dc: np.ndarray, by_dc: np.ndarray, by_dh: np.ndar
     return dc * f
 
 
-def _bptt(cell: LSTMCellParams, kept: tuple, d_hidden: np.ndarray) -> np.ndarray:
-    """Backpropagation through one direction of a batch from zero states;
-    returns the gradient of the gate pre-activations, step-major like
-    ``kept``, what :func:`_unroll` kept.
+def _bptt(w_hh: np.ndarray, pack: _Packing, c_prev: np.ndarray, c: np.ndarray,
+          sig: np.ndarray, g: np.ndarray, d_hidden: np.ndarray) -> np.ndarray:
+    """Backpropagation through a packed pass from zero states; returns the
+    gradient of the gate pre-activations, packed like the cell states
+    ``c``, gates ``sig`` and candidates ``g`` of the forward.
 
     ``d_hidden`` is the gradient of each step's hidden state from outside
-    the pass. A padded step gets none, so its gradients are zero and the
-    sequence's own steps start from zero, as in a pass over it alone.
+    the pass, and ``c_prev`` the cell state each step started from. A
+    sequence joins the backward at its last step with zero carries, as
+    in a pass over it alone.
     """
-    c, sig, g = kept
-    c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
     by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, c, c_prev)
-    w_hh_t = cell.w_hh.values.T
+    w_hh_t = np.swapaxes(w_hh, -1, -2)
     dz = np.empty(c.shape[:-1] + (4 * c.shape[-1],), dtype=c.dtype)
-    carry = dc = np.zeros_like(c[0])
-    for t in range(len(c) - 1, -1, -1):
-        dc = _back_step(d_hidden[t] + carry, dc, by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz[t])
-        carry = _rows_dot(w_hh_t, dz[t])
+    # The carries of every sequence, running ones first; a sequence's rows
+    # stay zero until it joins. One sequence's carries are vectors.
+    first, n = pack.steps[0]
+    carry_rows, dc_rows = np.zeros((2,) + c[first].shape, dtype=c.dtype)
+    live = pack.steps[-1][1]
+    carry, dc = (carry_rows, dc_rows) if live == n else (carry_rows[:live], dc_rows[:live])
+    for at, m in reversed(pack.steps):
+        if m > live:
+            carry_rows[:live], dc_rows[:live] = carry, dc
+            carry, dc, live = carry_rows[:m], dc_rows[:m], m
+        dc = _back_step(d_hidden[at] + carry, dc, by_dc[at], by_dh[at], dc_by_dh[at], f[at],
+                        dz[at])
+        carry = _rows_dot(w_hh_t, dz[at])
     return dz

@@ -573,15 +573,19 @@ def link_scores(exact: Tensor, partial: Tensor, w_exact: Tensor, w_partial: Tens
 
 
 def _rows_dot(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``m`` times a vector, or times each row of a matrix.
+    """``m`` times a vector, or times each row of a matrix; a stack of
+    matrices ``m[k]`` multiplies the rows ``rows[..., k, :]``.
 
-    Each row's result equals ``m.dot(row)`` bit for bit: the rows go
-    through one matrix-vector product each (the stacked ``matmul``), as
-    one GEMM over several rows would block the sums differently.
+    Each row's result equals ``m.dot(row)`` (``m[k].dot(row)``) bit for
+    bit: the rows go through one matrix-vector product each (the stacked
+    ``matmul`` against ``m``'s transposed view), as one GEMM over several
+    rows would block the sums differently.
     """
     if rows.ndim == 1:
         return m.dot(rows)
-    return np.matmul(rows[:, None, :], m.T)[:, 0]
+    if m.ndim < 3:
+        return np.matmul(rows[:, None, :], m.T)[:, 0]
+    return np.matmul(rows[..., None, :], np.swapaxes(m, 1, 2))[..., 0, :]
 
 
 def rows_matmul(x: Tensor, m: Tensor, transpose: bool = False) -> Tensor:

@@ -532,6 +532,8 @@ class TestExitCodes:
         (["--lr", "nan"], "lr must be positive and finite, got nan"),
         (["--clip-norm", "nan"], "clip_norm must be positive, got nan"),
         (["--seed", "-1"], "seed must be at least 0, got -1"),
+        (["--target-ques-match", "2"], "target_ques_match must be in [0, 1], got 2.0"),
+        (["--target-ques-match", "nan"], "target_ques_match must be in [0, 1], got nan"),
     ])
     def test_setting_out_of_range_exits_1(self, data_args, tmp_path, capsys, flags, message):
         code = main(["train", *data_args, "--out", str(tmp_path / "m.ckpt"), *TINY_FLAGS,

@@ -94,7 +94,8 @@ class TestFit:
         ("epochs", -1, "at least 0"), ("clip_norm", 0.0, "positive"),
         ("clip_norm", -1.0, "positive"), ("clip_norm", np.nan, "positive"),
         ("lr", np.nan, "positive and finite"), ("lr", np.inf, "positive and finite"),
-        ("lr", -1e-2, "positive and finite"), ("seed", -1, "at least 0")])
+        ("lr", -1e-2, "positive and finite"), ("seed", -1, "at least 0"),
+        *(("target_ques_match", value, r"in \[0, 1\]") for value in (2.0, 1.0001, -0.5, np.nan))])
     def test_settings_out_of_range_rejected_before_training(self, corpus, name, value, bound,
                                                             monkeypatch):
         monkeypatch.setattr(est_mod, "build_vocab",

@@ -373,28 +373,42 @@ def weighted_loss(out, weights):
     return total
 
 
-class TestBatchedPass:
-    """Sequences of different lengths in one padded pass."""
+# Orders of sequence lengths for the packed pass, which ranks the
+# sequences longest first and steps only those still running.
+ORDERS = {
+    "mixed": [3, 1, 6, 2, 5, 4, 6, 1],          # 1..max, with repeats
+    "descending": [6, 5, 3, 2, 1],
+    "ascending": [1, 2, 3, 5, 6],
+    "ties": [4, 2, 4, 2, 3],
+    "all equal": [3, 3, 3],
+    "one between longer": [5, 1, 4],
+}
 
-    LENGTHS = [3, 1, 6, 2, 5, 4, 6, 1]          # 1..max, with repeats
+
+class TestBatchedPass:
+    """Sequences of different lengths in one packed pass."""
+
+    LENGTHS = ORDERS["mixed"]
 
     @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
     @pytest.mark.parametrize("tail", [0, 3])
     @pytest.mark.parametrize("width, hidden, directions", [(5, 4, 2), (16, 16, 2), (3, 2, 1),
                                                            (22, 8, 1)])
+    @pytest.mark.parametrize("order", ORDERS)
     def test_rows_equal_one_sequence_passes_bit_for_bit(self, bits, dtype, tail, width,
-                                                        hidden, directions):
+                                                        hidden, directions, order):
+        lengths = ORDERS[order]
         set_precision(bits)
         try:
             rng = np.random.default_rng(40)
             cells = [make_params(rng, width + tail, hidden, f"d{k}") for k in range(directions)]
-            seqs, tails = batch_of(rng, self.LENGTHS, width, tail)
+            seqs, tails = batch_of(rng, lengths, width, tail)
             batch = lstm_sequence(cells, seqs, tails)
             want = alone(cells, seqs, tails)
         finally:
             set_precision(64)
-        assert len(batch) == len(self.LENGTHS)
-        for (states, ends), (want_states, want_ends), m in zip(batch, want, self.LENGTHS):
+        assert len(batch) == len(lengths)
+        for (states, ends), (want_states, want_ends), m in zip(batch, want, lengths):
             assert states.values.dtype == dtype
             assert states.shape == (m, directions * hidden)
             np.testing.assert_array_equal(states.values, want_states.values)
@@ -403,12 +417,14 @@ class TestBatchedPass:
                 np.testing.assert_array_equal(end.values, want_end.values)
 
     @pytest.mark.parametrize("tail", [0, 2])
-    def test_gradients_equal_one_sequence_passes(self, tail):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_gradients_equal_one_sequence_passes(self, tail, order):
+        lengths = ORDERS[order]
         rng = np.random.default_rng(41)
         cells = [make_params(rng, 4 + tail, 3, "fwd"), make_params(rng, 4 + tail, 3, "bwd")]
-        seqs, tails = batch_of(rng, self.LENGTHS, 4, tail)
+        seqs, tails = batch_of(rng, lengths, 4, tail)
         weights = [(Tensor(rng.normal(size=(m, 6))), Tensor(rng.normal(size=3)))
-                   for m in self.LENGTHS]
+                   for m in lengths]
         leaves = [w for cell in cells for w in cell.tensors()] + seqs + (tails or [])
 
         def grads(encode):
@@ -421,17 +437,21 @@ class TestBatchedPass:
         for got, want in zip(grads(lstm_sequence), grads(alone)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("tail", [0, 2])
+    @pytest.mark.parametrize("directions", [1, 2])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_gradients_match_finite_differences(self, tail, directions, order):
+        lengths = ORDERS[order]
         rng = np.random.default_rng(42)
-        cells = [make_params(rng, 5, 2, "fwd"), make_params(rng, 5, 2, "bwd")]
-        seqs, tails = batch_of(rng, [2, 1, 3], 3, 2)
-        weights = [(Tensor(rng.normal(size=(m, 4))), Tensor(rng.normal(size=2)))
-                   for m in (2, 1, 3)]
+        cells = [make_params(rng, 3 + tail, 2, f"d{k}") for k in range(directions)]
+        seqs, tails = batch_of(rng, lengths, 3, tail)
+        weights = [(Tensor(rng.normal(size=(m, 2 * directions))),
+                    Tensor(rng.normal(size=2))) for m in lengths]
 
         def loss():
             return weighted_loss(lstm_sequence(cells, seqs, tails), weights)
 
-        leaves = [w for cell in cells for w in cell.tensors()] + seqs + tails
+        leaves = [w for cell in cells for w in cell.tensors()] + seqs + (tails or [])
         res = grad_check(loss, leaves)
         assert res.max_rel_error < 1e-6, res
 
@@ -481,6 +501,12 @@ class TestBatchedPass:
             lstm_sequence([cell], seqs, [tails[0], Tensor(np.zeros(3))])
         with pytest.raises(ContractError):
             lstm_sequence([cell], seqs + [Tensor(np.zeros((0, 3)))], tails + tails[:1])
+
+    def test_rejects_directions_of_different_hidden_sizes(self):
+        rng = np.random.default_rng(46)
+        seqs, _ = batch_of(rng, [2, 3], 3)
+        with pytest.raises(DimensionError, match="hidden sizes differ"):
+            lstm_sequence([make_params(rng, 3, 2), make_params(rng, 3, 4)], seqs)
 
 
 class Feeding:
