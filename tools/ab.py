@@ -57,27 +57,16 @@ def load_tree(src: Path, name: str) -> dict:
             if key == name or key.startswith(name + ".")}
 
 
-def activate(modules: dict) -> None:
-    sys.modules.update(modules)
-
-
-def canonical(outputs: dict) -> str:
-    """The outputs of a round, comparable across trees (whose classes
-    differ)."""
-    return repr(sorted(outputs.items()))
-
-
-def one_round(workload: str, state: dict, log) -> tuple[float, str]:
+def one_round(workload: str, state: dict, log) -> tuple[float, str] | None:
+    """The round's seconds and outputs, as text that compares across
+    trees (whose classes differ); None when a unit failed (its traceback
+    went to ``log``)."""
     methods, run_unit = run.UNITS[workload]
     units = {method: run_unit(state, method, log) for method in methods}
-    failed = [method for method, unit in units.items() if unit["failed"]]
-    if failed:
-        raise RuntimeError(f"{workload}: units failed for {failed}")
-    return sum(unit["seconds"] for unit in units.values()), canonical(run.outputs(units))
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    return run.quantile(values, 0.25), run.quantile(values, 0.5), run.quantile(values, 0.75)
+    if any(unit["failed"] for unit in units.values()):
+        return None
+    outputs = repr(sorted(run.outputs(units).items()))
+    return sum(unit["seconds"] for unit in units.values()), outputs
 
 
 def main(argv=None) -> int:
@@ -95,7 +84,7 @@ def main(argv=None) -> int:
     trees = {}
     for label, src in (("old", args.old), ("new", args.new)):
         modules = load_tree(src, f"dialsql_ab_{label}")
-        activate(modules)
+        sys.modules.update(modules)
         modules["dialsql.nn"].set_precision(64)
         state = run.setup(args.workload, args.seed)
         trees[label] = (modules, state)
@@ -104,8 +93,12 @@ def main(argv=None) -> int:
     for pair in range(args.pairs + 1):             # pair 0 warms both trees up
         for label in (("old", "new") if pair % 2 else ("new", "old")):
             modules, state = trees[label]
-            activate(modules)
-            took, out = one_round(args.workload, state, log)
+            sys.modules.update(modules)
+            result = one_round(args.workload, state, log)
+            if result is None:
+                print(f"{label}: a unit of {args.workload} failed")
+                return 1
+            took, out = result
             if first.setdefault(label, out) != out:
                 print(f"{label}: a repeated round gave different outputs")
                 return 1
@@ -115,7 +108,7 @@ def main(argv=None) -> int:
         print("the two trees' outputs differ")
         return 1
     for label, values in seconds.items():
-        q1, med, q3 = quartiles(values)
+        q1, med, q3 = (run.quantile(values, q) for q in (0.25, 0.5, 0.75))
         print(f"{label}  median {med:.4f} s  quartiles {q1:.4f}-{q3:.4f} s  "
               f"({len(values)} rounds of {args.workload}, seed {args.seed})")
     wins = sum(b < a for a, b in zip(seconds["old"], seconds["new"]))
