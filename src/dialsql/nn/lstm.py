@@ -153,9 +153,9 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
     from zero states.
 
     ``cells`` is a forward cell, optionally followed by a backward cell
-    that reads each sequence's rows last to first. With ``tails``, one
-    vector per sequence, each step's input is one row followed by its
-    sequence's tail.
+    of the same hidden size that reads each sequence's rows last to
+    first. With ``tails``, one vector per sequence, each step's input is
+    one row followed by its sequence's tail.
 
     Returns, per sequence, its state matrix, one row per position holding
     each direction's hidden state there side by side ([forward;
