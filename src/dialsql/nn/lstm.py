@@ -224,7 +224,7 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
     H = join(hidden)
     states = (H if pack.rows is None else
               H.reshape(-1, hs).take(pack.rows, axis=0).reshape(-1, directions * hs))
-    blocks = [states[:, k * hs:(k + 1) * hs] for k in range(directions)]
+    blocks = [states] if directions == 1 else [states[:, :hs], states[:, hs:]]
     starts = pack.starts
     # Each direction's end state: forward at a sequence's last row,
     # backward at its first.
@@ -249,10 +249,12 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
             d_hidden = (d_states if pack.reads is None else
                         d_states.reshape(-1, hs).take(pack.reads, axis=0))
             zero = np.zeros((1,) + H.shape[1:], dtype=H.dtype)
-            c_prev, h_prev = (np.concatenate([zero, v]).take(pack.prev, axis=0) for v in (C, H))
+            c_prev = np.concatenate([zero, C]).take(pack.prev, axis=0)
+            dz = _bptt(w_hh, pack, c_prev, C, SIG, G, d_hidden)
             # Back to each direction's rows, in stacked order.
-            dz, h_prev = (v.reshape(-1, v.shape[-1]).take(pack.rows_by_direction, axis=0)
-                          for v in (_bptt(w_hh, pack, c_prev, C, SIG, G, d_hidden), h_prev))
+            dz = dz.reshape(-1, 4 * hs).take(pack.rows_by_direction, axis=0)
+            h_prev = np.concatenate([zero, H]).take(pack.prev, axis=0)
+            h_prev = h_prev.reshape(-1, hs).take(pack.rows_by_direction, axis=0)
             deltas = []
             dx = np.zeros_like(x)
             for k, cell in enumerate(cells):
