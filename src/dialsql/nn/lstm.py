@@ -416,9 +416,12 @@ class _Packing:
         begin = np.cumsum(size) - size
         self.starts = begin.tolist()
         self.lasts = (begin + size - 1).tolist()
+        # Ranks and running counts in plain Python: the lists are short,
+        # and each NumPy routine's first call adds to resident memory.
+        # sorted() is stable, so ties keep their order.
         rank = np.empty(n, dtype=np.intp)
-        rank[np.argsort(-size, kind="stable")] = np.arange(n)
-        live = (size > np.arange(max(lengths))[:, None]).sum(axis=1)
+        rank[sorted(range(n), key=lambda r: -lengths[r])] = np.arange(n)
+        live = np.array([sum(m > t for m in lengths) for t in range(max(lengths))])
         offset = np.cumsum(live) - live
         #: per step, its packed rows (a slice, or the one row's index)
         #: and how many sequences still run
@@ -435,8 +438,8 @@ class _Packing:
         # first row to last, direction 1 last to first.
         seq = np.repeat(np.arange(n), size)         # each stacked row's sequence
         at = np.arange(total) - begin[seq]          # and its position there
-        steps = np.stack([at, size[seq] - 1 - at][:directions], axis=1)
-        packed = (offset[steps] + rank[seq][:, None]) * directions + np.arange(directions)
+        packed = np.stack([offset[s] + rank[seq] for s in (at, size[seq] - 1 - at)[:directions]],
+                          axis=1) * directions + np.arange(directions)
         #: per direction and stacked row, its packed entry
         self.rows_by_direction = packed.T
         #: per stacked row its packed entries (``rows``), per packed row
