@@ -34,6 +34,7 @@ __all__ = [
     "method_name",
     "build_model",
     "param_shapes",
+    "question_window",
     "prepare_inputs",
     "config_hash",
     "save_checkpoint",
@@ -263,32 +264,38 @@ class TurnInputs:
     precedent: tuple[Production, ...] | None  # previous turn's query, if any
 
 
-def prepare_inputs(dialogue: Dialogue, turn_index: int, config: ContextConfig,
-                   gold_mode: bool = True,
-                   predictions: dict[int, tuple[Production, ...] | None] | None = None,
-                   ) -> TurnInputs:
-    """Select the question window and the precedent query for one turn.
-
-    In gold mode the precedent is the previous turn's gold actions
-    (teacher forcing); otherwise it is the model's own prediction for
-    that turn, read from ``predictions``.
-    """
+def question_window(dialogue: Dialogue, turn_index: int,
+                    config: ContextConfig) -> tuple[list[list[str]], list[int]]:
+    """The question segments one turn attends to, oldest first, and each
+    segment's distance from the turn: the last ``h`` questions and the
+    turn's own, joined into one segment under ``concat``, kept apart
+    under ``turn`` and ``gate``, and only the turn's own otherwise.
+    Predictions play no part, so a dialogue's windows are known before
+    any of its turns is decoded."""
     n = len(dialogue.turns)
     if not 1 <= turn_index <= n:
         raise ContractError(f"turn {turn_index} outside dialogue of {n} turns")
     first = max(1, turn_index - config.h)
     window = [list(dialogue.turns[j - 1].question) for j in range(first, turn_index + 1)]
-
     if config.question_method == "concat":
-        segments = [[t for seg in window for t in seg]]
-        distances = [0]
-    elif config.question_method in ("turn", "gate"):
-        segments = window
-        distances = [turn_index - j for j in range(first, turn_index + 1)]
-    else:
-        segments = [window[-1]]
-        distances = [0]
+        return [[t for seg in window for t in seg]], [0]
+    if config.question_method in ("turn", "gate"):
+        return window, [turn_index - j for j in range(first, turn_index + 1)]
+    return [window[-1]], [0]
 
+
+def prepare_inputs(dialogue: Dialogue, turn_index: int, config: ContextConfig,
+                   gold_mode: bool = True,
+                   predictions: dict[int, tuple[Production, ...] | None] | None = None,
+                   ) -> TurnInputs:
+    """Select the question window (:func:`question_window`) and the
+    precedent query for one turn.
+
+    In gold mode the precedent is the previous turn's gold actions
+    (teacher forcing); otherwise it is the model's own prediction for
+    that turn, read from ``predictions``.
+    """
+    segments, distances = question_window(dialogue, turn_index, config)
     precedent: tuple[Production, ...] | None = None
     if config.sql_methods and turn_index > 1:
         if gold_mode:

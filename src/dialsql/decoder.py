@@ -23,24 +23,28 @@ call, with the steps grouped by frontier: a few entries for the turn
 partition among the frontiers) and, per frontier, one logit product per
 logit part and one :func:`ops.mixture` entry with one row per step. A turn's loss is one
 :func:`ops.nll` entry. Greedy decoding calls the same function with one
-step, whose vectors are the one-row case. Every per-step product is
+step, whose vectors are the one-row case, except at a forced choice: a
+frontier whose support holds one candidate (``Start``, ``Value``) takes
+it without the output layer. Every per-step product is
 :func:`ops.rows_matmul`, one product per row, so each step's
 probabilities equal those of a one-step call bit for bit.
 
 What only the parameters decide belongs to the training batch or the
 decoded dialogue: its :class:`ActionEmbedder` keeps the question
-encodings, each production's embedding and each list of productions'
+encodings, each production's embedding, each list of productions'
 embedding matrix (a frontier's candidates, a precedent query, a
-subtree). What the turn decides belongs to the turn: its
-:class:`EncodedTurn` holds the attention memory, the precedent's action
-states (the ``sql_attn`` memory), the embedder it was encoded with, the
-question tokens' word embeddings and for each frontier one
-:class:`FrontierRecord` holding its support list, its scorer (the
-linking matrix, or the embedding matrix of its productions), its
-stacked subtree embeddings and its copy mask and aggregation. Sequences
-encoded together share one encoder pass: a batch's questions (one pass
-per window position under ``turn``), a list's missing schema names, and
-a precedent query with its subtrees.
+subtree) and, parameter-free, each question token's linking features
+with each Col/Tab frontier's names. What the turn decides belongs to
+the turn: its :class:`EncodedTurn` holds the attention memory, the
+precedent's action states (the ``sql_attn`` memory), the embedder it
+was encoded with, the question tokens' word embeddings and for each
+frontier one :class:`FrontierRecord` holding its support list, its
+scorer (the linking matrix, or the embedding matrix of its
+productions), its stacked subtree embeddings and its copy mask and
+aggregation. Sequences encoded together share one encoder pass: a
+batch's or a decoded dialogue's questions (one pass per window position
+under ``turn``), a list's missing schema names, and a precedent query
+with its subtrees.
 """
 
 from __future__ import annotations
@@ -125,9 +129,16 @@ class ActionEmbedder:
     its window, so its encoding is kept per window prefix, with that
     state; otherwise per segment.
 
+    Linking rows: ``link_rows`` maps each tuple of schema names to the
+    dict of token rows that :func:`linking_matrix` fills, one per
+    distinct question token, so each (token, names) pair is linked once
+    per embedder.
+
     Training shares one embedder across a batch, whose windows ``fit``
-    encodes before the first example, and inference across a dialogue:
-    the parameters do not change in between.
+    encodes before the first example, and inference across a dialogue,
+    whose windows ``predict_corpus`` encodes before the first turn: the
+    parameters do not change in between. A turn encoded without an
+    embedder gets its own.
     """
 
     def __init__(self, model):
@@ -136,6 +147,14 @@ class ActionEmbedder:
         self._lists: dict[tuple[Production, ...], Tensor] = {}
         self._questions: dict[tuple, QuestionEncoding] = {}
         self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
+        # The linking rows are parameter-free, yet they live no longer
+        # than the embedder: not per grammar, not per process. The
+        # benchmark's gradcheck workload scores every forward of every
+        # round against one grammar, and its per-layer guard fails a
+        # traced round in which schema.linking_features records no
+        # call. A longer-lived memo would also keep every question a
+        # process has linked.
+        self.link_rows: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
 
     def __call__(self, production: Production) -> Tensor:
         emb = self._cache.get(production)
@@ -181,7 +200,7 @@ class ActionEmbedder:
                 for w in windows]
         cache = self._questions
         fwd, bwd = model.cell("q_enc.fwd"), model.cell("q_enc.bwd")
-        for k in range(max(map(len, windows)) if turn else 1):
+        for k in range(max(map(len, windows), default=0) if turn else 1):
             todo = dict.fromkeys(key for ks in keys for key in (ks[k:k + 1] if turn else ks)
                                  if key not in cache)
             if todo:
@@ -395,15 +414,24 @@ class OutputDistribution:
     p_copy: Tensor | None          # one gate per step; a scalar for one step
 
 
-def linking_matrix(tokens: list[str], names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+def linking_matrix(tokens: list[str], names: tuple[str, ...],
+                   rows: dict[str, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact and partial :func:`linking_features` of every (question
     token, schema name) pair, one row per token. Parameter-free: a pure
-    function of its arguments, which computes each distinct token's row
-    once."""
-    row = {tok: k for k, tok in enumerate(dict.fromkeys(tokens))}     # per distinct token
-    pairs = [linking_features(tok, name) for tok in row for name in names]
-    grid = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
-    grid = grid.reshape(len(row), len(names), 2)[[row[tok] for tok in tokens]]
+    function of ``tokens`` and ``names``.
+
+    ``rows`` maps each token to its ``(exact, partial)`` pairs with
+    ``names``, one row per name; the call adds the tokens it lacks.
+    Without it the call computes each distinct token's row once.
+    """
+    if rows is None:
+        rows = {}
+    new = [tok for tok in dict.fromkeys(tokens) if tok not in rows]
+    if new:
+        pairs = [linking_features(tok, name) for tok in new for name in names]
+        block = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+        rows.update(zip(new, block.reshape(len(new), len(names), 2)))
+    grid = np.array([rows[tok] for tok in tokens]).reshape(len(tokens), len(names), 2)
     return grid[..., 0].copy(), grid[..., 1].copy()
 
 
@@ -411,16 +439,17 @@ def linking_matrix(tokens: list[str], names: tuple[str, ...]) -> tuple[np.ndarra
 class FrontierRecord:
     """What every step of a turn at one frontier shares.
 
-    A Col/Tab frontier's ``scorer`` is its linking matrix, one row per
-    question token; the others' is the embedder's matrix of their
-    productions, shared by every turn of a batch or dialogue. Under
-    ``action_copy``, ``copy_mask`` marks the precedent actions that
-    expand the frontier, and ``copy_agg`` adds each one's copy
-    probability to its support entry; both are None when none does.
+    A Col/Tab frontier is ``linked``: its ``scorer`` is its linking
+    matrix, one row per question token. The others' is the embedder's
+    matrix of their productions, shared by every turn of a batch or
+    dialogue. Under ``action_copy``, ``copy_mask`` marks the precedent
+    actions that expand the frontier, and ``copy_agg`` adds each one's
+    copy probability to its support entry; both are None when none does.
     """
 
     support: list                  # productions, then the precedent's subtrees rooted here
     scorer: Tensor
+    linked: bool
     subtrees: Tensor | None = None            # the subtrees' embeddings, one per row
     copy_mask: np.ndarray | None = None
     copy_agg: np.ndarray | None = None
@@ -438,17 +467,20 @@ def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
         raise FrontierError(f"no production expands {frontier}")
     params = model.params
     embedder = encoded.embedder
-    if productions[0].schema_specific:
+    linked = productions[0].schema_specific
+    if linked:
         tokens = encoded.attention.tokens
         if "tokens" not in memo:
             memo["tokens"] = _embed_tokens(model, tokens)
-        exact, partial = linking_matrix(tokens, tuple(p.rhs[0] for p in productions))
+        names = tuple(p.rhs[0] for p in productions)
+        exact, partial = linking_matrix(tokens, names,
+                                        embedder.link_rows.setdefault(names, {}))
         scorer = ops.link_scores(Tensor(exact), Tensor(partial), params["link.w_exact"],
                                  params["link.w_partial"], memo["tokens"],
                                  embedder.embed_all(productions))
     else:
         scorer = embedder.embed_all(productions)     # one row per production
-    record = FrontierRecord(list(productions), scorer)
+    record = FrontierRecord(list(productions), scorer, linked)
 
     copy_ctx = encoded.copy
     sql_methods = model.config.sql_methods
@@ -489,15 +521,14 @@ def output_distribution(model, grammar: Grammar, frontiers: list[NonTerminal],
     groups: dict[NonTerminal, list[int]] = {}
     for k, frontier in enumerate(frontiers):
         groups.setdefault(frontier, []).append(k)
-    records, blocks, linked = [], [], []
+    records, blocks = [], []
     generated, treed, copied = [], [], []       # the groups each turn-wide product serves
     for g, (frontier, steps) in enumerate(groups.items()):
         record = _frontier_record(model, grammar, encoded, frontier)
         records.append(record)
         # A frontier reached at one step takes its row as a vector.
         blocks.append(steps[0] if len(steps) == 1 else steps)
-        linked.append(record.support[0].schema_specific)
-        if not linked[g]:
+        if not record.linked:
             generated.append(g)
         if record.subtrees is not None:
             treed.append(g)
@@ -522,7 +553,7 @@ def output_distribution(model, grammar: Grammar, frontiers: list[NonTerminal],
 
     out = []
     for g, (steps, record) in enumerate(zip(groups.values(), records)):
-        if linked[g]:
+        if record.linked:
             logits = [ops.rows_matmul(_step_rows(weights, blocks[g]), record.scorer)]
         else:
             logits = [ops.rows_matmul(proj[g], record.scorer, transpose=True)]
@@ -563,14 +594,18 @@ def _step_rows(items: list, block, name: str | None = None) -> Tensor:
 class ParseResult:
     actions: tuple[Production, ...]
     complete: bool                 # frontier emptied before hitting max_steps
-    steps: int                     # distribution evaluations performed
+    steps: int                     # decoder steps taken, forced choices included
 
 
 def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
                  max_steps: int = MAX_STEPS) -> ParseResult:
     """Argmax decoding; ties go to the lowest candidate index.
 
-    A chosen subtree appends its whole action sequence in one step.
+    A chosen subtree appends its whole action sequence in one step. A
+    frontier whose support (its productions and the subtrees rooted
+    there) holds one candidate is a forced choice: the decoder still
+    steps, but the output layer is not evaluated, since the argmax of
+    one candidate is that candidate whatever its score.
     """
     if max_steps < 1:
         raise ContractError("max_steps must be positive")
@@ -581,8 +616,13 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
     steps = 0
     while not deriv.is_complete and len(deriv.actions) < max_steps:
         state, a = advance_state(model, encoded, state, prev)
-        [dist] = output_distribution(model, grammar, [deriv.frontier()], [state], [a], encoded)
-        chosen = dist.support[int(np.argmax(dist.probs.values))]
+        frontier = deriv.frontier()
+        support = _frontier_record(model, grammar, encoded, frontier).support
+        if len(support) == 1:
+            chosen = support[0]
+        else:
+            [dist] = output_distribution(model, grammar, [frontier], [state], [a], encoded)
+            chosen = support[int(np.argmax(dist.probs.values))]
         if isinstance(chosen, SubtreeCandidate):
             deriv.apply_sequence(list(chosen.actions))
             prev = embedder(chosen.actions[-1])

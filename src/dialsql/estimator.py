@@ -20,6 +20,7 @@ from .context import (
     method_config,
     method_name,
     prepare_inputs,
+    question_window,
     save_checkpoint,
 )
 from .data import Corpus, build_vocab, load_embeddings
@@ -46,13 +47,20 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     The precedent query fed to copy mechanisms is the model's own
     previous prediction unless ``gold_previous_sql`` asks for teacher
     forcing. Incomplete decodes yield None (scored as wrong).
+
+    Each dialogue has one :class:`ActionEmbedder`, freed with it, which
+    its turns share: the question encodings, the production embeddings
+    and the linking rows. The question windows do not depend on
+    predictions, so before the first turn all of them are encoded in
+    one pass (one per window position under ``turn``), as ``fit``
+    encodes a batch's; the encodings equal those of a pass per turn.
     """
     grammars = _grammars(corpus)
     out: dict[tuple[str, int], AST | None] = {}
     for dialogue in corpus.dialogues:
-        # One embedder per dialogue: its turns share question encodings and
-        # production embeddings, and what it keeps is freed with it.
         embedder = ActionEmbedder(model)
+        embedder.questions([question_window(dialogue, ex.turn_index, model.config)[0]
+                            for ex in dialogue.turns])
         grammar = grammars[dialogue.db_id]
         own: dict[int, tuple | None] = {}
         for ex in dialogue.turns:

@@ -341,7 +341,8 @@ class TestOutputDistribution:
         calls = []
         real = decoder.linking_matrix
         monkeypatch.setattr(decoder, "linking_matrix",
-                            lambda tokens, names: calls.append(names) or real(tokens, names))
+                            lambda tokens, names, rows: calls.append(names)
+                            or real(tokens, names, rows))
         model = make_model("none", seed=2)
         enc = encode_for(model, [["show", "alpha", "of", "t1"]])
         gold = list(actions_for("SELECT alpha, beta FROM t1"))
@@ -349,6 +350,39 @@ class TestOutputDistribution:
         cols = sum(a.lhs is NonTerminal.COL for a in gold)
         assert cols == 2
         assert sorted(map(len, calls)) == [2, 3]    # tables, columns: once each
+
+    def test_shared_rows_give_the_fresh_matrix(self):
+        names = tuple(p.rhs[0] for nt in (NonTerminal.COL, NonTerminal.TAB)
+                      for p in GRAMMAR.expansions(nt))
+        rows = {}
+        for tokens in (["show", "alpha", "of", "t1"], ["wide", "alpha", "load", "?", "alpha"]):
+            shared = decoder.linking_matrix(tokens, names, rows)
+            fresh = decoder.linking_matrix(tokens, names)
+            for s, f in zip(shared, fresh):
+                assert s.dtype == f.dtype and s.shape == f.shape == (len(tokens), len(names))
+                assert s.flags.c_contiguous and s.tobytes() == f.tobytes()
+        assert list(rows) == ["show", "alpha", "of", "t1", "wide", "load", "?"]
+
+    def test_linking_features_once_per_token_and_names_per_embedder(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decoder, "linking_features",
+                            lambda tok, name: calls.append((tok, name)) or linking_features(tok, name))
+        model = make_model("none", seed=2)
+        gold = list(actions_for("SELECT alpha, beta FROM t1"))
+        names = [p.rhs[0] for nt in (NonTerminal.COL, NonTerminal.TAB)
+                 for p in GRAMMAR.expansions(nt)]
+        turns = (["show", "alpha", "of", "t1"], ["alpha", "of", "t2", "?"])
+        embedder = decoder.ActionEmbedder(model)
+        for tokens in turns:
+            enc = encode_turn(model, [tokens], [0], None, embedder)
+            teacher_forced_loss(model, enc, GRAMMAR, gold)
+        distinct = set(turns[0]) | set(turns[1])
+        assert sorted(calls) == sorted((tok, name) for tok in distinct for name in names)
+        # The rows live with the embedder: a turn encoded with a fresh one
+        # links its tokens again.
+        calls.clear()
+        teacher_forced_loss(model, encode_for(model, [turns[0]]), GRAMMAR, gold)
+        assert sorted(calls) == sorted((tok, name) for tok in set(turns[0]) for name in names)
 
     def test_linking_features_fire_in_distribution(self):
         # "wide" is a word piece of wide_load only: partial feature 1.
@@ -819,6 +853,52 @@ class TestGreedyParse:
                            if root == NonTerminal.SELECT)
         assert res.actions[2:] == prec_select
         assert res.steps == 3
+
+    @pytest.mark.parametrize("method", context.method_names())
+    def test_forced_choices_skip_the_output_layer(self, method, monkeypatch):
+        # The reference is criterion 4's loop taking the argmax: it scores
+        # every step. greedy_parse scores only the steps whose support
+        # holds more than one candidate, and takes the same actions.
+        def scored_every_step(model, encoded, max_steps):
+            deriv = Derivation(GRAMMAR)
+            state = initial_state(model, encoded)
+            prev = model.params["bos_emb"]
+            steps = forced = 0
+            while not deriv.is_complete and len(deriv.actions) < max_steps:
+                state, a = advance_state(model, encoded, state, prev)
+                [dist] = output_distribution(model, GRAMMAR, [deriv.frontier()], [state],
+                                             [a], encoded)
+                forced += len(dist.support) == 1
+                chosen = dist.support[int(np.argmax(dist.probs.values))]
+                if isinstance(chosen, SubtreeCandidate):
+                    deriv.apply_sequence(list(chosen.actions))
+                    prev = encoded.embedder(chosen.actions[-1])
+                else:
+                    deriv.apply(chosen)
+                    prev = encoded.embedder(chosen)
+                steps += 1
+            return tuple(deriv.actions), deriv.is_complete, steps, forced
+
+        scored = []
+        real = decoder.output_distribution
+        monkeypatch.setattr(decoder, "output_distribution",
+                            lambda *args: scored.append(args) or real(*args))
+        precedents = [None, actions_for("SELECT alpha FROM t1 WHERE beta > 3"),
+                      actions_for("SELECT wide_load FROM t2 ORDER BY alpha DESC")]
+        for seed in range(6):
+            model = make_model(method, seed=30 + seed)
+            precedent = precedents[seed % 3] if model.config.sql_methods else None
+            segments = ([["show", "beta", "?"], ["alpha", "of", "t1"]]
+                        if model.config.question_method in ("turn", "gate")
+                        else [["alpha", "of", "t1", "value"]])
+            actions, complete, steps, forced = scored_every_step(
+                model, encode_for(model, segments, precedent), 30)
+            scored.clear()
+            res = greedy_parse(model, encode_for(model, segments, precedent), GRAMMAR,
+                               max_steps=30)
+            assert (res.actions, res.complete, res.steps) == (actions, complete, steps)
+            assert len(scored) == steps - forced
+            assert forced >= 1                      # Start -> Root at least
 
     def test_max_steps_validated(self):
         model = make_model("none", seed=18)

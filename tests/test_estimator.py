@@ -281,6 +281,65 @@ class TestPredict:
         assert modes and all(modes)
 
 
+class TestPredictCorpusSharesADialoguesWork:
+    @pytest.mark.parametrize("name", method_names())
+    def test_equals_turn_by_turn_decoding(self, corpus, name, monkeypatch):
+        # The reference encodes each turn with a fresh embedder and decodes
+        # it (as bench/common.decode_reference does). predict_corpus shares
+        # one embedder per dialogue and encodes the dialogue's questions
+        # before its first turn: one pass, or one per window position
+        # under turn.
+        from dialsql import decoder
+        from dialsql.context import method_config, prepare_inputs, question_window
+        from dialsql.data import build_vocab
+        from dialsql.grammar import actions_to_ast
+
+        model = build_model(method_config(name, h=2, dims={"embedding": 6, "hidden": 8,
+                                                           "distance": 4}),
+                            build_vocab(corpus), seed=4)
+        grammars = {db: build_grammar(schema) for db, schema in corpus.schemas.items()}
+        passes = []
+        real = decoder.encode_question
+        monkeypatch.setattr(decoder, "encode_question",
+                            lambda *args: passes.append(len(args[0])) or real(*args))
+        turn = model.config.question_method == "turn"
+        deepest = 0
+        for dialogue in corpus.dialogues:
+            grammar = grammars[dialogue.db_id]
+            one = Corpus([dialogue], {dialogue.db_id: corpus.schemas[dialogue.db_id]})
+            depth = max(len(question_window(dialogue, ex.turn_index, model.config)[0])
+                        for ex in dialogue.turns)
+            deepest = max(deepest, depth)
+            for gold in (False, True):
+                passes.clear()
+                predicted = predict_corpus(model, one, gold_previous_sql=gold, max_steps=40)
+                assert len(passes) == (depth if turn else 1), passes
+                own, expected = {}, {}
+                for ex in dialogue.turns:
+                    inputs = prepare_inputs(dialogue, ex.turn_index, model.config,
+                                            gold_mode=gold, predictions=own)
+                    encoded = decoder.encode_turn(model, inputs.segments, inputs.distances,
+                                                  inputs.precedent)
+                    result = decoder.greedy_parse(model, encoded, grammar, max_steps=40)
+                    own[ex.turn_index] = result.actions if result.complete else None
+                    expected[ex.key()] = (actions_to_ast(list(result.actions), grammar)
+                                          if result.complete else None)
+                assert predicted == expected
+        assert deepest > 1 or not turn
+
+    def test_dialogue_without_turns(self, corpus):
+        # load_corpus accepts one; its windows are an empty list.
+        from dialsql.context import method_config
+        from dialsql.data import Dialogue, build_vocab
+
+        model = build_model(method_config("turn", h=2, dims={"embedding": 6, "hidden": 8,
+                                                              "distance": 4}),
+                            build_vocab(corpus), seed=4)
+        first = corpus.dialogues[0]
+        empty = Corpus([Dialogue(first.dialogue_id, first.db_id, [])], corpus.schemas)
+        assert predict_corpus(model, empty) == {}
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, corpus, tmp_path):
         p = quick_parser(method="concat+action_copy", epochs=1).fit(corpus)

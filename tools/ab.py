@@ -13,9 +13,13 @@ kernel::
 
 Each tree's ``dialsql`` is loaded under its own package name and, while
 that tree runs, also stands as ``dialsql`` for the benchmark's imports.
-Prints each tree's median round seconds with its quartiles, the number
-of pairs in which the new tree was faster, and the median change. Exits
-1 when a round's outputs differ between the trees or between rounds.
+Prints each tree's median round seconds with its quartiles, the median
+change per pair, and a verdict by the rule for claiming a gain
+(:func:`verdict`), with the number of pairs each tree won: one run-to-run
+comparison that is not read against that rule can mislead, since on a
+shared host one tree timed against a copy of itself can differ by
+several per cent. Exits 1 when a round's outputs differ between the
+trees or between rounds.
 """
 
 from __future__ import annotations
@@ -69,6 +73,27 @@ def one_round(workload: str, state: dict, log) -> tuple[float, str] | None:
     return sum(unit["seconds"] for unit in units.values()), outputs
 
 
+def verdict(old: list[float], new: list[float]) -> str:
+    """Whether paired round seconds show the new tree faster or slower:
+    it must win (or lose) at least nine tenths of the pairs, ties
+    counting for neither, and the medians must differ by more than the
+    old tree's interquartile range."""
+    pairs = list(zip(old, new))
+    q1, median, q3 = (run.quantile(old, q) for q in (0.25, 0.5, 0.75))
+    gap = run.quantile(new, 0.5) - median
+    faster = sum(b < a for a, b in pairs)
+    slower = sum(b > a for a, b in pairs)
+    if 10 * faster >= 9 * len(pairs) and -gap > q3 - q1:
+        side = "new tree faster"
+    elif 10 * slower >= 9 * len(pairs) and gap > q3 - q1:
+        side = "new tree slower"
+    else:
+        side = "no difference shown"
+    return (f"verdict: {side} (faster in {faster}, slower in {slower} of {len(pairs)} "
+            f"pairs, nine tenths needed; medians differ by {gap:+.4f} s, the old tree's "
+            f"interquartile range is {q3 - q1:.4f} s)")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, help="the old tree's src directory")
@@ -111,10 +136,9 @@ def main(argv=None) -> int:
         q1, med, q3 = (run.quantile(values, q) for q in (0.25, 0.5, 0.75))
         print(f"{label}  median {med:.4f} s  quartiles {q1:.4f}-{q3:.4f} s  "
               f"({len(values)} rounds of {args.workload}, seed {args.seed})")
-    wins = sum(b < a for a, b in zip(seconds["old"], seconds["new"]))
     change = statistics.median(b / a - 1 for a, b in zip(seconds["old"], seconds["new"]))
-    print(f"new faster in {wins} of {args.pairs} pairs; median change per pair "
-          f"{100 * change:+.1f} %; outputs identical")
+    print(f"median change per pair {100 * change:+.1f} %; outputs identical")
+    print(verdict(seconds["old"], seconds["new"]))
     return 0
 
 
