@@ -8,26 +8,9 @@ Functions here take the assembled model bundle (parameter dict plus
 config and vocabulary) rather than owning parameters, so the same code
 drives every method configuration.
 
-A decoder step (:func:`advance_state`) builds the LSTM input (one
-:func:`ops.concat`), runs one :func:`lstm_cell` step, and one fused
-:func:`ops.attention` per attended memory (the questions, and under
-``sql_attn`` the precedent query's action states). Greedy decoding
-calls it as it is. A teacher-forced turn walks its gold derivation
-first, then calls it for every step in one block with the tape paused,
-and records the turn's recurrence as one :func:`record_input_feeding`
-entry, whose backward runs through the steps with the per-step
-operations' arithmetic, so the gradients are theirs bit for bit. The
-output layer then scores the whole turn in one :func:`output_distribution`
-call, with the steps grouped by frontier: a few entries for the turn
-(the stacked step vectors, each product over them, and each product's
-partition among the frontiers) and, per frontier, one logit product per
-logit part and one :func:`ops.mixture` entry with one row per step. A turn's loss is one
-:func:`ops.nll` entry. Greedy decoding calls the same function with one
-step, whose vectors are the one-row case, except at a forced choice: a
-frontier whose support holds one candidate (``Start``, ``Value``) takes
-it without the output layer. Every per-step product is
-:func:`ops.rows_matmul`, one product per row, so each step's
-probabilities equal those of a one-step call bit for bit.
+The recurrence is one :func:`lstm_cell` call per greedy step or per
+teacher-forced turn (:func:`advance_state`), and
+:func:`output_distribution` scores a turn's steps in one call.
 
 What only the parameters decide belongs to the training batch or the
 decoded dialogue: its :class:`ActionEmbedder` keeps the question
@@ -71,7 +54,7 @@ from .grammar import (
     Production,
     extract_subtrees,
 )
-from .nn import ContractError, Tape, Tensor, lstm_cell, ops, record_input_feeding
+from .nn import ContractError, Tensor, lstm_cell, ops
 from .schema import linking_features, name_tokens
 
 __all__ = [
@@ -218,9 +201,9 @@ class ActionEmbedder:
             return zero, zero
         state = self._turn_states.get(prefix)
         if state is None:
-            h, c = self._turn_state(prefix[:-1])
-            state = self._turn_states[prefix] = lstm_cell(
-                turn_cell, self._questions[prefix].question_vector, h, c)
+            [state], _ = lstm_cell(turn_cell, [self._questions[prefix].question_vector],
+                                   self._turn_state(prefix[:-1]))
+            self._turn_states[prefix] = state
         return state
 
 
@@ -361,7 +344,7 @@ class DecoderState:
     h: Tensor
     cell: Tensor
     context: Tensor                 # attention context from the previous step
-    sql_context: Tensor | None      # previous step's precedent-query context
+    sql_context: Tensor | None = None   # previous step's precedent-query context
 
 
 def initial_state(model, encoded: EncodedTurn) -> DecoderState:
@@ -375,20 +358,24 @@ def initial_state(model, encoded: EncodedTurn) -> DecoderState:
 
 
 def advance_state(model, encoded: EncodedTurn, state: DecoderState,
-                  prev_embed: Tensor) -> tuple[DecoderState, Tensor]:
-    """One LSTM step on [previous action; previous context(s)], then
-    attention; returns the new state and the question-attention weights
+                  inputs: list[Tensor]) -> tuple[list[DecoderState], list[Tensor]]:
+    """Step the decoder from ``state`` over ``inputs``, each the previous
+    action's embedding, as one :func:`lstm_cell` call: each step's input
+    is [previous action; previous context(s)], and its new ``h`` attends
+    over the questions and, under ``sql_attn``, the precedent's action
+    states. Returns each step's state and question-attention weights
     (reused by linking scores)."""
-    parts = [prev_embed, state.context]
-    sql_c = state.sql_context
-    if sql_c is not None:
-        parts.append(sql_c)
-    h, cell_state = lstm_cell(model.cell("dec"), ops.concat(parts), state.h, state.cell)
     ctx = encoded.attention
-    a, c = ops.attention(ctx.memory, model.params["attn.we"], h, ctx.gate_coeffs)
-    if sql_c is not None and encoded.copy.states is not None:
-        _, sql_c = ops.attention(encoded.copy.states, model.params["sql_attn.we"], h)
-    return DecoderState(h, cell_state, c, sql_c), a
+    attended = [(ctx.memory, model.params["attn.we"], ctx.gate_coeffs)]
+    if state.sql_context is None:
+        start = (state.h, state.cell, state.context)
+    else:
+        start = (state.h, state.cell, state.context, state.sql_context)
+        copy_states = encoded.copy.states
+        attended.append(None if copy_states is None
+                        else (copy_states, model.params["sql_attn.we"], None))
+    steps, weights = lstm_cell(model.cell("dec"), inputs, start, attended)
+    return [DecoderState(*s) for s in steps], weights
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +602,14 @@ def greedy_parse(model, encoded: EncodedTurn, grammar: Grammar,
     prev = model.params["bos_emb"]
     steps = 0
     while not deriv.is_complete and len(deriv.actions) < max_steps:
-        state, a = advance_state(model, encoded, state, prev)
+        [state], [a] = advance_state(model, encoded, state, [prev])
         frontier = deriv.frontier()
         support = _frontier_record(model, grammar, encoded, frontier).support
         if len(support) == 1:
             chosen = support[0]
         else:
             [dist] = output_distribution(model, grammar, [frontier], [state], [a], encoded)
-            chosen = support[int(np.argmax(dist.probs.values))]
+            chosen = support[int(dist.probs.values.argmax())]
         if isinstance(chosen, SubtreeCandidate):
             deriv.apply_sequence(list(chosen.actions))
             prev = embedder(chosen.actions[-1])
@@ -637,9 +624,9 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
                         gold: list[Production]) -> Tensor:
     """Sum of -log P(gold action), feeding gold actions back in: one pass
     over the gold derivation builds each step's frontier record and
-    embeds its action, the decoder then steps through the turn with the
-    tape paused, the steps are recorded as one entry, and
-    :func:`output_distribution` scores the whole turn in one call."""
+    embeds its action, one :func:`advance_state` call steps the decoder
+    through the turn, and :func:`output_distribution` scores the whole
+    turn in one call."""
     embedder = encoded.embedder
     deriv = Derivation(grammar)
     frontiers: list[NonTerminal] = []
@@ -662,23 +649,8 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
             inputs.append(embedder(action))
     if not deriv.is_complete:
         raise IncompleteSequenceError("gold sequence leaves the derivation open")
-    states = [initial_state(model, encoded)]
-    weights: list[Tensor] = []
-    with Tape.paused():
-        for prev in inputs:
-            state, a = advance_state(model, encoded, states[-1], prev)
-            states.append(state)
-            weights.append(a)
-    attended = [(encoded.attention.memory, model.params["attn.we"],
-                 encoded.attention.gate_coeffs)]
-    if states[0].sql_context is not None:
-        copy_states = encoded.copy.states
-        attended.append(None if copy_states is None
-                        else (copy_states, model.params["sql_attn.we"], None))
-    record_input_feeding(model.cell("dec"), inputs,
-                         [(s.h, s.cell, s.context, s.sql_context)[:2 + len(attended)]
-                          for s in states], weights, attended)
-    dists = output_distribution(model, grammar, frontiers, states[1:], weights, encoded)
+    states, weights = advance_state(model, encoded, initial_state(model, encoded), inputs)
+    dists = output_distribution(model, grammar, frontiers, states, weights, encoded)
     # The loss numbers its terms frontier by frontier; add them in step order.
     order = [0] * len(gold)
     for number, k in enumerate(k for dist in dists for k in dist.steps):

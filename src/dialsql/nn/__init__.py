@@ -2,7 +2,7 @@
 
 from . import tensor as ops
 from .gradcheck import grad_check
-from .lstm import LSTMCellParams, lstm_cell, lstm_sequence, record_input_feeding
+from .lstm import LSTMCellParams, lstm_cell, lstm_sequence
 from .optim import Adam, Parameter, clip_global_norm, init_uniform
 from .tensor import (
     ContractError,
@@ -22,7 +22,6 @@ __all__ = [
     "LSTMCellParams",
     "lstm_cell",
     "lstm_sequence",
-    "record_input_feeding",
     "Adam",
     "Parameter",
     "clip_global_norm",

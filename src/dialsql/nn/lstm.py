@@ -1,17 +1,13 @@
-"""LSTM cells, fused sequence passes and a recorded decoder recurrence
-on top of the tensor tape.
+"""The LSTM operations on top of the tensor tape.
 
-Three operations share one step kernel, :func:`_step`, so a step
-computes the same values bit for bit in each. Their backwards share one
-derivation: :func:`_gate_factors` holds a step's local derivatives and
+Both share one step kernel, :func:`_step`, so a step computes the same
+values bit for bit in each. Their backwards share one derivation:
+:func:`_gate_factors` holds a step's local derivatives and
 :func:`_back_step` applies the chain rule through one step.
 
-- :func:`lstm_cell` is one step and one tape entry. Its vjp is one
-  :func:`_back_step`; either of ``dh'`` and ``dc'`` may be missing and
-  then counts as zero. The weight deltas are returned as factors
-  (``dz`` with the step's input, and with its previous hidden state),
-  so the tape forms the decoder cell's weight gradients as one
-  ``dZᵀX`` and one ``dZᵀH`` product per backward.
+- :func:`lstm_cell` steps the decoder's input-feeding attention LSTM,
+  or with no memory a plain cell, over one or more inputs as one tape
+  entry; its docstring describes the recurrence and its backward.
 - :func:`lstm_sequence` runs a batch of encoder passes from zero states,
   one or two directions over each of several matrices of rows, as one
   tape entry, in one packed, direction-stacked pass. The sequences are
@@ -30,17 +26,6 @@ derivation: :func:`_gate_factors` holds a step's local derivatives and
   with zero carries at its own last step. Each direction's weight
   gradients are one ``dZᵀX`` and one ``dZᵀH_prev`` product over the
   rows of all sequences.
-- :func:`record_input_feeding` records a decoder turn whose steps (an
-  :func:`lstm_cell` step, then attention over one or more memories,
-  whose contexts feed the next step's input) ran with the tape paused,
-  as one tape entry whose outputs are each step's hidden state and
-  first attention's weights and context. It recomputes the turn's
-  gates with :func:`_step` and :func:`_gate_factors`, and the weights
-  with the tensor module's ``_attention_weights``, on one row per step;
-  its vjp runs :func:`_back_step` and ``_attention_back`` (the halves
-  of :func:`attention`) step by step, adding each delta in the order
-  the per-step entries would have, so the gradients equal theirs bit
-  for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +46,7 @@ from .tensor import (
     _taping,
 )
 
-__all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence", "record_input_feeding"]
+__all__ = ["LSTMCellParams", "lstm_cell", "lstm_sequence"]
 
 
 class LSTMCellParams:
@@ -118,33 +103,185 @@ def _step(w_hh: np.ndarray, b: np.ndarray, zx: np.ndarray, h: np.ndarray,
     return h_new, c_new, sig, g
 
 
-def lstm_cell(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns (h', c')."""
-    hs = params.hidden_size
-    if x.values.shape != (params.input_size,):
-        raise DimensionError(f"lstm_cell: input shape {x.shape}, expected ({params.input_size},)")
-    if h.values.shape != (hs,) or c.values.shape != (hs,):
+def lstm_cell(params: LSTMCellParams, inputs: Sequence[Tensor], start: Sequence[Tensor],
+              attended: Sequence[tuple[Tensor, Tensor, Tensor | None] | None] = ()
+              ) -> tuple[list[tuple[Tensor, ...]], list[Tensor]]:
+    """Step an input-feeding attention LSTM over ``inputs`` from
+    ``start``, as one tape entry; returns each step's state and each
+    step's first attention weights (none without ``attended``).
+
+    A state is ``(h, c, ctx_1, ..., ctx_K)``: the hidden and cell states
+    and one context per entry ``(memory, w_e, coeffs)`` of ``attended``.
+    Step ``t`` runs the cell on ``[inputs[t]; ctx_1; ...; ctx_K]`` and
+    the previous ``h`` and ``c``. Then each entry attends over its
+    memory with the new ``h``: the softmax of the scores
+    ``memory·(w_e·h)``, rescaled by the per-row ``coeffs`` and
+    renormalized when given, weighs the memory's rows into the context
+    ``memoryᵀ·weights``, which feeds the next step. A None entry attends
+    nothing: its context stays the start's, a constant. The first entry
+    attends; without entries this is a plain LSTM cell.
+
+    Each step computes, bit for bit, what ``ops.concat`` of its input, a
+    one-input call without entries and one ``ops.attention`` per entry
+    compute, and the entry keeps the arrays its vjp reads. The outputs
+    are each step's ``h``, first weights and first context, and the last
+    step's ``c`` and other contexts; the start state may take gradients.
+    The vjp runs backpropagation through time, last step first, through
+    each attention (``_attention_back``, last entry first) and then the
+    cell (:func:`_back_step`), adding each delta in the order those
+    separate entries' backwards, or those of one call per step chained,
+    would. So the gradients equal theirs bit for bit: the weight, memory
+    and matrix deltas are factors listed last step first, and ``b``, the
+    coefficients and the inputs get one delta per step, last step first.
+    An output that no gradient reaches counts as zero.
+    """
+    steps, hs = len(inputs), params.hidden_size
+    if not steps:
+        raise ContractError("lstm_cell: no inputs")
+    if len(start) != 2 + len(attended):
+        raise ContractError(f"lstm_cell: a start of {len(start)} tensors for {len(attended)} "
+                            "attentions: need h, c and one context per attention")
+    h0, c0, feeds0 = start[0], start[1], start[2:]
+    if h0.values.shape != (hs,) or c0.values.shape != (hs,):
         raise DimensionError("lstm_cell: state shapes do not match hidden size")
+    tensors = [params.w_ih, params.w_hh, params.b, h0, c0, *inputs]
+    live = []       # (k, memory, w_e, coeffs) arrays of each entry that attends
+    feeds = []      # the contexts the next step reads
+    width = params.input_size       # of each input, beside the contexts
+    for k, spec in enumerate(attended):
+        feed = feeds0[k]
+        fv = feed.values
+        feeds.append(fv)
+        if spec is None:
+            if not k:
+                raise ContractError("lstm_cell: the first attention attends nothing")
+            if feed.requires_grad:
+                raise ContractError("lstm_cell: the context of an entry that attends "
+                                    "nothing must be a constant")
+            if fv.ndim != 1:
+                raise DimensionError(f"lstm_cell: context shape {feed.shape}, need a vector")
+            width -= fv.shape[0]
+            continue
+        memory, w_e, coeffs = spec
+        m = memory.values
+        size = m.shape[-1]
+        if m.ndim != 2 or fv.shape != (size,) or w_e.values.shape != (size, hs):
+            raise DimensionError(f"lstm_cell: memory {memory.shape}, matrix {w_e.shape} and "
+                                 f"context {feed.shape} do not line up")
+        width -= size
+        if coeffs is None:
+            tensors += (feed, memory, w_e)
+            live.append((k, m, w_e.values, None))
+            continue
+        if coeffs.values.shape != m.shape[:1]:
+            raise DimensionError(f"lstm_cell: {coeffs.shape} coefficients for "
+                                 f"{m.shape[0]} memory rows")
+        tensors += (feed, memory, w_e, coeffs)
+        live.append((k, m, w_e.values, coeffs.values))
 
-    h_new, c_new, sig, g = _step(params.w_hh.values, params.b.values,
-                                 params.w_ih.values.dot(x.values), h.values, c.values)
-    out_h = Tensor(h_new)
-    out_c = Tensor(c_new)
+    tape = _taping(*tensors)
+    w_ih, w_hh, b = params.w_ih.values, params.w_hh.values, params.b.values
+    h, c = h0.values, c0.values
+    states, weights = [], []
+    if tape is not None:    # the forward's arrays that the vjp reads
+        X, H, C, SIG, G = [], [h], [c], [], []
+        kept = [[] for _ in feeds0]     # per entry and step: u, base, weights, weighted, total
+    for x in inputs:
+        if x.values.shape != (width,):
+            raise DimensionError(f"lstm_cell: input shape {x.shape}, expected ({width},) "
+                                 "beside the contexts")
+        xv = np.concatenate([x.values, *feeds]) if feeds else x.values
+        h, c, sig, g = _step(w_hh, b, w_ih.dot(xv), h, c)
+        # An entry that attends nothing keeps its start context.
+        state = [Tensor(h), Tensor(c), *feeds0]
+        for k, m, w, cv in live:
+            u = w.dot(h)
+            base, a, weighted, total = _attention_weights(m, u, cv)
+            feeds[k] = ctx = m.T.dot(a)
+            state[2 + k] = Tensor(ctx)
+            if not k:
+                weights.append(Tensor(a))
+            if tape is not None:
+                kept[k].append((u, base, a, weighted, total))
+        states.append(tuple(state))
+        if tape is not None:
+            X.append(xv)
+            H.append(h)
+            C.append(c)
+            SIG.append(sig)
+            G.append(g)
+    if tape is None:
+        return states, weights
+    # Where each part of a step's input starts and ends.
+    bounds = list(accumulate([width] + [f.values.shape[0] for f in feeds0]))
 
-    inputs = (params.w_ih, params.w_hh, params.b, x, h, c)
-    tape = _taping(*inputs)
-    if tape is not None:
-        def vjp(dh, dc):
-            # An output no path to the loss reached has no gradient.
-            zero = np.zeros(hs, dtype=h_new.dtype)
-            dz = np.empty(4 * hs, dtype=h_new.dtype)
-            dc_prev = _back_step(zero if dh is None else dh, zero if dc is None else dc,
-                                 *_gate_factors(sig, g, c_new, c.values), dz)
-            return ((dz, x.values), (dz, h.values), dz, params.w_ih.values.T.dot(dz),
-                    params.w_hh.values.T.dot(dz), dc_prev)
+    def vjp(*grads):
+        n = 3 * steps if live else steps
+        g_h, g_a, g_ctx, dc = grads[:steps], grads[steps:2 * steps], grads[2 * steps:n], grads[n]
+        g_last = (None,) + grads[n + 1:]    # each later entry's last context
+        C_all = np.array(C)
+        by_dc, by_dh, dc_by_dh, f = _gate_factors(np.array(SIG), np.array(G), C_all[1:],
+                                                  C_all[:-1])
+        zero = np.zeros(hs, dtype=h.dtype)
+        dz_all = np.empty((steps, 4 * hs), dtype=h.dtype)
+        w_ih_t, w_hh_t = w_ih.T, w_hh.T
+        back = [([], [], []) for _ in live]     # memory and matrix factors, coefficient deltas
+        d_inputs = []
+        carry = dx = None                       # from the step after t
+        for t in range(steps - 1, -1, -1):
+            # h_t's gradient: the loss's, then the next step's cell, then
+            # each attention on h_t, last entry first.
+            dh = g_h[t]
+            if carry is not None:
+                dh = carry if dh is None else dh + carry
+            for j in range(len(live) - 1, -1, -1):
+                k, m, w, cv = live[j]
+                if k:
+                    ga, gc = None, (g_last[j] if t == steps - 1 else None)
+                else:
+                    ga, gc = g_a[t], g_ctx[t]
+                if dx is not None:
+                    part = dx[bounds[k]:bounds[k + 1]]
+                    gc = part if gc is None else gc + part
+                if ga is None and gc is None:
+                    continue            # an attention no path to the loss reached
+                u, base, a, weighted, total = kept[k][t]
+                d_m, d_w, d_h, *d_coeffs = _attention_back(m, w, H[t + 1], u, base, a, ga, gc,
+                                                           cv, weighted, total)
+                m_factors, w_factors, coeff_deltas = back[j]
+                m_factors += d_m
+                w_factors += d_w
+                coeff_deltas += d_coeffs
+                dh = d_h if dh is None else dh + d_h
+            dz = dz_all[t]
+            dc = _back_step(zero if dh is None else dh, zero if dc is None else dc,
+                            by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz)
+            carry = w_hh_t.dot(dz)
+            dx = w_ih_t.dot(dz)
+            d_inputs.append(dx[:bounds[0]])
+        # Last step first; step t's previous hidden state is H[t].
+        dz_up = dz_all[::-1]
+        out = [(dz_up, np.array(X[::-1])), (dz_up, np.array(H[-2::-1])), *dz_up]
+        for (m_factors, w_factors, coeff_deltas), (_, _, _, cv) in zip(back, live):
+            out += [tuple(m_factors) or None, tuple(w_factors) or None]
+            if cv is not None:
+                out += coeff_deltas + [None] * (steps - len(coeff_deltas))
+        out += [carry, dc]
+        out += [dx[bounds[k]:bounds[k + 1]] for k, *_ in live]
+        return out + d_inputs
 
-        tape.record((out_h, out_c), inputs, vjp)
-    return out_h, out_c
+    all_inputs = [params.w_ih, params.w_hh] + [params.b] * steps
+    for k, spec in enumerate(attended):
+        if spec is not None:
+            memory, w_e, coeffs = spec
+            all_inputs += [memory, w_e] + ([] if coeffs is None else [coeffs] * steps)
+    all_inputs += [h0, c0] + [feeds0[k] for k, *_ in live] + list(inputs)[::-1]
+    outputs = [s[0] for s in states]
+    if live:
+        outputs += weights + [s[2] for s in states]
+    outputs += [states[-1][1]] + [states[-1][2 + k] for k, *_ in live[1:]]
+    tape.record(outputs, all_inputs, vjp)
+    return states, weights
 
 
 def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
@@ -273,131 +410,6 @@ def lstm_sequence(cells: Sequence[LSTMCellParams], seqs: Sequence[Tensor],
 
         tape.record([t for states_r, ends_r in out for t in (states_r, *ends_r)], inputs, vjp)
     return out
-
-
-def record_input_feeding(cell: LSTMCellParams, inputs: Sequence[Tensor],
-                         states: Sequence[Sequence[Tensor]], weights: Sequence[Tensor],
-                         attended: Sequence[tuple[Tensor, Tensor, Tensor | None] | None]) -> None:
-    """Record ``T`` steps of an input-feeding attention LSTM, which ran
-    with the tape paused (see ``Tape.paused``), as one tape entry.
-
-    ``states[0]`` is the start state and ``states[t]`` the state after
-    step ``t``, each ``(h, c, ctx_1, ..., ctx_K)``: the hidden and cell
-    states and one context per entry of ``attended``. Step ``t`` ran
-    :func:`lstm_cell` on ``[inputs[t-1]; ctx_1; ...; ctx_K]`` of state
-    ``t-1`` and its ``h`` and ``c``, then, for each entry ``(memory,
-    w_e, coeffs)`` of ``attended``, ``ops.attention(memory, w_e, h,
-    coeffs)`` on its new ``h``, whose context is ``ctx_k`` of state
-    ``t``; ``weights[t-1]`` are the first attention's weights. A None
-    entry attends nothing: its context stays the start state's. The
-    start state's cell state and contexts are constants.
-
-    The entry's outputs are each step's ``h``, then the ``weights``,
-    then the first attention's contexts. The cell states and the other
-    contexts only feed later steps, so they get no gradient.
-
-    The vjp runs backpropagation through time, step by step, and
-    repeats the arithmetic of those per-step entries in the order the
-    tape would apply them, so every gradient equals theirs bit for bit:
-    the weight, memory and matrix deltas are factors listed last step
-    first, and ``b``, the coefficients and the inputs are listed once
-    per step, last step first. A step's ``h`` that no gradient reaches
-    counts as zero. The turn's gates and ``w_e·h`` are recomputed for
-    all steps at once, row-exact.
-    """
-    steps = len(inputs)
-    if not steps or len(states) != steps + 1 or len(weights) != steps:
-        raise ContractError(f"record_input_feeding: {len(inputs)} inputs, {len(states)} "
-                            f"states and {len(weights)} weights")
-    if not attended or attended[0] is None or any(len(s) != 2 + len(attended) for s in states):
-        raise ContractError("record_input_feeding: each state needs h, c and one context "
-                            "per attention, and the first attention attends")
-    h0, c0, *feeds0 = states[0]
-    if c0.requires_grad or any(f.requires_grad for f in feeds0):
-        raise ContractError("record_input_feeding: the start cell state and contexts "
-                            "must be constants")
-    live = [k for k, spec in enumerate(attended) if spec is not None]
-    att_inputs = [[memory, w_e] + ([] if coeffs is None else [coeffs] * steps)
-                  for memory, w_e, coeffs in (attended[k] for k in live)]
-    all_inputs = [cell.w_ih, cell.w_hh] + [cell.b] * steps
-    all_inputs += [t for group in att_inputs for t in group] + [h0] + list(inputs)[::-1]
-    tape = _taping(*all_inputs)
-    if tape is None:
-        return
-
-    # The forward's arrays, one row per step: H and C hold the start
-    # state's row first, and row t of X is step t's input.
-    hs = cell.hidden_size
-    H = np.array([s[0].values for s in states])
-    C = np.array([s[1].values for s in states])
-    X = np.concatenate([np.array([x.values for x in inputs])]
-                       + [np.array([s[2 + k].values for s in states[:-1]])
-                          for k in range(len(attended))], axis=1)
-    bounds = list(accumulate([inputs[0].values.shape[0]]
-                             + [f.values.shape[0] for f in feeds0]))
-    _, _, sig, g = _step(cell.w_hh.values, cell.b.values, _rows_dot(cell.w_ih.values, X),
-                         H[:-1], C[:-1])
-    by_dc, by_dh, dc_by_dh, f = _gate_factors(sig, g, C[1:], C[:-1])
-    fwd = []        # per attention: what its vjp reads, one row per step
-    for k in live:
-        memory, w_e, coeffs = attended[k]
-        m, cv = memory.values, None if coeffs is None else coeffs.values
-        u = _rows_dot(w_e.values, H[1:])
-        if k == 0 and cv is None:       # the forward's weights are the softmax
-            a = np.array([t.values for t in weights])
-            fwd.append((m, w_e.values, u, cv, a, a, None, None))
-        else:
-            fwd.append((m, w_e.values, u, cv) + _attention_weights(m, u, cv))
-
-    def vjp(*grads):
-        g_h, g_a, g_ctx = grads[:steps], grads[steps:2 * steps], grads[2 * steps:]
-        zero = np.zeros(hs, dtype=H.dtype)
-        dz_all = np.empty((steps, 4 * hs), dtype=H.dtype)
-        w_ih_t, w_hh_t = cell.w_ih.values.T, cell.w_hh.values.T
-        back = [([], [], []) for _ in live]     # memory and matrix factors, coefficient deltas
-        d_inputs = []
-        carry = dc = dx = None                  # from the step after t
-        for t in range(steps - 1, -1, -1):
-            # h_t's gradient: the loss's, then the next step's cell, then
-            # each attention on h_t, last recorded first.
-            dh = g_h[t]
-            if carry is not None:
-                dh = carry if dh is None else dh + carry
-            for j in range(len(live) - 1, -1, -1):
-                m, w, u, cv, base, wts, weighted, total = fwd[j]
-                ga, gc = (g_a[t], g_ctx[t]) if j == 0 else (None, None)
-                if dx is not None:
-                    k = live[j]
-                    part = dx[bounds[k]:bounds[k + 1]]
-                    gc = part if gc is None else gc + part
-                if ga is None and gc is None:
-                    continue            # an attention no path to the loss reached
-                d_m, d_w, d_h, *d_coeffs = _attention_back(
-                    m, w, H[t + 1], u[t], base[t], wts[t], ga, gc,
-                    *(() if cv is None else (cv, weighted[t], total[t])))
-                m_factors, w_factors, coeff_deltas = back[j]
-                m_factors += d_m
-                w_factors += d_w
-                coeff_deltas += d_coeffs
-                dh = d_h if dh is None else dh + d_h
-            dz = dz_all[t]
-            dc = _back_step(zero if dh is None else dh, zero if dc is None else dc,
-                            by_dc[t], by_dh[t], dc_by_dh[t], f[t], dz)
-            carry = w_hh_t.dot(dz)
-            dx = w_ih_t.dot(dz)
-            d_inputs.append(dx[:bounds[0]])
-        # Last step first; step t's previous hidden state is row t-1 of H.
-        dz_up = dz_all[::-1]
-        out = [(dz_up, X[::-1]), (dz_up, H[-2::-1]), *dz_up]
-        for (m_factors, w_factors, coeff_deltas), group in zip(back, att_inputs):
-            out += [tuple(m_factors) or None, tuple(w_factors) or None]
-            if len(group) > 2:
-                out += coeff_deltas + [None] * (steps - len(coeff_deltas))
-        out.append(carry)
-        return out + d_inputs
-
-    tape.record([s[0] for s in states[1:]] + list(weights) + [s[2] for s in states[1:]],
-                all_inputs, vjp)
 
 
 class _Packing:

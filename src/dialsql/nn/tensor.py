@@ -25,17 +25,15 @@ leaves. A weight matrix that every decoder step multiplies (the LSTM
 cell's, the attention matrices, the output projections) thus gets one
 matrix product per backward instead of one outer product per step.
 
-Four fused operations record a whole decoder composite as one entry:
-:func:`attention` (bilinear scores, softmax, optional gate rescaling,
-context), :func:`link_scores` (a schema frontier's scorer),
-:func:`mixture` (generation softmax, masked copy softmax, sigmoid gate,
-mix) and :func:`nll` (a turn's summed negative log-likelihood). A
-caller may also run several operations with the tape paused
-(:meth:`Tape.paused`) and record them as one entry itself, as the LSTM
-module does for a decoder turn, with :func:`attention`'s own halves,
-``_attention_weights`` and ``_attention_back``. The array helpers
-``_softmax_values``, ``_masked_softmax_values`` and ``_sigmoid_values``
-compute their parts.
+Fused operations record a whole decoder composite as one entry:
+:func:`link_scores` (a schema frontier's scorer), :func:`mixture`
+(generation softmax, masked copy softmax, sigmoid gate, mix) and
+:func:`nll` (a turn's summed negative log-likelihood). :func:`attention`
+(bilinear scores, softmax, optional gate rescaling, context) is one
+attention as one entry; the LSTM module's decoder recurrence runs its
+halves, ``_attention_weights`` and ``_attention_back``, at each step.
+The array helpers ``_softmax_values``, ``_masked_softmax_values`` and
+``_sigmoid_values`` compute their parts.
 A plain softmax is the one-part :func:`mixture` without copy inputs.
 :func:`mixture` and :func:`nll` also take matrices with one row per
 decoder step, and :func:`rows_matmul` multiplies each row of a matrix
@@ -46,8 +44,9 @@ one-row (vector) case bit for bit: products run one row at a time
 Each job has one op: :func:`take_rows` with an int index picks one row,
 :func:`matmul` of two vectors is their dot product, and
 :func:`scale_by` multiplies by a scalar. The parser calls every public
-op but :func:`mul` and :func:`reduce_sum`, the tests' loss algebra: no
-other op sums a matrix against weights.
+op but :func:`mul` and :func:`reduce_sum`, the tests' loss algebra (no
+other op sums a matrix against weights), and :func:`transpose` and
+:func:`attention`, from which the tests compose their references.
 """
 
 from __future__ import annotations
@@ -199,15 +198,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def paused() -> "_Pause":
-        """A context manager in whose block no operation of this thread
-        records on a tape: ops compute values alone, as with no tape
-        open. The thread's active tape resumes when the block ends, also
-        when it raises. A caller that pauses the tape around a forward
-        records that forward itself, as one entry."""
-        return _PAUSE
-
     def record(self, outputs: Sequence[Tensor], inputs: Sequence[Tensor],
                vjp: Callable) -> None:
         """Append one entry; its outputs now require gradients."""
@@ -268,24 +258,6 @@ class Tape:
             for t in inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.values)
-
-
-class _Pause:
-    """:meth:`Tape.paused`: marks the thread's tape stack with None, which
-    :func:`_taping` reads as no tape, for one block."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        _tape_stack().append(None)
-
-    def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        assert stack and stack[-1] is None
-        stack.pop()
-
-
-_PAUSE = _Pause()
 
 
 def _add_factors(t: Tensor, factors: list) -> None:
@@ -734,8 +706,8 @@ def _attention_back(m, w_e, h, u, base, weights, ga, gc, coeffs=None, weighted=N
     ``gc`` of its weights and context, at most one of them None, and the
     arrays of its forward: ``u = w_e·h``, the softmax ``base`` and the
     ``weights``, and with coefficients ``weighted = base·coeffs`` and
-    its sum ``total``. The LSTM module's recorded decoder recurrence
-    runs each step's attentions back through it too."""
+    its sum ``total``. :func:`~dialsql.nn.lstm.lstm_cell` runs each
+    step's attentions back through it too."""
     if gc is None:
         da = ga
     else:

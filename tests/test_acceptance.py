@@ -135,7 +135,7 @@ def _layer_checks(rng) -> float:
         h = Tensor(np.zeros(3))
         c = Tensor(np.zeros(3))
         for x in (x1, x2):
-            h, c = lstm_cell(cell, x, h, c)
+            [(h, c)], _ = lstm_cell(cell, [x], (h, c))
         return ops.reduce_sum(ops.mul(h, h))
 
     check(lstm_loss, [cell.w_ih, cell.w_hh, cell.b, x1, x2])
@@ -258,7 +258,7 @@ def test_criterion_4_distribution_soundness():
             state = initial_state(model, encoded)
             prev = model.params["bos_emb"]
             while not deriv.is_complete and steps < 100:
-                state, a = advance_state(model, encoded, state, prev)
+                [state], [a] = advance_state(model, encoded, state, [prev])
                 frontier = deriv.frontier()
                 [dist] = output_distribution(model, GRAMMAR, [frontier], [state], [a], encoded)
                 probs = dist.probs.values

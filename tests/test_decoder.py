@@ -178,7 +178,7 @@ class TestDecodeState:
         model = make_model("none", seed=3)
         enc = encode_for(model, [["show", "alpha", "?"]])
         state = initial_state(model, enc)
-        new_state, a = advance_state(model, enc, state, model.params["bos_emb"])
+        [new_state], [a] = advance_state(model, enc, state, [model.params["bos_emb"]])
 
         p = model.params
         x = np.concatenate([p["bos_emb"].values, state.context.values])
@@ -198,7 +198,8 @@ class TestDecodeState:
 
 def first_step(model, enc):
     state = initial_state(model, enc)
-    return advance_state(model, enc, state, model.params["bos_emb"])
+    [new_state], [a] = advance_state(model, enc, state, [model.params["bos_emb"]])
+    return new_state, a
 
 
 class TestOutputDistribution:
@@ -570,7 +571,7 @@ def gold_steps(model, enc, gold):
     prev = model.params["bos_emb"]
     frontiers, states, weights = [], [], []
     for action in gold:
-        state, a = advance_state(model, enc, state, prev)
+        [state], [a] = advance_state(model, enc, state, [prev])
         frontiers.append(deriv.frontier())
         states.append(state)
         weights.append(a)
@@ -647,7 +648,7 @@ class TestTurnLevelOutput:
         with Tape():
             teacher_forced_loss(model, enc, GRAMMAR, gold)
         assert len(calls) == 1 and len(calls[0]) == len(gold)
-        assert len(steps) == len(gold)      # the decoder still steps one by one
+        assert len(steps) == 1              # one decoder call steps the whole turn
 
     @pytest.mark.parametrize("method", ["none", "turn+tree_copy", "turn+sql_attn+action_copy"])
     def test_output_entries_do_not_grow_with_steps(self, method, monkeypatch):
@@ -675,8 +676,8 @@ class TestTurnLevelOutput:
 
 
 def step_by_step_loss(model, enc, grammar, gold):
-    """:func:`teacher_forced_loss` with each step's :func:`advance_state`
-    entries on the tape: the step, then its frontier's record (built by
+    """:func:`teacher_forced_loss` with one :func:`advance_state` call,
+    one tape entry, per step: the step, then its frontier's record (built by
     a one-step output call whose own entries stay off the loss's path),
     then the action's embedding; then the turn's output call and loss."""
     deriv = Derivation(grammar)
@@ -684,7 +685,7 @@ def step_by_step_loss(model, enc, grammar, gold):
     prev = model.params["bos_emb"]
     frontiers, states, weights = [], [], []
     for action in gold:
-        state, a = advance_state(model, enc, state, prev)
+        [state], [a] = advance_state(model, enc, state, [prev])
         frontiers.append(deriv.frontier())
         output_distribution(model, grammar, frontiers[-1:], [state], [a], enc)
         states.append(state)
@@ -702,9 +703,9 @@ def step_by_step_loss(model, enc, grammar, gold):
 
 
 class TestRecordedRecurrence:
-    """A teacher-forced turn's decoder steps run with the tape paused
-    and are recorded as one entry, with the gradients of per-step
-    entries bit for bit."""
+    """A teacher-forced turn's decoder steps are one lstm_cell call and
+    one tape entry, with the gradients of one call per step bit for
+    bit."""
 
     PRECEDENT = TestTurnLevelOutput.PRECEDENT
     GOLD = TestTurnLevelOutput.GOLD
@@ -767,24 +768,23 @@ class TestRecordedRecurrence:
         result = grad_check(loss, [model.params[name] for name in names], names)
         assert result.max_rel_error < 1e-5, result.worst
 
-    def test_one_entry_per_turn_and_none_per_step(self, monkeypatch):
+    def test_one_call_and_one_entry_per_turn(self, monkeypatch):
         model = make_model("turn+sql_attn+action_copy", seed=3)
-        recorded = {"advance_state": [], "record_input_feeding": []}
-        for name in recorded:
-            real = getattr(decoder, name)
+        recorded = []
+        real = decoder.advance_state
 
-            def counted(*args, real=real, name=name):
-                before = len(tape)
-                out = real(*args)
-                recorded[name].append(len(tape) - before)
-                return out
+        def counted(*args):
+            before = len(tape)
+            out = real(*args)
+            recorded.append(len(tape) - before)
+            return out
 
-            monkeypatch.setattr(decoder, name, counted)
+        monkeypatch.setattr(decoder, "advance_state", counted)
         gold = list(actions_for(self.GOLD))
         with Tape() as tape:
             enc = encode_for(model, self.SEGMENTS, precedent=actions_for(self.PRECEDENT))
             teacher_forced_loss(model, enc, GRAMMAR, gold)
-        assert recorded == {"advance_state": [0] * len(gold), "record_input_feeding": [1]}
+        assert recorded == [1]
 
 
 class TestGreedyParse:
@@ -865,7 +865,7 @@ class TestGreedyParse:
             prev = model.params["bos_emb"]
             steps = forced = 0
             while not deriv.is_complete and len(deriv.actions) < max_steps:
-                state, a = advance_state(model, encoded, state, prev)
+                [state], [a] = advance_state(model, encoded, state, [prev])
                 [dist] = output_distribution(model, GRAMMAR, [deriv.frontier()], [state],
                                              [a], encoded)
                 forced += len(dist.support) == 1

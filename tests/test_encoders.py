@@ -161,7 +161,7 @@ class TestTurnState:
         rng = np.random.default_rng(5)
         cell = make_params(rng, 4, 4)
         q = rng.uniform(-1, 1, 4)
-        h, c = lstm_cell(cell, Tensor(q), *zero_state(4))
+        [(h, c)], _ = lstm_cell(cell, [Tensor(q)], zero_state(4))
         h_ref, c_ref = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values,
                                       q, np.zeros(4), np.zeros(4))
         np.testing.assert_allclose(h.values, h_ref, atol=1e-12)
@@ -171,7 +171,7 @@ class TestTurnState:
         cell = zero_params(4, 4)
         h, c = zero_state(4)
         for _ in range(3):
-            h, c = lstm_cell(cell, Tensor(np.ones(4)), h, c)
+            [(h, c)], _ = lstm_cell(cell, [Tensor(np.ones(4))], (h, c))
             np.testing.assert_array_equal(h.values, 0.0)
 
     def test_three_updates_sequential(self):
@@ -181,7 +181,7 @@ class TestTurnState:
         h, c = zero_state(4)
         h_ref, c_ref = np.zeros(4), np.zeros(4)
         for q in qs:
-            h, c = lstm_cell(cell, Tensor(q), h, c)
+            [(h, c)], _ = lstm_cell(cell, [Tensor(q)], (h, c))
             h_ref, c_ref = reference_step(cell.w_ih.values, cell.w_hh.values, cell.b.values,
                                           q, h_ref, c_ref)
             np.testing.assert_allclose(h.values, h_ref, atol=1e-12)
@@ -189,7 +189,7 @@ class TestTurnState:
     def test_dim_mismatch(self):
         cell = zero_params(4, 4)
         with pytest.raises(DimensionError):
-            lstm_cell(cell, Tensor(np.ones(5)), *zero_state(4))
+            lstm_cell(cell, [Tensor(np.ones(5))], zero_state(4))
 
 
 class TestGate:

@@ -1,7 +1,5 @@
 """LSTM cell and fused sequence pass against an independent reference."""
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from dialsql.nn import (
     lstm_cell,
     lstm_sequence,
     ops,
-    record_input_feeding,
     set_precision,
 )
 
@@ -58,7 +55,7 @@ def cell_unroll(params, rows, tail=None):
     for x in rows:
         if tail is not None:
             x = ops.concat([x, tail])
-        h, c = lstm_cell(params, x, h, c)
+        [(h, c)], _ = lstm_cell(params, [x], (h, c))
         states.append(h)
     return states
 
@@ -71,7 +68,7 @@ class TestForward:
             x = Tensor(rng.normal(size=3))
             h = Tensor(rng.normal(size=4))
             c = Tensor(rng.normal(size=4))
-            got_h, got_c = lstm_cell(params, x, h, c)
+            [(got_h, got_c)], _ = lstm_cell(params, [x], (h, c))
             want_h, want_c = reference_lstm_step(
                 params.w_ih.values, params.w_hh.values, params.b.values,
                 x.values, h.values, c.values)
@@ -125,7 +122,7 @@ class TestBackward:
         weights = rng.normal(size=4)
 
         def loss():
-            nh, nc = lstm_cell(params, x, h, c)
+            [(nh, nc)], _ = lstm_cell(params, [x], (h, c))
             return ops.add(ops.matmul(nh, Tensor(weights)), ops.reduce_sum(nc))
 
         res = grad_check(loss, params.tensors() + [x, h, c])
@@ -160,16 +157,16 @@ class TestBackward:
     def test_no_tape_no_recording(self):
         rng = np.random.default_rng(6)
         params = make_params(rng, 2, 2)
-        h, c = lstm_cell(params, Tensor(rng.normal(size=2)),
-                         Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+        [(h, c)], _ = lstm_cell(params, [Tensor(rng.normal(size=2))],
+                                (Tensor(np.zeros(2)), Tensor(np.zeros(2))))
         assert h.requires_grad is False and c.requires_grad is False
 
     def test_fused_cell_is_one_tape_entry(self):
         rng = np.random.default_rng(7)
         params = make_params(rng, 2, 2)
         with Tape() as tape:
-            lstm_cell(params, Tensor(rng.normal(size=2)),
-                      Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+            lstm_cell(params, [Tensor(rng.normal(size=2))],
+                      (Tensor(np.zeros(2)), Tensor(np.zeros(2))))
         assert len(tape) == 1
 
     @pytest.mark.parametrize("reached", ["h", "c"])
@@ -181,7 +178,7 @@ class TestBackward:
         weights = Tensor(rng.normal(size=4))
 
         def loss():
-            nh, nc = lstm_cell(params, x, h, c)
+            [(nh, nc)], _ = lstm_cell(params, [x], (h, c))
             return ops.matmul(nh if reached == "h" else nc, weights)
 
         res = grad_check(loss, params.tensors() + [x, h, c])
@@ -207,7 +204,7 @@ class TestBackward:
 
             def cell():
                 zero = Tensor(np.zeros(4))
-                h, _ = lstm_cell(params, ops.take_rows(xs, 0), zero, zero)
+                [(h, _)], _ = lstm_cell(params, [ops.take_rows(xs, 0)], (zero, zero))
                 return ops.matmul(h, weights)
 
             def one_row_pass():
@@ -512,14 +509,17 @@ class TestBatchedPass:
 class Feeding:
     """An input-feeding attention LSTM over a few steps: a question
     memory with per-row coefficients (or none), and optionally a second
-    memory (or a constant second context, which attends nothing)."""
+    memory (or a constant second context, which attends nothing); or,
+    with ``attend`` off, no memory at all. With ``start_grads`` the
+    start state's cell state and contexts are parameters."""
 
     E, Q, S, HS, T = 3, 4, 2, 4, 4
 
-    def __init__(self, seed, coeffs=True, second="attend"):
+    def __init__(self, seed, coeffs=True, second="attend", attend=True, start_grads=False):
         rng = np.random.default_rng(seed)
-        self.second = second
-        feed = self.E + self.Q + (self.S if second else 0)
+        self.attend = attend
+        self.second = second if attend else None
+        feed = self.E + (self.Q if attend else 0) + (self.S if self.second else 0)
         self.cell = make_params(rng, feed, self.HS, "dec")
 
         def param(name, shape, scale=1.0):
@@ -527,164 +527,210 @@ class Feeding:
 
         self.memory = param("memory", (5, self.Q), 4.0)
         self.w_e = param("w_e", (self.Q, self.HS), 4.0)
-        self.coeffs = param("coeffs", (5,)) if coeffs else None
-        if coeffs:
+        self.coeffs = param("coeffs", (5,)) if coeffs and attend else None
+        if self.coeffs is not None:
             self.coeffs.values += 1.5          # positive, as gate coefficients are
         self.sql_memory = param("sql_memory", (3, self.S), 4.0)
         self.w_s = param("w_s", (self.S, self.HS), 4.0)
         self.h0 = param("h0", (self.HS,))
         self.inputs = [param(f"x{t}", (self.E,)) for t in range(self.T - 1)]
         self.inputs.insert(2, self.inputs[0])   # one input fed at two steps
+        self.start_grads = start_grads
+        if start_grads:
+            self.c0, self.ctx0 = param("c0", (self.HS,)), param("ctx0", (self.Q,))
+        else:
+            self.c0, self.ctx0 = Tensor(np.zeros(self.HS)), Tensor(np.zeros(self.Q))
+        if start_grads and self.second == "attend":
+            self.sql0 = param("sql0", (self.S,))
+        else:       # a context that attends nothing is a constant
+            self.sql0 = Tensor(init_uniform(rng, (self.S,)))
         # Each output's weight in the loss.
         self.probes = [Tensor(rng.normal(size=n)) for _ in range(self.T)
                        for n in (self.HS, self.HS, 5, self.Q, self.S)]
 
     def leaves(self):
-        leaves = self.cell.tensors() + [self.memory, self.w_e, self.h0]
-        leaves += self.inputs[:2] + self.inputs[3:]
+        leaves = self.cell.tensors() + [self.h0] + self.inputs[:2] + self.inputs[3:]
+        if self.attend:
+            leaves += [self.memory, self.w_e]
         if self.second == "attend":
             leaves += [self.sql_memory, self.w_s]
+        if self.start_grads:
+            leaves += [self.c0] + ([self.ctx0] if self.attend else [])
+            leaves += [self.sql0] if self.second == "attend" else []
         return leaves + ([self.coeffs] if self.coeffs is not None else [])
 
-    def run(self, recorded: bool):
-        """Each step's (h, c, weights, context, second context), the
-        start state's contexts being zero, stepped with the tape on, or
-        paused and then recorded."""
-        zero = Tensor(np.zeros(self.HS))
-        state = (self.h0, zero, Tensor(np.zeros(self.Q)))
-        if self.second:
-            state += (Tensor(np.zeros(self.S)),)
-        states, weights = [state], []
-        for x in self.inputs:
-            h, c, ctx, *sql = state
-            with Tape.paused() if recorded else nullcontext():
-                h, c = lstm_cell(self.cell, ops.concat([x, ctx, *sql]), h, c)
-                a, ctx = ops.attention(self.memory, self.w_e, h, self.coeffs)
-                if self.second == "attend":
-                    _, sql = ops.attention(self.sql_memory, self.w_s, h)
-                    sql = [sql]
-            state = (h, c, ctx, *sql)
-            states.append(state)
-            weights.append(a)
-        if recorded:
-            attended = [(self.memory, self.w_e, self.coeffs)]
-            if self.second:
-                attended.append((self.sql_memory, self.w_s, None)
-                                if self.second == "attend" else None)
-            record_input_feeding(self.cell, self.inputs, states, weights, attended)
-        return [(s[0], s[1], a, *s[2:]) for s, a in zip(states[1:], weights)]
+    def start(self):
+        return ((self.h0, self.c0) + ((self.ctx0,) if self.attend else ())
+                + ((self.sql0,) if self.second else ()))
 
-    # The fields the recorded entry outputs: h, weights and context.
-    RECORDED = (0, 2, 3)
+    def attended(self):
+        if not self.attend:
+            return []
+        attended = [(self.memory, self.w_e, self.coeffs)]
+        if self.second:
+            attended.append((self.sql_memory, self.w_s, None)
+                            if self.second == "attend" else None)
+        return attended
+
+    MODES = ("one call", "chained", "separate")
+
+    def run(self, mode):
+        """Each step's (h, c, weights, context, second context), None
+        where there is none: from one call over all inputs, from one call
+        per input, chained, or from the separate reference, which per
+        step runs a one-input call without memory on the ``ops.concat``
+        of the step's input and contexts, then ``ops.attention`` per
+        memory."""
+        state, attended = self.start(), self.attended()
+        if mode == "one call":
+            states, weights = lstm_cell(self.cell, self.inputs, state, attended)
+        else:
+            states, weights = [], []
+            for x in self.inputs:
+                if mode == "chained":
+                    [state], a = lstm_cell(self.cell, [x], state, attended)
+                    weights += a
+                else:
+                    h, c, *ctxs = state
+                    [(h, c)], _ = lstm_cell(self.cell, [ops.concat([x, *ctxs]) if ctxs else x],
+                                            (h, c))
+                    for k, spec in enumerate(attended):
+                        if spec is not None:
+                            a, ctxs[k] = ops.attention(spec[0], spec[1], h, spec[2])
+                            if k == 0:
+                                weights.append(a)
+                    state = (h, c, *ctxs)
+                states.append(state)
+        return [(s[0], s[1], weights[t] if weights else None, *s[2:],
+                 *[None] * (4 - len(s))) for t, s in enumerate(states)]
+
+    def outputs(self, t, k):
+        """Whether field ``k`` of step ``t`` is an output of one call: h,
+        the weights and the first context at every step, c and the
+        second context at the last."""
+        return k in (0, 2, 3) or t == self.T - 1
 
     def loss(self, outputs, reached):
-        """Σ probe · output over the recorded outputs ``reached`` picks,
-        by step and by field index (h, c, weights, context, second
-        context)."""
+        """Σ probe · output over the outputs ``reached`` picks, by step
+        and by field index (h, c, weights, context, second context)."""
         terms = [ops.matmul(out, self.probes[5 * t + k])
                  for t, outs in enumerate(outputs) for k, out in enumerate(outs)
-                 if k in self.RECORDED and reached(t, k)]
+                 if out is not None and self.outputs(t, k) and reached(t, k)]
         total = terms[0]
         for term in terms[1:]:
             total = ops.add(total, term)
         return total
 
-    def gradients(self, recorded, reached=lambda t, k: True):
+    def gradients(self, mode, reached=lambda t, k: True):
         """The loss of two runs on one tape, as a batch of two turns:
         the second run's deltas reach each weight first."""
         for t in self.leaves():
             t.grad = None
         with Tape() as tape:
-            loss = ops.add(self.loss(self.run(recorded), reached),
-                           self.loss(self.run(recorded), reached))
+            loss = ops.add(self.loss(self.run(mode), reached),
+                           self.loss(self.run(mode), reached))
             tape.backward(loss)
         return loss.values, [t.grad.copy() for t in self.leaves()]
 
 
-class TestRecordedInputFeeding:
-    """``record_input_feeding`` records paused steps as one entry whose
-    gradients equal those of the per-step entries bit for bit."""
+# (coeffs, second, attend): no memory, one, and two, the second attending
+# or a constant.
+FEEDINGS = {"no memory": (False, None, False), "one memory": (True, None, True),
+            "one memory, no coefficients": (False, None, True),
+            "two memories": (True, "attend", True),
+            "two memories, no coefficients": (False, "attend", True),
+            "a constant second context": (True, "constant", True)}
+# The outputs a loss reads, by step and field (h, c, weights, context,
+# second context).
+REACHED = {
+    "every output": lambda t, k: True,
+    "last hidden state": lambda t, k: (t, k) == (3, 0),
+    "last cell state and contexts": lambda t, k: k in (1, 3, 4),
+    "weights and contexts": lambda t, k: k >= 2,
+}
 
-    REACHED = {
-        "every output": lambda t, k: True,
-        "last hidden state": lambda t, k: (t, k) == (3, 0),
-        "weights and contexts": lambda t, k: k >= 2,
-    }
 
-    @pytest.mark.parametrize("reached", sorted(REACHED))
-    @pytest.mark.parametrize("coeffs, second", [(True, "attend"), (False, "attend"),
-                                                (True, None), (False, "constant")])
-    def test_gradients_equal_per_step_entries_bit_for_bit(self, coeffs, second, reached):
-        feeding = Feeding(60, coeffs, second)
-        want = feeding.gradients(False, self.REACHED[reached])
-        got = feeding.gradients(True, self.REACHED[reached])
-        assert got[0] == want[0]
-        for g, w, t in zip(got[1], want[1], feeding.leaves()):
-            assert g.tobytes() == w.tobytes(), t.name
+class TestInputFeeding:
+    """One ``lstm_cell`` call over a turn's inputs, one call per input
+    chained, and the separate per-step operations agree bit for bit."""
 
     @pytest.mark.parametrize("bits, dtype", [(64, np.float64), (32, np.float32)])
-    def test_values_equal_per_step_entries_bit_for_bit(self, bits, dtype):
+    @pytest.mark.parametrize("feeding, reached", [
+        (feeding, reached) for feeding in sorted(FEEDINGS) for reached in sorted(REACHED)
+        if FEEDINGS[feeding][2] or reached != "weights and contexts"])   # no memory, no weights
+    def test_values_and_gradients_agree_bit_for_bit(self, feeding, reached, bits, dtype):
         set_precision(bits)
         try:
-            feeding = Feeding(61)
-            with Tape():
-                want = feeding.run(False)
-            with Tape():
-                got = feeding.run(True)
+            feeding_ = Feeding(60, *FEEDINGS[feeding])
+            runs = {}
+            for mode in Feeding.MODES:
+                with Tape():
+                    values = [[None if t is None else t.values for t in outs]
+                              for outs in feeding_.run(mode)]
+                runs[mode] = values, feeding_.gradients(mode, REACHED[reached])
         finally:
             set_precision(64)
-        for outs_got, outs_want in zip(got, want):
-            for k, (g, w) in enumerate(zip(outs_got, outs_want)):
-                assert g.values.dtype == dtype
-                assert g.requires_grad == (k in Feeding.RECORDED)
-                assert g.values.tobytes() == w.values.tobytes()
+        want_values, (want_loss, want_grads) = runs["separate"]
+        for mode in ("one call", "chained"):
+            values, (loss, grads) = runs[mode]
+            for outs, want_outs in zip(values, want_values):
+                for v, w in zip(outs, want_outs):
+                    assert (v is None) == (w is None)
+                    if v is not None:
+                        assert v.dtype == dtype and v.tobytes() == w.tobytes(), mode
+            assert loss.dtype == dtype and loss == want_loss, mode
+            for g, w, t in zip(grads, want_grads, feeding_.leaves()):
+                assert g.dtype == dtype and g.tobytes() == w.tobytes(), (mode, t.name)
 
-    @pytest.mark.parametrize("second", ["attend", "constant"])
-    def test_cell_states_and_second_contexts_get_no_gradient(self, second):
-        feeding = Feeding(66, second=second)
+    @pytest.mark.parametrize("feeding", sorted(FEEDINGS))
+    def test_outputs_take_gradients_and_the_rest_do_not(self, feeding):
+        feeding_ = Feeding(66, *FEEDINGS[feeding])
         with Tape():
-            outputs = feeding.run(True)
-        for h, c, a, ctx, sql in outputs:
-            assert h.requires_grad and a.requires_grad and ctx.requires_grad
-            assert not c.requires_grad and not sql.requires_grad
+            outputs = feeding_.run("one call")
+        for t, outs in enumerate(outputs):
+            for k, out in enumerate(outs):
+                if out is not None:
+                    assert out.requires_grad == (feeding_.outputs(t, k)
+                                                 and (k != 4 or feeding_.second == "attend"))
+        if feeding_.second == "constant":       # the start's context, as it is
+            assert all(outs[4] is feeding_.sql0 for outs in outputs)
 
-    @pytest.mark.parametrize("coeffs", [True, False])
-    def test_gradients_match_finite_differences(self, coeffs):
-        feeding = Feeding(62, coeffs)
-        res = grad_check(lambda: feeding.loss(feeding.run(True), lambda t, k: True),
-                         feeding.leaves())
+    @pytest.mark.parametrize("feeding", sorted(FEEDINGS))
+    def test_gradients_match_finite_differences(self, feeding):
+        # The start's cell state and contexts take gradients too.
+        feeding_ = Feeding(62, *FEEDINGS[feeding], start_grads=True)
+        res = grad_check(lambda: feeding_.loss(feeding_.run("one call"), lambda t, k: True),
+                         feeding_.leaves())
         assert res.max_rel_error < 1e-6, res
 
-    def test_one_entry_and_nothing_paused(self):
-        feeding = Feeding(63)
-        with Tape() as tape:
-            feeding.run(True)
-        assert len(tape) == 1
-        with Tape() as tape:
-            feeding.run(False)
-        assert len(tape) == 4 * Feeding.T       # concat, lstm_cell and two attentions per step
+    def test_entries_per_call(self):
+        for mode, entries in (("one call", 1), ("chained", Feeding.T),
+                              ("separate", 4 * Feeding.T)):  # concat, cell, two attentions
+            with Tape() as tape:
+                Feeding(63).run(mode)
+            assert len(tape) == entries, mode
 
     def test_nothing_recorded_without_a_tape(self):
-        outputs = Feeding(64).run(True)
-        assert not any(t.requires_grad for outs in outputs for t in outs)
+        outputs = Feeding(64).run("one call")
+        assert not any(t.requires_grad for outs in outputs for t in outs if t is not None)
 
-    def test_rejects_what_it_cannot_record(self):
-        feeding = Feeding(65, second=None)
-        zero = Tensor(np.zeros(Feeding.HS))
-        start = (feeding.h0, zero, Tensor(np.zeros(Feeding.Q)))
-        attended = [(feeding.memory, feeding.w_e, None)]
-        with Tape():
-            with Tape.paused():
-                h, c = lstm_cell(feeding.cell, ops.concat([feeding.inputs[0], start[2]]),
-                                 feeding.h0, zero)
-                a, ctx = ops.attention(feeding.memory, feeding.w_e, h)
-            with pytest.raises(ContractError):      # two inputs for one step
-                record_input_feeding(feeding.cell, feeding.inputs[:2], [start, (h, c, ctx)],
-                                     [a], attended)
-            with pytest.raises(ContractError):      # no context for the attention
-                record_input_feeding(feeding.cell, feeding.inputs[:1],
-                                     [start[:2], (h, c)], [a], attended)
-            with pytest.raises(ContractError):      # a start cell state with a gradient
-                record_input_feeding(feeding.cell, feeding.inputs[:1],
-                                     [(feeding.h0, feeding.h0, start[2]), (h, c, ctx)],
-                                     [a], attended)
+    def test_rejects_malformed_calls(self):
+        feeding = Feeding(65)
+        cell, inputs, start, attended = (feeding.cell, feeding.inputs, feeding.start(),
+                                         feeding.attended())
+        with pytest.raises(ContractError, match="no inputs"):
+            lstm_cell(cell, [], start, attended)
+        with pytest.raises(ContractError, match="a start of 3"):
+            lstm_cell(cell, inputs, start[:3], attended)
+        with pytest.raises(ContractError, match="first attention attends nothing"):
+            lstm_cell(cell, inputs, start, [None, attended[1]])
+        with pytest.raises(ContractError, match="must be a constant"):
+            lstm_cell(cell, inputs, start[:3] + (Parameter("sql", np.zeros(Feeding.S)),),
+                      [attended[0], None])
+        with pytest.raises(DimensionError, match="input shape"):
+            lstm_cell(cell, inputs[:1] + [Tensor(np.zeros(Feeding.E + 1))], start, attended)
+        with pytest.raises(DimensionError, match="do not line up"):
+            lstm_cell(cell, inputs, start, [attended[0], (feeding.memory, feeding.w_e, None)])
+        with pytest.raises(DimensionError, match="coefficients"):
+            lstm_cell(cell, inputs, start,
+                      [(feeding.memory, feeding.w_e, Tensor(np.ones(3))), attended[1]])

@@ -9,7 +9,7 @@ order (A B, B A, A B, ...), each round the work of one round of
 read and not changed), one unit per method, without the host-speed
 kernel::
 
-    python tools/ab.py <old tree>/src <new tree>/src --workload train --pairs 10
+    python tools/ab.py <old tree>/src <new tree>/src --workload train --pairs 20
 
 Each tree's ``dialsql`` is loaded under its own package name and, while
 that tree runs, also stands as ``dialsql`` for the benchmark's imports.
@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     ap.add_argument("new", type=Path, help="the new tree's src directory")
     ap.add_argument("--workload", choices=run.WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=10)
+    # 10 pairs of sub-second rounds flip verdicts on a shared host.
+    ap.add_argument("--pairs", type=int, default=20)
     args = ap.parse_args(argv)
 
     def log(text):

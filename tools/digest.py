@@ -97,7 +97,7 @@ def forward(h, model, encoded, grammar, gold) -> None:
     prev = model.params["bos_emb"]
     frontiers, states, weights = [], [], []
     for action in gold:
-        state, a = advance_state(model, encoded, state, prev)
+        [state], [a] = advance_state(model, encoded, state, [prev])
         frontiers.append(deriv.frontier())
         states.append(state)
         weights.append(a)
