@@ -10,7 +10,8 @@ drives every method configuration.
 
 The recurrence is one :func:`lstm_cell` call per greedy step or per
 teacher-forced turn (:func:`advance_state`), and
-:func:`output_distribution` scores a turn's steps in one call.
+:func:`output_distribution` scores a turn's steps in one call, which is
+one :func:`ops.output_layer` tape entry.
 
 What only the parameters decide belongs to the training batch or the
 decoded dialogue: its :class:`ActionEmbedder` keeps the question
@@ -21,8 +22,8 @@ with each Col/Tab frontier's names. What the turn decides belongs to
 the turn: its :class:`EncodedTurn` holds the attention memory, the
 precedent's action states (the ``sql_attn`` memory), the embedder it
 was encoded with, the question tokens' word embeddings and for each
-frontier one :class:`FrontierRecord` holding its support list, its
-scorer (the linking matrix, or the embedding matrix of its
+frontier one :class:`FrontierRecord` holding its support list with
+each production's position in it, its scorer (the linking matrix, or the embedding matrix of its
 productions), its stacked subtree embeddings and its copy mask and
 aggregation. Sequences encoded together share one encoder pass: a
 batch's or a decoded dialogue's questions (one pass per window position
@@ -429,7 +430,8 @@ class FrontierRecord:
     A Col/Tab frontier is ``linked``: its ``scorer`` is its linking
     matrix, one row per question token. The others' is the embedder's
     matrix of their productions, shared by every turn of a batch or
-    dialogue. Under ``action_copy``, ``copy_mask`` marks the precedent
+    dialogue. ``positions`` maps each production to its place in the
+    support. Under ``action_copy``, ``copy_mask`` marks the precedent
     actions that expand the frontier, and ``copy_agg`` adds each one's
     copy probability to its support entry; both are None when none does.
     """
@@ -437,6 +439,7 @@ class FrontierRecord:
     support: list                  # productions, then the precedent's subtrees rooted here
     scorer: Tensor
     linked: bool
+    positions: dict[Production, int]
     subtrees: Tensor | None = None            # the subtrees' embeddings, one per row
     copy_mask: np.ndarray | None = None
     copy_agg: np.ndarray | None = None
@@ -467,7 +470,8 @@ def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
                                  embedder.embed_all(productions))
     else:
         scorer = embedder.embed_all(productions)     # one row per production
-    record = FrontierRecord(list(productions), scorer, linked)
+    record = FrontierRecord(list(productions), scorer, linked,
+                            {p: i for i, p in enumerate(productions)})
 
     copy_ctx = encoded.copy
     sql_methods = model.config.sql_methods
@@ -481,7 +485,7 @@ def _frontier_record(model, grammar: Grammar, encoded: EncodedTurn,
         if mask.any():
             agg = np.zeros((len(record.support), len(mask)), dtype=ops.active_dtype())
             for m in np.flatnonzero(mask):
-                agg[record.support.index(copy_ctx.actions[m]), m] = 1.0
+                agg[record.positions[copy_ctx.actions[m]], m] = 1.0
             record.copy_mask, record.copy_agg = mask, agg
     memo[frontier] = record
     return record
@@ -498,79 +502,27 @@ def output_distribution(model, grammar: Grammar, frontiers: list[NonTerminal],
     question-attention weights ``weights[k]``. Schema-specific frontiers
     score ``a · link``; the others ``rows · tanh([h; c] W_o)``. Subtree
     logits are ``phi · (h W_t)``, copy scores ``states · (h W_l)``.
-    The steps' vectors are stacked one row per step, each product over
-    those rows is one :func:`ops.rows_matmul` entry for the call, and
-    one :func:`ops.partition` entry hands each frontier its rows; the
-    softmax, the masked copy softmax, the gate and the mix are one
-    :func:`ops.mixture` entry per frontier. A frontier reached at one
-    step gets vectors, so a one-step call keeps vectors throughout.
+    The whole call is one :func:`ops.output_layer` entry: the products
+    every step shares are formed once over the call's steps, then each
+    frontier's steps are scored and mixed as one group. A frontier
+    reached at one step gets vectors, so a one-step call keeps vectors
+    throughout.
     """
     groups: dict[NonTerminal, list[int]] = {}
     for k, frontier in enumerate(frontiers):
         groups.setdefault(frontier, []).append(k)
-    records, blocks = [], []
-    generated, treed, copied = [], [], []       # the groups each turn-wide product serves
-    for g, (frontier, steps) in enumerate(groups.items()):
-        record = _frontier_record(model, grammar, encoded, frontier)
-        records.append(record)
-        # A frontier reached at one step takes its row as a vector.
-        blocks.append(steps[0] if len(steps) == 1 else steps)
-        if not record.linked:
-            generated.append(g)
-        if record.subtrees is not None:
-            treed.append(g)
-        if record.copy_mask is not None:
-            copied.append(g)
-    every = blocks[0] if len(blocks) == 1 else range(len(frontiers))
-
+    records = [_frontier_record(model, grammar, encoded, frontier) for frontier in groups]
     params = model.params
-    if generated or treed or copied:
-        h = _step_rows(states, every, "h")
-    if generated:
-        joined = ops.concat([h, _step_rows(states, every, "context")], h.values.ndim - 1)
-        proj = _by_group(ops.tanh(ops.rows_matmul(joined, params["out.wo"])), blocks, generated)
-    if treed:
-        tree = _by_group(ops.rows_matmul(h, params["tree.wt"]), blocks, treed)
-    if copied:
-        copy_scores = _by_group(ops.rows_matmul(ops.rows_matmul(h, params["copy.wl"]),
-                                                encoded.copy.states, transpose=True),
-                                blocks, copied)
-        gates = _by_group(ops.add(ops.rows_matmul(h, params["copy.wc"]), params["copy.bc"]),
-                          blocks, copied)
-
-    out = []
-    for g, (steps, record) in enumerate(zip(groups.values(), records)):
-        if record.linked:
-            logits = [ops.rows_matmul(_step_rows(weights, blocks[g]), record.scorer)]
-        else:
-            logits = [ops.rows_matmul(proj[g], record.scorer, transpose=True)]
-        if record.subtrees is not None:
-            logits.append(ops.rows_matmul(tree[g], record.subtrees, transpose=True))
-        if record.copy_mask is None:
-            probs, gen_probs, copy_probs, p_copy = ops.mixture(logits)
-        else:
-            probs, gen_probs, copy_probs, p_copy = ops.mixture(
-                logits, copy_scores[g], record.copy_mask, record.copy_agg, gates[g])
-        out.append(OutputDistribution(record.support, steps, probs, gen_probs,
-                                      copy_probs, p_copy))
-    return out
-
-
-def _by_group(t: Tensor, blocks: list, wanted: list[int]):
-    """The rows of ``t`` (one per step) of each group in ``wanted``,
-    indexed by group; all of ``t`` when one group holds every step."""
-    if len(blocks) == 1:
-        return [t]
-    return dict(zip(wanted, ops.partition(t, [blocks[g] for g in wanted])))
-
-
-def _step_rows(items: list, block, name: str | None = None) -> Tensor:
-    """The items of ``block``'s steps (or their attribute ``name``) as one
-    row each, or the one step's as a vector when ``block`` is an int."""
-    if type(block) is int:
-        return items[block] if name is None else getattr(items[block], name)
-    return ops.stack([items[k] for k in block] if name is None
-                     else [getattr(items[k], name) for k in block])
+    copy = None
+    if "copy.wl" in params:             # read only by the frontiers with a copy mask
+        copy = (params["copy.wl"], encoded.copy.states, params["copy.wc"], params["copy.bc"])
+    outs = ops.output_layer(
+        [s.h for s in states], [s.context for s in states], weights,
+        [(steps, r.scorer, r.linked, r.subtrees, r.copy_mask, r.copy_agg)
+         for steps, r in zip(groups.values(), records)],
+        params.get("out.wo"), params.get("tree.wt"), copy)
+    return [OutputDistribution(record.support, steps, *out)
+            for steps, record, out in zip(groups.values(), records, outs)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +590,10 @@ def teacher_forced_loss(model, encoded: EncodedTurn, grammar: Grammar,
         frontier = deriv.frontier()
         # Built here, before the step's action is embedded, so that a
         # Col/Tab frontier encodes all its names in one pass.
-        record = _frontier_record(model, grammar, encoded, frontier)
-        try:
-            targets.append(record.support.index(action))
-        except ValueError:
-            raise DerivationError(f"gold action {action} is illegal here", step=step) from None
+        target = _frontier_record(model, grammar, encoded, frontier).positions.get(action)
+        if target is None:
+            raise DerivationError(f"gold action {action} is illegal here", step=step)
+        targets.append(target)
         frontiers.append(frontier)
         deriv.apply(action)
         if step < len(gold):            # the last action feeds no step

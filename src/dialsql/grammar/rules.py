@@ -96,10 +96,14 @@ class Production:
     rhs: tuple[Symbol, ...]
 
     # Every embedding-cache, rule-index and list-key lookup hashes a
-    # production, so its hash is computed once; equality is still the
-    # dataclass's comparison of lhs and rhs.
+    # production, so its hash is computed once, and so is whether it is
+    # a Col/Tab rule (``schema_specific``), which the decoder asks per
+    # candidate; equality is still the dataclass's comparison of lhs and
+    # rhs.
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+        object.__setattr__(self, "schema_specific", self.lhs in (NonTerminal.COL,
+                                                                 NonTerminal.TAB))
 
     def __hash__(self) -> int:
         return self._hash
@@ -108,10 +112,6 @@ class Production:
         # Rebuilt from its fields, so that an unpickled production hashes
         # by the NonTerminal identities of its new process.
         return Production, (self.lhs, self.rhs)
-
-    @property
-    def schema_specific(self) -> bool:
-        return self.lhs in (NonTerminal.COL, NonTerminal.TAB)
 
     def rhs_nonterminals(self) -> tuple[NonTerminal, ...]:
         return tuple(s for s in self.rhs if isinstance(s, NonTerminal))

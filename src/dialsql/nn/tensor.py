@@ -26,27 +26,35 @@ cell's, the attention matrices, the output projections) thus gets one
 matrix product per backward instead of one outer product per step.
 
 Fused operations record a whole decoder composite as one entry:
-:func:`link_scores` (a schema frontier's scorer), :func:`mixture`
+:func:`link_scores` (a schema frontier's scorer), :func:`output_layer`
+(a decoder call's output layer: the products its steps share, then
+each frontier's scorer and subtree products and mixture), :func:`mixture`
 (generation softmax, masked copy softmax, sigmoid gate, mix) and
 :func:`nll` (a turn's summed negative log-likelihood). :func:`attention`
 (bilinear scores, softmax, optional gate rescaling, context) is one
 attention as one entry; the LSTM module's decoder recurrence runs its
 halves, ``_attention_weights`` and ``_attention_back``, at each step.
-The array helpers ``_softmax_values``, ``_masked_softmax_values`` and
-``_sigmoid_values`` compute their parts.
+:func:`output_layer` runs the halves of :func:`rows_matmul`
+(``_rows_matmul_values``, ``_rows_matmul_back``) and of :func:`mixture`
+(``_mixture_values``, ``_mixture_back``) the same way. The array helpers
+``_softmax_values``, ``_masked_softmax_values`` and ``_sigmoid_values``
+compute their parts.
 A plain softmax is the one-part :func:`mixture` without copy inputs.
 :func:`mixture` and :func:`nll` also take matrices with one row per
-decoder step, and :func:`rows_matmul` multiplies each row of a matrix
-by a weight matrix, so a teacher-forced turn's output layer is a few
-entries per frontier, not per step. Every row-wise result equals the
-one-row (vector) case bit for bit: products run one row at a time
-(``_rows_dot``) and reductions run along each row.
+decoder step, :func:`rows_matmul` multiplies each row of a matrix by a
+weight matrix and :func:`partition` hands out blocks of rows. Every
+row-wise result equals the one-row (vector) case bit for bit: products
+run one row at a time (``_rows_dot``) and reductions run along each row.
 Each job has one op: :func:`take_rows` with an int index picks one row,
 :func:`matmul` of two vectors is their dot product, and
 :func:`scale_by` multiplies by a scalar. The parser calls every public
 op but :func:`mul` and :func:`reduce_sum`, the tests' loss algebra (no
-other op sums a matrix against weights), and :func:`transpose` and
-:func:`attention`, from which the tests compose their references.
+other op sums a matrix against weights), and :func:`transpose`,
+:func:`attention`, :func:`rows_matmul` and :func:`partition`, from which
+the tests compose their references (:func:`output_layer`'s is a
+composition of :func:`rows_matmul`, :func:`partition` and
+:func:`mixture`, with :func:`stack`, :func:`concat`, :func:`tanh` and
+:func:`add`).
 """
 
 from __future__ import annotations
@@ -260,17 +268,22 @@ class Tape:
                     t.grad = np.zeros_like(t.values)
 
 
-def _add_factors(t: Tensor, factors: list) -> None:
-    """Add ``Σ u_k v_kᵀ`` to ``t``'s gradient, given ``factors`` as
-    ``[u1, v1, u2, v2, ...]``, as one product of the stacked factors.
-    A pair of matrices contributes each of its rows as a pair."""
+def _factors_product(factors) -> np.ndarray:
+    """``Σ u_k v_kᵀ`` of ``factors`` given as ``[u1, v1, u2, v2, ...]``,
+    as one product of the stacked factors. A pair of matrices
+    contributes each of its rows as a pair."""
     us, vs = factors[0::2], factors[1::2]
     if any(u.ndim == 2 for u in us):
         us = np.concatenate([u.reshape(-1, u.shape[-1]) for u in us])
         vs = np.concatenate([v.reshape(-1, v.shape[-1]) for v in vs])
     else:
         us, vs = np.array(us), np.array(vs)
-    delta = us.T.dot(vs)
+    return us.T.dot(vs)
+
+
+def _add_factors(t: Tensor, factors: list) -> None:
+    """Add the product of ``factors`` to ``t``'s gradient."""
+    delta = _factors_product(factors)
     if t.grad is None:
         t.grad = delta.astype(t.values.dtype, copy=False)
     else:
@@ -581,22 +594,33 @@ def rows_matmul(x: Tensor, m: Tensor, transpose: bool = False) -> Tensor:
     if xv.shape[-1] != a.shape[-1]:
         raise DimensionError(f"rows_matmul: incompatible shapes {x.shape} and {m.shape}"
                              + " (transposed)" * transpose)
-    out = Tensor(a.dot(xv) if xv.ndim == 1 else _rows_dot(a, xv))
+    out = Tensor(_rows_matmul_values(xv, mv, transpose))
     tape = _taping(x, m)
     if tape is not None:
-        def vjp(g):
-            if mv.ndim == 1:
-                if xv.ndim == 1:
-                    return g * mv, g * xv
-                # Each row's delta g[r] x[r], summed last row first.
-                return (g, mv), np.add.accumulate((xv.T * g).T[::-1], axis=0)[-1]
-            if xv.ndim == 1:
-                return a.T.dot(g), ((g, xv) if transpose else (xv, g))
-            g_up, x_up = g[::-1], xv[::-1]
-            return _rows_dot(a.T, g), ((g_up, x_up) if transpose else (x_up, g_up))
-
-        tape.record((out,), (x, m), vjp)
+        tape.record((out,), (x, m), lambda g: _rows_matmul_back(xv, mv, transpose, g))
     return out
+
+
+def _rows_matmul_values(x: np.ndarray, m: np.ndarray, transpose: bool) -> np.ndarray:
+    """:func:`rows_matmul`'s value: ``a · row`` for each row of ``x``,
+    with ``a = m`` under ``transpose`` and ``mᵀ`` otherwise."""
+    a = m if transpose else m.T
+    return a.dot(x) if x.ndim == 1 else _rows_dot(a, x)
+
+
+def _rows_matmul_back(x: np.ndarray, m: np.ndarray, transpose: bool, g: np.ndarray) -> tuple:
+    """:func:`rows_matmul`'s deltas of ``x`` and ``m`` from the gradient
+    ``g`` of its value."""
+    if m.ndim == 1:
+        if x.ndim == 1:
+            return g * m, g * x
+        # Each row's delta g[r] x[r], summed last row first.
+        return (g, m), np.add.accumulate((x.T * g).T[::-1], axis=0)[-1]
+    a = m if transpose else m.T
+    if x.ndim == 1:
+        return a.T.dot(g), ((g, x) if transpose else (x, g))
+    g_up, x_up = g[::-1], x[::-1]
+    return _rows_dot(a.T, g), ((g_up, x_up) if transpose else (x_up, g_up))
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +634,15 @@ def _softmax_values(v: np.ndarray) -> np.ndarray:
         raise DimensionError(f"softmax: need a vector or rows, got shape {v.shape}")
     if not v.shape[-1]:
         raise InvalidMaskError("softmax: no position to normalize over")
+    if v.ndim == 1:
+        # Finite iff its extremes are: NaN fails both comparisons.
+        top = np.maximum.reduce(v)
+        if not (top < np.inf and np.minimum.reduce(v) > -np.inf):
+            raise NumericError("softmax: non-finite score")
+        weights = np.exp(v - top)
+        return weights / np.add.reduce(weights)
     if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise NumericError("softmax: non-finite score")
-    if v.ndim == 1:
-        weights = np.exp(v - np.maximum.reduce(v))
-        return weights / np.add.reduce(weights)
     # Each row reduced along itself: the same sums as one row alone.
     weights = np.exp(v - np.maximum.reduce(v, axis=1, keepdims=True))
     return weights / np.add.reduce(weights, axis=1, keepdims=True)
@@ -629,12 +657,18 @@ def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != v.shape[-1:]:
         raise DimensionError(f"masked softmax: mask shape {mask.shape} vs scores {v.shape}")
-    if not mask.any():
-        raise InvalidMaskError("masked softmax: mask admits no position")
     admitted = v[..., mask]
-    if not np.isfinite(admitted).all():
+    if not admitted.shape[-1]:
+        raise InvalidMaskError("masked softmax: mask admits no position")
+    if v.ndim == 1:             # finite iff its extremes are, as in _softmax_values
+        top = np.maximum.reduce(admitted)
+        finite = top < np.inf and np.minimum.reduce(admitted) > -np.inf
+    else:
+        top = admitted.max(axis=-1, keepdims=True)
+        finite = np.isfinite(admitted).all()
+    if not finite:
         raise NumericError("masked softmax: non-finite score at an unmasked position")
-    shifted = v - admitted.max(axis=-1, keepdims=True)
+    shifted = v - top
     weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
     return weights / weights.sum(axis=-1, keepdims=True)
 
@@ -767,41 +801,296 @@ def mixture(logits: Sequence[Tensor], copy_scores: Tensor | None = None,
 
     if copy_mask is None or copy_agg is None or gate is None:
         raise ContractError("mixture: copy scores need a mask, an aggregation and a gate")
-    rows = v.shape[:-1]             # () for one step
-    if (copy_agg.shape != (v.shape[-1], copy_scores.shape[-1]) or copy_scores.shape[:-1] != rows
-            or gate.shape != rows):
-        raise DimensionError(f"mixture: aggregation {copy_agg.shape}, copy scores "
-                             f"{copy_scores.shape} and gate {gate.shape} for logits {v.shape}")
-    pos = _masked_softmax_values(copy_scores.values, copy_mask)
-    copy = _rows_dot(copy_agg, pos)
+    if gate.shape != v.shape[:-1]:
+        raise DimensionError(f"mixture: gate {gate.shape} for logits {v.shape}")
     p = _sigmoid_values(gate.values)
     q = -1.0 * p + 1.0
-    pc, qc = p[..., None], q[..., None]       # one per row of the distributions
-    out_probs = Tensor(copy * pc + gen * qc)
-    out_copy = Tensor(copy)
-    out_p = Tensor(p)
-
+    pos, copy, probs = _mixture_values(gen, copy_scores.values, copy_mask, copy_agg, p, q)
+    out_probs, out_copy, out_p = Tensor(probs), Tensor(copy), Tensor(p)
     inputs = (*parts, copy_scores, gate)
     tape = _taping(*inputs)
     if tape is not None:
-        def vjp(g, g_gen, g_copy, g_p):
-            if g is None:
-                g = np.zeros_like(out_probs.values)
-            dgen = g * qc
-            dcopy = g * pc
-            dp = np.add.reduce(g * copy, axis=-1) - np.add.reduce(g * gen, axis=-1)
-            if g_gen is not None:
-                dgen += g_gen
-            if g_copy is not None:
-                dcopy += g_copy
-            if g_p is not None:
-                dp += g_p
-            dpos = dcopy.dot(copy_agg)
-            return (*_split(_softmax_vjp(gen, dgen), parts, axis),
-                    _softmax_vjp(pos, dpos), dp * p * (1.0 - p))
+        def vjp(*grads):
+            dv, dscores, dgate = _mixture_back(gen, pos, copy, p, q, copy_agg, *grads)
+            return (*_split(dv, parts, axis), dscores, dgate)
 
         tape.record((out_probs, out_gen, out_copy, out_p), inputs, vjp)
     return out_probs, out_gen, out_copy, out_p
+
+
+def _mixture_values(gen: np.ndarray, scores: np.ndarray, mask, agg: np.ndarray,
+                    p, q) -> tuple:
+    """:func:`mixture`'s copy half, given the generation softmax ``gen``
+    and the gate's sigmoid ``p`` and ``q = 1 - p``: returns the masked
+    copy softmax ``pos`` of ``scores``, the copy distribution
+    ``agg · pos`` and the mixed probabilities."""
+    if agg.shape != (gen.shape[-1], scores.shape[-1]) or scores.shape[:-1] != gen.shape[:-1]:
+        raise DimensionError(f"mixture: aggregation {agg.shape} and copy scores "
+                             f"{scores.shape} for logits {gen.shape}")
+    pos = _masked_softmax_values(scores, mask)
+    copy = _rows_dot(agg, pos)
+    # One gate per row of the distributions.
+    return pos, copy, copy * p[..., None] + gen * q[..., None]
+
+
+def _mixture_back(gen, pos, copy, p, q, agg, g, g_gen, g_copy, g_p) -> tuple:
+    """The deltas of :func:`mixture`'s joined logits, copy scores and
+    gate, from the gradients of its four outputs (any of them None), the
+    gate's ``p`` and ``q`` and the arrays :func:`_mixture_values`
+    returned."""
+    if g is None:
+        g = np.zeros_like(copy)
+    dgen = g * q[..., None]
+    dcopy = g * p[..., None]
+    dp = np.add.reduce(g * copy, axis=-1) - np.add.reduce(g * gen, axis=-1)
+    if g_gen is not None:
+        dgen += g_gen
+    if g_copy is not None:
+        dcopy += g_copy
+    if g_p is not None:
+        dp += g_p
+    dpos = dcopy.dot(agg)
+    return _softmax_vjp(gen, dgen), _softmax_vjp(pos, dpos), dp * p * (1.0 - p)
+
+
+def output_layer(hs: Sequence[Tensor], contexts: Sequence[Tensor], weights: Sequence[Tensor],
+                 groups: Sequence[tuple], w_o: Tensor | None = None, w_t: Tensor | None = None,
+                 copy: tuple[Tensor, Tensor, Tensor, Tensor] | None = None) -> list[tuple]:
+    """The decoder's output layer over the steps of one call as one tape
+    entry; returns each group's ``(probs, gen_probs, copy_probs,
+    p_copy)``, as :func:`mixture` returns them.
+
+    Step ``k`` has the hidden state ``hs[k]``, the attention context
+    ``contexts[k]`` and the question-attention weights ``weights[k]``.
+    A group ``(steps, scorer, linked, subtrees, copy_mask, copy_agg)``
+    holds the steps that expand one frontier; the groups' steps number
+    every step once. First the products that the steps share are formed
+    once over all of them, each only when a group reads it: the
+    projection ``tanh([h; c]·w_o)``, the subtree query ``h·w_t`` and,
+    from ``copy = (w_l, states, w_c, b_c)``, the copy scores
+    ``(h·w_l)·statesᵀ`` and the gate ``h·w_c + b_c``, with its sigmoid.
+    A weight that no group reads may be None. Then each group
+    scores its steps: a ``linked`` group by ``weights·scorer`` (the
+    scorer a matrix with one row per question token), the others by
+    ``projection·scorerᵀ`` (one scorer row per production); ``subtrees``,
+    when given, adds the logits ``(h·w_t)·subtreesᵀ``; and the group's
+    rows go through :func:`mixture`, with its copy inputs when
+    ``copy_mask`` is given. A group of one step gets vectors and scalars,
+    one of several one row per step.
+
+    Values and gradients equal, bit for bit, those of the composition of
+    :func:`stack`, :func:`concat`, :func:`rows_matmul`, :func:`tanh`,
+    :func:`add`, :func:`partition` and :func:`mixture` that scores the
+    same steps (the stacked rows ``every`` of all steps, the shared
+    products over them, then each group's rows). The vjp replays that
+    composition's backward: its deltas are listed, and summed, in the
+    order its entries' backwards add them, so a one-step call hands
+    ``hs[0]`` the gate product's delta first, and a call of several
+    steps adds that product's factors to the stacked rows' gradient last.
+    """
+    n = len(hs)
+    if not groups or len(contexts) != n or len(weights) != n:
+        raise ContractError(f"output_layer: {n} hidden states, {len(contexts)} contexts and "
+                            f"{len(weights)} attention weights in {len(groups)} groups")
+    whole = len(groups) == 1            # its rows are the shared products' rows
+    blocks = []
+    generated = treed = copied = False
+    for steps, _, linked, subtrees, mask, _ in groups:
+        blocks.append(steps[0] if len(steps) == 1 else steps)
+        generated = generated or not linked
+        treed = treed or subtrees is not None
+        copied = copied or mask is not None
+    if not (blocks == [0] if n == 1
+            else sorted(k for g in groups for k in g[0]) == list(range(n))):
+        raise ContractError(f"output_layer: groups of steps {[list(g[0]) for g in groups]} "
+                            f"for {n} steps")
+    every = blocks[0] if whole else range(n)
+    one = n == 1
+    shared = generated or treed or copied
+    if (generated and w_o is None) or (treed and w_t is None) or (copied and copy is None):
+        raise ContractError("output_layer: a group needs a weight that is not given")
+    if copied:
+        w_l, states, w_c, b_c = copy
+        if b_c.shape != ():
+            raise DimensionError(f"output_layer: gate bias shape {b_c.shape}, need a scalar")
+
+    def group_rows(values, block):
+        if whole:
+            return values
+        return values[block] if type(block) is int else values.take(block, axis=0)
+
+    try:
+        if shared:
+            hv = _step_values(hs, every)
+        if generated:
+            joined = np.concatenate([hv, _step_values(contexts, every)], hv.ndim - 1)
+            proj = np.tanh(_rows_matmul_values(joined, w_o.values, False))
+        if treed:
+            tree = _rows_matmul_values(hv, w_t.values, False)
+        if copied:
+            latent = _rows_matmul_values(hv, w_l.values, False)
+            scores = _rows_matmul_values(latent, states.values, True)
+            gates = _rows_matmul_values(hv, w_c.values, False) + b_c.values
+            # The gate's sigmoid p and 1 - p, for every step at once.
+            p_copy = _sigmoid_values(gates)
+            p_gen = -1.0 * p_copy + 1.0
+        kept, results = [], []
+        for (steps, scorer, linked, subtrees, mask, agg), b in zip(groups, blocks):
+            x = _step_values(weights, b) if linked else group_rows(proj, b)
+            v = _rows_matmul_values(x, scorer.values, not linked)
+            width = v.shape[-1]
+            t = None
+            if subtrees is not None:
+                t = group_rows(tree, b)
+                v = np.concatenate([v, _rows_matmul_values(t, subtrees.values, True)], -1)
+            gen = _softmax_values(v)
+            if mask is None:
+                out = Tensor(gen)
+                results.append((out, out, None, None))
+                kept.append((x, t, width, gen, None))
+            else:
+                p, q = group_rows(p_copy, b), group_rows(p_gen, b)
+                pos, mixed, probs = _mixture_values(gen, group_rows(scores, b), mask, agg, p, q)
+                results.append((Tensor(probs), Tensor(gen), Tensor(mixed), Tensor(p)))
+                kept.append((x, t, width, gen, (pos, mixed, p, q)))
+    except ValueError as err:       # shapes that do not line up
+        raise DimensionError(f"output_layer: {err}") from err
+
+    if not _open_tapes:
+        return results
+    # The inputs in the order the composition's backward reaches them:
+    # each group's entries, last group first, then the shared products'.
+    inputs, slots = [], []
+    for (steps, scorer, linked, subtrees, mask, agg), b in zip(groups, blocks):
+        mine = [] if subtrees is None else [subtrees]
+        if not linked:
+            mine.append(scorer)
+        elif type(b) is int:
+            mine += (weights[b], scorer)
+        else:
+            mine += (scorer, *(weights[k] for k in b))
+        slots.append(mine)
+    for mine in reversed(slots):
+        inputs += mine
+    h_one = [hs[every]] if one else []
+    if copied:
+        inputs += (b_c, *h_one, w_c, states, *h_one, w_l)
+    if treed:
+        inputs += (*h_one, w_t)
+    if generated:
+        inputs += (w_o, hs[every], contexts[every]) if one \
+            else (w_o, *(contexts[k] for k in every))
+    if shared and not one:
+        inputs += (hs[k] for k in every)
+    tape = _taping(*inputs)
+    if tape is None:
+        return results
+    outputs = [t for r in results for t in (r if r[2] is not None else r[:1])]
+
+    def vjp(*grads):
+        deltas = []
+        d_proj = d_tree = d_scores = d_gates = None
+        at = len(grads)
+
+        def place(acc, values, b, d):       # partition's vjp, one block at a time
+            if whole:
+                return d
+            if acc is None:
+                acc = np.zeros_like(values)
+            acc[b] = d
+            return acc
+
+        for g in range(len(groups) - 1, -1, -1):
+            steps, scorer, linked, subtrees, mask, agg = groups[g]
+            x, t, width, gen, arrays = kept[g]
+            b = blocks[g]
+            at -= 1 if arrays is None else 4
+            mine = grads[at:at + (1 if arrays is None else 4)]
+            if all(d is None for d in mine):         # no path to the loss
+                deltas += [None] * len(slots[g])
+                continue
+            if arrays is None:
+                dv = _softmax_vjp(gen, mine[0])
+            else:
+                dv, dscores, dgate = _mixture_back(gen, *arrays, agg, *mine)
+                d_scores = place(d_scores, scores, b, dscores)
+                d_gates = place(d_gates, gates, b, dgate)
+            if subtrees is not None:
+                dt, dsub = _rows_matmul_back(t, subtrees.values, True, dv[..., width:])
+                deltas.append(dsub)
+                d_tree = place(d_tree, tree, b, dt)
+                dv = dv[..., :width]
+            dx, dscorer = _rows_matmul_back(x, scorer.values, not linked, dv)
+            if not linked:
+                deltas.append(dscorer)
+                d_proj = place(d_proj, proj, b, dx)
+            elif type(b) is int:
+                deltas += (dx, dscorer)
+            else:
+                deltas += (dscorer, *dx)
+
+        # The stacked rows' array deltas in order, then their factors.
+        h_arrays, h_factors = [], None
+        if copied:
+            if d_gates is None:
+                deltas += [None] * (4 + 2 * one)
+            else:
+                d_bias = d_gates if one else np.add.accumulate(d_gates.ravel()[::-1])[-1]
+                dh_gate, dw_c = _rows_matmul_back(hv, w_c.values, False, d_gates)
+                d_latent, d_states = _rows_matmul_back(latent, states.values, True, d_scores)
+                dh_latent, dw_l = _rows_matmul_back(hv, w_l.values, False, d_latent)
+                if one:
+                    deltas += (d_bias, dh_gate, dw_c, d_states, dh_latent, dw_l)
+                else:
+                    h_factors = dh_gate
+                    h_arrays.append(dh_latent)
+                    deltas += (d_bias, dw_c, d_states, dw_l)
+        if treed:
+            if d_tree is None:
+                deltas += [None] * (1 + one)
+            else:
+                dh_tree, dw_t = _rows_matmul_back(hv, w_t.values, False, d_tree)
+                if one:
+                    deltas += (dh_tree, dw_t)
+                else:
+                    h_arrays.append(dh_tree)
+                    deltas.append(dw_t)
+        if generated:
+            if d_proj is None:
+                deltas += [None] * (3 if one else 1 + n)
+            else:
+                d_joined, dw_o = _rows_matmul_back(joined, w_o.values, False,
+                                                   d_proj * (1.0 - proj * proj))
+                size = hv.shape[-1]
+                if one:
+                    deltas += (dw_o, d_joined[:size], d_joined[size:])
+                else:
+                    h_arrays.append(d_joined[:, :size])
+                    deltas.append(dw_o)
+                    deltas.extend(d_joined[:, size:])
+        if shared and not one:
+            if not h_arrays:
+                deltas += [None] * n
+            else:
+                dh = np.array(h_arrays[0], dtype=hv.dtype)
+                for d in h_arrays[1:]:
+                    dh += d
+                if h_factors is not None:
+                    dh += _factors_product(h_factors)
+                deltas.extend(dh)
+        return deltas
+
+    tape.record(outputs, inputs, vjp)
+    return results
+
+
+def _step_values(items: Sequence[Tensor], block) -> np.ndarray:
+    """The values of ``items[block]`` for an int ``block``, or those of
+    the items of ``block`` stacked one row each, as :func:`stack` stacks
+    them."""
+    if type(block) is int:
+        return items[block].values
+    return np.array([items[k].values for k in block])
 
 
 def _split(g: np.ndarray, parts: list[Tensor], axis: int = 0) -> list[np.ndarray]:

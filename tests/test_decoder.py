@@ -548,10 +548,10 @@ class TestPerTurnConstants:
             enc = encode_for(model, [self.TOKENS])
             encoder_entries = len(tape)
             teacher_forced_loss(model, enc, GRAMMAR, gold)
-        # One entry records the 9 steps' recurrence; the others are the
-        # frontier records, the action embeddings, the output layer and
-        # the loss: 4.7 entries per step.
-        assert len(gold) == 9 and len(tape) - encoder_entries == 42
+        # One entry records the 9 steps' recurrence and one the output
+        # layer; the others are the frontier records, the action
+        # embeddings and the loss: 2.6 entries per step.
+        assert len(gold) == 9 and len(tape) - encoder_entries == 23
 
 
 def model_for(method: str, seed: int = 0):
@@ -673,6 +673,198 @@ class TestTurnLevelOutput:
             with Tape() as tape:
                 teacher_forced_loss(model, enc, GRAMMAR, gold)
         assert counts[0] == counts[1] > 0
+
+
+def composed_output_distribution(model, grammar, frontiers, states, weights, encoded):
+    """:func:`output_distribution` composed of ops, one tape entry each:
+    the stacked step rows, one :func:`ops.rows_matmul` per product shared
+    by the steps, one :func:`ops.partition` per shared product that hands
+    each frontier its rows, then each frontier's scorer and subtree
+    products and its :func:`ops.mixture`. :func:`ops.output_layer` must
+    give its values and gradients bit for bit."""
+    groups = {}
+    for k, frontier in enumerate(frontiers):
+        groups.setdefault(frontier, []).append(k)
+    records, blocks = [], []
+    generated, treed, copied = [], [], []
+    for g, (frontier, steps) in enumerate(groups.items()):
+        record = decoder._frontier_record(model, grammar, encoded, frontier)
+        records.append(record)
+        blocks.append(steps[0] if len(steps) == 1 else steps)
+        if not record.linked:
+            generated.append(g)
+        if record.subtrees is not None:
+            treed.append(g)
+        if record.copy_mask is not None:
+            copied.append(g)
+    every = blocks[0] if len(blocks) == 1 else range(len(frontiers))
+
+    def by_group(t, wanted):
+        if len(blocks) == 1:
+            return [t]
+        return dict(zip(wanted, ops.partition(t, [blocks[g] for g in wanted])))
+
+    def step_rows(items, block, name=None):
+        if type(block) is int:
+            return items[block] if name is None else getattr(items[block], name)
+        return ops.stack([items[k] for k in block] if name is None
+                         else [getattr(items[k], name) for k in block])
+
+    params = model.params
+    if generated or treed or copied:
+        h = step_rows(states, every, "h")
+    if generated:
+        joined = ops.concat([h, step_rows(states, every, "context")], h.values.ndim - 1)
+        proj = by_group(ops.tanh(ops.rows_matmul(joined, params["out.wo"])), generated)
+    if treed:
+        tree = by_group(ops.rows_matmul(h, params["tree.wt"]), treed)
+    if copied:
+        copy_scores = by_group(ops.rows_matmul(ops.rows_matmul(h, params["copy.wl"]),
+                                               encoded.copy.states, transpose=True), copied)
+        gates = by_group(ops.add(ops.rows_matmul(h, params["copy.wc"]), params["copy.bc"]),
+                         copied)
+    out = []
+    for g, (steps, record) in enumerate(zip(groups.values(), records)):
+        if record.linked:
+            logits = [ops.rows_matmul(step_rows(weights, blocks[g]), record.scorer)]
+        else:
+            logits = [ops.rows_matmul(proj[g], record.scorer, transpose=True)]
+        if record.subtrees is not None:
+            logits.append(ops.rows_matmul(tree[g], record.subtrees, transpose=True))
+        if record.copy_mask is None:
+            mixed = ops.mixture(logits)
+        else:
+            mixed = ops.mixture(logits, copy_scores[g], record.copy_mask, record.copy_agg,
+                                gates[g])
+        out.append(decoder.OutputDistribution(record.support, steps, *mixed))
+    return out
+
+
+class TestFusedOutputLayer:
+    """One :func:`ops.output_layer` entry scores an output call: values
+    and gradients equal those of its composition of ops bit for bit."""
+
+    PRECEDENT = TestTurnLevelOutput.PRECEDENT
+    GOLD = TestTurnLevelOutput.GOLD
+    SEGMENTS = TestTurnLevelOutput.SEGMENTS
+    FIELDS = ("probs", "gen_probs", "copy_probs", "p_copy")
+
+    @staticmethod
+    def read(dists, gold, reader):
+        """A loss of the distributions: the gold actions' nll, every
+        output weighted, or some outputs of some frontiers only."""
+        if reader == "nll":
+            order = [0] * len(gold)
+            for number, k in enumerate(k for dist in dists for k in dist.steps):
+                order[k] = number
+            return ops.nll([d.probs for d in dists],
+                           [d.support.index(gold[d.steps[0]]) if d.probs.values.ndim == 1
+                            else [d.support.index(gold[k]) for k in d.steps] for d in dists],
+                           order)
+        rng = np.random.default_rng(7)
+        terms = []
+        for i, dist in enumerate(dists):
+            fields = TestFusedOutputLayer.FIELDS
+            if reader == "some":         # nothing, gen_probs only, or probs and p_copy
+                fields = [(), ("gen_probs",), ("probs", "p_copy")][i % 3]
+            for name in fields:
+                t = getattr(dist, name)
+                if t is not None:
+                    terms.append(ops.reduce_sum(ops.mul(t, Tensor(rng.normal(size=t.shape)))))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ops.add(loss, term)
+        return loss
+
+    def run(self, method, output, one_step, reader):
+        """Every output value and every parameter's gradient of a loss
+        read from ``output``'s distributions for a teacher-forced turn:
+        one call for the turn, or one call per step."""
+        model = model_for(method, seed=3)
+        segments = ([[t for seg in self.SEGMENTS for t in seg]]
+                    if model.config.question_method == "concat" else self.SEGMENTS)
+        gold = list(actions_for(self.GOLD))
+        for p in model.parameters():
+            p.grad = None
+        with Tape() as tape:
+            enc = encode_turn(model, segments, list(range(len(segments) - 1, -1, -1)),
+                              actions_for(self.PRECEDENT))
+            frontiers, _, _ = gold_steps(model, enc, gold)
+            states, weights = advance_state(model, enc, initial_state(model, enc),
+                                            [model.params["bos_emb"]]
+                                            + [enc.embedder(a) for a in gold[:-1]])
+            if one_step:
+                dists = [d for k in range(len(gold)) for d in output(
+                    model, GRAMMAR, frontiers[k:k + 1], states[k:k + 1], weights[k:k + 1], enc)]
+                for k, dist in enumerate(dists):
+                    dist.steps = [k]
+            else:
+                dists = output(model, GRAMMAR, frontiers, states, weights, enc)
+            loss = self.read(dists, gold, reader)
+            tape.backward(loss)
+        values = [None if getattr(d, name) is None else getattr(d, name).values.tobytes()
+                  for d in dists for name in self.FIELDS]
+        return loss.values, values, {name: None if p.grad is None else p.grad.tobytes()
+                                     for name, p in model.params.items()}
+
+    # The 14 configurations, and one whose groups mix subtrees and copies.
+    @pytest.mark.parametrize("bits", [64, 32])
+    @pytest.mark.parametrize("method", context.method_names() + ["turn+tree_copy+action_copy"])
+    def test_equals_its_composition_bit_for_bit(self, method, bits):
+        set_precision(bits)
+        try:
+            for one_step in (False, True):
+                for reader in ("nll", "every", "some"):
+                    got = self.run(method, output_distribution, one_step, reader)
+                    want = self.run(method, composed_output_distribution, one_step, reader)
+                    assert got[0] == want[0], (one_step, reader)
+                    assert got[1] == want[1], (one_step, reader)
+                    assert got[2] == want[2], (one_step, reader)
+        finally:
+            set_precision(64)
+
+    def test_the_turn_covers_every_kind_of_group(self):
+        model = model_for("turn+tree_copy+action_copy", seed=3)
+        enc = encode_for(model, self.SEGMENTS, precedent=actions_for(self.PRECEDENT))
+        gold = list(actions_for(self.GOLD))
+        frontiers, states, weights = gold_steps(model, enc, gold)
+        dists = output_distribution(model, GRAMMAR, frontiers, states, weights, enc)
+        records = [decoder._frontier_record(model, GRAMMAR, enc, frontiers[d.steps[0]])
+                   for d in dists]
+        # Groups of one step and of several; linked, subtree and copy groups.
+        assert {len(d.steps) > 1 for d in dists} == {False, True}
+        assert any(r.linked for r in records) and any(not r.linked for r in records)
+        assert any(r.subtrees is not None for r in records)
+        assert any(r.copy_mask is not None and len(d.steps) > 1
+                   for r, d in zip(records, dists))
+
+    @pytest.mark.parametrize("method", ["none", "turn+tree_copy+action_copy"])
+    def test_one_call_records_one_entry(self, method):
+        model = model_for(method, seed=3)
+        gold = list(actions_for(self.GOLD))
+        with Tape() as tape:
+            enc = encode_for(model, self.SEGMENTS, precedent=actions_for(self.PRECEDENT))
+            frontiers, states, weights = gold_steps(model, enc, gold)
+            for frontier in frontiers:          # the records' own entries come first
+                decoder._frontier_record(model, GRAMMAR, enc, frontier)
+            for k in range(len(gold)):
+                before = len(tape)
+                output_distribution(model, GRAMMAR, frontiers[k:k + 1], states[k:k + 1],
+                                    weights[k:k + 1], enc)
+                assert len(tape) == before + 1
+            before = len(tape)
+            dists = output_distribution(model, GRAMMAR, frontiers, states, weights, enc)
+            assert len(tape) == before + 1 and len(dists) > 1
+
+    def test_rejects_groups_that_do_not_number_the_steps(self):
+        x, m = Tensor(np.ones(2)), Tensor(np.ones((2, 2)))
+        with pytest.raises(ContractError):
+            ops.output_layer([x, x], [x, x], [x, x], [([0], m, True, None, None, None)])
+        with pytest.raises(ContractError):
+            ops.output_layer([x], [x], [x], [([0], m, False, None, None, None)])  # no w_o
+        with pytest.raises(DimensionError):
+            ops.output_layer([x], [x], [x], [([0], Tensor(np.ones((3, 3))), True, None,
+                                              None, None)])
 
 
 def step_by_step_loss(model, enc, grammar, gold):

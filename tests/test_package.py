@@ -29,10 +29,15 @@ UNNAMED = {
     # reference compositions of the Col/Tab scorer transpose the names.
     "src/dialsql/nn/tensor.py:transpose":
         "the name matrix of criterion 3's linking reference and of link_scores' composition",
-    # ops.attention has no caller in src either: criterion 3 gradchecks it,
-    # and the tests compose lstm_cell's per-step reference from it. The
-    # attribute EncodedTurn.attention shares its name, so the check below,
-    # which goes by names, counts it as named and it cannot be listed here.
+    # lstm_cell runs attention's halves and output_layer the products
+    # and row blocks of rows_matmul and partition; the tests compose
+    # their references from the ops.
+    "src/dialsql/nn/tensor.py:attention":
+        "criterion 3 gradchecks it; the tests compose lstm_cell's per-step reference from it",
+    "src/dialsql/nn/tensor.py:rows_matmul":
+        "the tests compose output_layer's reference, and criterion 3's products, from it",
+    "src/dialsql/nn/tensor.py:partition":
+        "hands each frontier its rows in the tests' composition of output_layer",
     "src/dialsql/estimator.py:SqlParser.set_params":
         "the scikit-learn parameter protocol, with get_params",
     "src/dialsql/evaluation.py:read_report":
@@ -42,43 +47,92 @@ UNNAMED = {
 }
 
 
+def _module_names(tree: ast.Module, package: str) -> dict[str, str]:
+    """Each name that an import of ``tree``, a module of ``package``,
+    binds to a module, with that module's name. A name imported from a
+    module of ``dialsql`` is looked up; one imported from elsewhere
+    counts as no module."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name if alias.asname else alias.name.split(".")[0]
+                modules[alias.asname or top] = top
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")[:len(package.split(".")) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            if base.split(".")[0] != "dialsql":
+                continue
+            for alias in node.names:
+                value = getattr(importlib.import_module(base), alias.name, None)
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value.__name__
+    return modules
+
+
+def _owner(node: ast.expr, modules: dict[str, str]) -> str | None:
+    """The dotted module path an expression names (``ops``,
+    ``dialsql.nn.tensor``), given the module names bound by imports, or
+    None when it names no module."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        inner = _owner(node.value, modules)
+        return None if inner is None else f"{inner}.{node.attr}"
+    return None
+
+
 def _unnamed(sources: dict[str, str], defining: set[str]) -> set[str]:
     """``<file>:<qualified name>`` of each function, method and class
     defined in a file of ``defining`` whose name no module of
     ``sources`` uses outside the definition's own body: as a name, an
-    attribute or an import. A name inside a function that has a
-    parameter of that name is the parameter. Dunder methods are called
-    implicitly."""
-    defs, uses = [], {}
+    attribute or an import. An attribute names a module-level function
+    only when its base is a module of ``dialsql`` or of ``sources``, as
+    in ``ops.attention``, not an object's field, as in
+    ``encoded.attention``, nor another library's function, as in
+    ``np.tanh``; a name that is assigned
+    to, as a dataclass field is, is no use. A name inside a function
+    that has a parameter of that name is the parameter. Dunder methods
+    are called implicitly."""
+    defs, uses = [], {}     # uses: name -> (file, line, whether a module-level function is meant)
 
-    def visit(node, path, scope, params=frozenset()):
+    def visit(node, path, scope, modules, params=frozenset()):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if path in defining and not (node.name.startswith("__")
                                          and node.name.endswith("__")):
-                defs.append((path, ".".join(scope + [node.name]), node))
+                function = not scope and not isinstance(node, ast.ClassDef)
+                defs.append((path, ".".join(scope + [node.name]), node, function))
             scope = scope + [node.name]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             params = params | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
                                + [a for a in (args.vararg, args.kwarg) if a]}
-        if isinstance(node, ast.Name):
-            names = [] if node.id in params else [node.id]
+        if isinstance(node, ast.Name):      # a binding (a dataclass field) is no use
+            names = [] if node.id in params or isinstance(node.ctx, ast.Store) \
+                else [(node.id, True)]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            owner = _owner(node.value, modules)
+            names = [(node.attr, owner is not None and owner.split(".")[0] in local)]
         elif isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
+            names = [(alias.name, True) for alias in node.names]
         else:
             names = []
-        for name in names:
-            uses.setdefault(name, []).append((path, node.lineno))
+        for name, of_module in names:
+            uses.setdefault(name, []).append((path, node.lineno, of_module))
         for child in ast.iter_child_nodes(node):
-            visit(child, path, scope, params)
+            visit(child, path, scope, modules, params)
 
+    local = {"dialsql"} | {Path(path).stem for path in sources}
     for path, source in sources.items():
-        visit(ast.parse(source), path, [])
-    return {f"{path}:{qualname}" for path, qualname, node in defs
-            if all(path == where and node.lineno <= line <= node.end_lineno
-                   for where, line in uses.get(node.name, ()))}
+        tree = ast.parse(source)
+        package = ".".join(Path(path).parts[1:-1]) if path.startswith("src/") else ""
+        visit(tree, path, [], _module_names(tree, package))
+    return {f"{path}:{qualname}" for path, qualname, node, function in defs
+            if all((path == where and node.lineno <= line <= node.end_lineno)
+                   or (function and not of_module)
+                   for where, line, of_module in uses.get(node.name, ()))}
 
 
 def test_every_public_op_has_a_caller_in_the_package():
@@ -89,8 +143,21 @@ def test_every_public_op_has_a_caller_in_the_package():
               "def unused():\n    return unused()\n"
               "def shadowed():\n    return 2\n"
               "def f(shadowed):\n    return shadowed or used()\n"
-              "class C:\n    def __len__(self):\n        return f(0)\n")
-    assert _unnamed({"m.py": sample}, {"m.py"}) == {"m.py:unused", "m.py:shadowed", "m.py:C"}
+              "class C:\n    def __len__(self):\n        return f(0)\n"
+              "    def method(self):\n        return 3\n"
+              "def field():\n    return 4\n"
+              "def called():\n    return 5\n"
+              "def tanh():\n    return 6\n"
+              "class D:\n    field: int = 0\n")
+    # A field, a method and another library's function share names with
+    # functions of m.py: only the attributes of a module of the package
+    # (m, or ops of dialsql) name those.
+    caller = ("import m\nimport numpy as np\nfrom dialsql.nn import ops\n"
+              "def g(x):\n    return x.field, x.method(), np.tanh(0), m.called(), m.D, ops.field\n")
+    unnamed = {"m.py:unused", "m.py:shadowed", "m.py:C", "m.py:tanh"}
+    assert _unnamed({"m.py": sample, "n.py": caller}, {"m.py"}) == unnamed
+    assert _unnamed({"m.py": sample, "n.py": caller.replace(", ops.field", "")}, {"m.py"}) \
+        == unnamed | {"m.py:field"}
 
     package = Path(dialsql.__file__).resolve().parent
     repo = package.parent.parent
@@ -109,39 +176,17 @@ def _private_nn_uses(source: str, package: str = "dialsql") -> set[str]:
         return name == "dialsql.nn" or name.startswith("dialsql.nn.")
 
     tree = ast.parse(source)
-    modules, found = {}, set()      # local name -> the module it names
+    modules, found = _module_names(tree, package), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                top = alias.name if alias.asname else alias.name.split(".")[0]
-                modules[alias.asname or top] = top
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
                 parts = package.split(".")[:len(package.split(".")) - node.level + 1]
                 base = ".".join(parts + ([base] if base else []))
-            for alias in node.names:
-                if is_nn(base) and alias.name.startswith("_"):
-                    found.add(alias.name)
-                try:
-                    value = getattr(importlib.import_module(base), alias.name, None)
-                except ImportError:
-                    value = None
-                if inspect.ismodule(value):
-                    modules[alias.asname or alias.name] = value.__name__
-
-    def owner(node):
-        """The module an expression names, or None."""
-        if isinstance(node, ast.Name):
-            return modules.get(node.id)
-        if isinstance(node, ast.Attribute):
-            inner = owner(node.value)
-            return None if inner is None else f"{inner}.{node.attr}"
-        return None
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
-                and is_nn(owner(node.value) or ""):
+            if is_nn(base):
+                found.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and is_nn(_owner(node.value, modules) or ""):
             found.add(node.attr)
     return found
 

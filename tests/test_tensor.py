@@ -166,6 +166,8 @@ class TestFastPaths:
                 ops.partition(x, [[1], [0]])[0],
                 ops.attention(m, m, x, x)[1], ops.link_scores(m, m, s, s, m, m),
                 ops.mixture([x], x, [True, False], np.eye(2), s)[0],
+                ops.output_layer([x], [x], [x], [([0], m, True, m, [True, False], np.eye(4, 2))],
+                                 None, m, (m, m, x, s))[0][0],
                 ops.nll([x], [0])]
         return outs
 
