@@ -670,7 +670,7 @@ def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
         raise NumericError("masked softmax: non-finite score at an unmasked position")
     shifted = v - top
     weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return weights / np.add.reduce(weights, axis=-1, keepdims=True)
 
 
 def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
