@@ -634,15 +634,11 @@ def _softmax_values(v: np.ndarray) -> np.ndarray:
         raise DimensionError(f"softmax: need a vector or rows, got shape {v.shape}")
     if not v.shape[-1]:
         raise InvalidMaskError("softmax: no position to normalize over")
-    if v.ndim == 1:
-        # Finite iff its extremes are: NaN fails both comparisons.
-        top = np.maximum.reduce(v)
-        if not (top < np.inf and np.minimum.reduce(v) > -np.inf):
-            raise NumericError("softmax: non-finite score")
-        weights = np.exp(v - top)
-        return weights / np.add.reduce(weights)
     if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise NumericError("softmax: non-finite score")
+    if v.ndim == 1:
+        weights = np.exp(v - np.maximum.reduce(v))
+        return weights / np.add.reduce(weights)
     # Each row reduced along itself: the same sums as one row alone.
     weights = np.exp(v - np.maximum.reduce(v, axis=1, keepdims=True))
     return weights / np.add.reduce(weights, axis=1, keepdims=True)
@@ -660,15 +656,9 @@ def _masked_softmax_values(v: np.ndarray, mask) -> np.ndarray:
     admitted = v[..., mask]
     if not admitted.shape[-1]:
         raise InvalidMaskError("masked softmax: mask admits no position")
-    if v.ndim == 1:             # finite iff its extremes are, as in _softmax_values
-        top = np.maximum.reduce(admitted)
-        finite = top < np.inf and np.minimum.reduce(admitted) > -np.inf
-    else:
-        top = admitted.max(axis=-1, keepdims=True)
-        finite = np.isfinite(admitted).all()
-    if not finite:
+    if not np.logical_and.reduce(np.isfinite(admitted), axis=None):
         raise NumericError("masked softmax: non-finite score at an unmasked position")
-    shifted = v - top
+    shifted = v - np.maximum.reduce(admitted, axis=-1, keepdims=True)
     weights = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
     return weights / np.add.reduce(weights, axis=-1, keepdims=True)
 

@@ -74,6 +74,17 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             copy_probs(Tensor([np.nan, 1.0]), [True, True])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected_in_vectors_and_rows(self, bad):
+        for shape in ((3,), (2, 3)):
+            scores = np.zeros(shape)
+            scores[..., 1] = bad
+            with pytest.raises(NumericError):
+                ops.mixture([Tensor(scores)])
+            with pytest.raises(NumericError):
+                ops.mixture([Tensor(np.zeros(shape))], Tensor(scores), [True, True, False],
+                            np.eye(3), Tensor(np.zeros(shape[:-1])))
+
     def test_nonfinite_masked_score_ignored(self):
         p = copy_probs(Tensor([np.inf, 1.0, 2.0]), [False, True, True])
         assert p.values[0] == 0.0
