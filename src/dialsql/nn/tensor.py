@@ -709,18 +709,16 @@ def attention(memory: Tensor, w_e: Tensor, h: Tensor,
 
 
 def _attention_weights(m: np.ndarray, u: np.ndarray, coeffs: np.ndarray | None) -> tuple:
-    """:func:`attention`'s weights over the rows of ``m``, for one query
-    ``u = w_e·h`` or for each row of ``u``: returns the softmax ``base``
-    of the scores ``m·u``, the ``weights``, and with coefficients
-    ``weighted = base·coeffs`` and its sum ``total`` (both None
-    without). Each row's values equal those of its query alone bit for
-    bit."""
-    base = _softmax_values(_rows_dot(m, u))
+    """:func:`attention`'s weights over the rows of ``m`` for the query
+    ``u = w_e·h``: the softmax ``base`` of the scores ``m·u``, the
+    ``weights``, and with coefficients ``weighted = base·coeffs`` and
+    its sum ``total`` (both None without)."""
+    base = _softmax_values(m.dot(u))
     if coeffs is None:
         return base, base, None, None
     weighted = base * coeffs
-    total = np.add.reduce(weighted, axis=-1)
-    return base, weighted / total[..., None], weighted, total
+    total = np.add.reduce(weighted)
+    return base, weighted / total, weighted, total
 
 
 def _attention_back(m, w_e, h, u, base, weights, ga, gc, coeffs=None, weighted=None,
