@@ -25,10 +25,12 @@ was encoded with, the question tokens' word embeddings and for each
 frontier one :class:`FrontierRecord` holding its support list with
 each production's position in it, its scorer (the linking matrix, or the embedding matrix of its
 productions), its stacked subtree embeddings and its copy mask and
-aggregation. Sequences encoded together share one encoder pass: a
-batch's or a decoded dialogue's questions (one pass per window position
-under ``turn``), a list's missing schema names, and a precedent query
-with its subtrees.
+aggregation. An embedder encodes each group of sequences it is handed
+in one encoder pass: a batch's or a decoded dialogue's questions (one
+pass per window position under ``turn``), a batch's schema names, and a
+batch's precedent queries with their subtrees. A turn encoded on its own
+hands them over as it meets them: its precedent with its subtrees, then
+each Col/Tab frontier's missing names.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class ActionEmbedder:
 
     Production embeddings: schema-agnostic productions index a learned
     table; schema-specific ones (column and table rules) are encoded from
-    their name tokens, so unseen schemas need no new parameters. The
-    names one :meth:`embed_all` call lacks share one encoder pass, and
+    their name tokens, so unseen schemas need no new parameters.
+    :meth:`encode_names` encodes the names it is given that it lacks in
+    one encoder pass, as :meth:`embed_all` does for a list's names, and
     :meth:`embed_all` builds each list's matrix once.
 
     Question encodings: :meth:`questions` encodes the segments of the
@@ -113,16 +116,23 @@ class ActionEmbedder:
     its window, so its encoding is kept per window prefix, with that
     state; otherwise per segment.
 
+    Precedent queries: :meth:`precedents` encodes the queries it is given
+    that it lacks, with their subtrees under ``tree_copy``, in one pass,
+    and keeps each one's :class:`CopyContext` per action tuple.
+
     Linking rows: ``link_rows`` maps each tuple of schema names to the
     dict of token rows that :func:`linking_matrix` fills, one per
     distinct question token, so each (token, names) pair is linked once
     per embedder.
 
-    Training shares one embedder across a batch, whose windows ``fit``
-    encodes before the first example, and inference across a dialogue,
-    whose windows ``predict_corpus`` encodes before the first turn: the
-    parameters do not change in between. A turn encoded without an
-    embedder gets its own.
+    Training shares one embedder across a batch and inference across a
+    dialogue: the parameters do not change in between. Before a batch's
+    first example ``fit`` encodes its windows, every Col/Tab name of its
+    grammars and its precedents; before a dialogue's first turn
+    ``predict_corpus`` encodes its windows and, under
+    ``gold_previous_sql``, its precedents. Every sequence's encoding
+    equals that of a pass of its own. A turn encoded without an embedder
+    gets its own.
     """
 
     def __init__(self, model):
@@ -130,6 +140,7 @@ class ActionEmbedder:
         self._cache: dict[Production, Tensor] = {}
         self._lists: dict[tuple[Production, ...], Tensor] = {}
         self._questions: dict[tuple, QuestionEncoding] = {}
+        self._precedents: dict[tuple[Production, ...], CopyContext] = {}
         self._turn_states: dict[tuple, tuple[Tensor, Tensor]] = {}
         # The linking rows are parameter-free, yet they live no longer
         # than the embedder: not per grammar, not per process. The
@@ -144,7 +155,7 @@ class ActionEmbedder:
         emb = self._cache.get(production)
         if emb is None:
             if production.schema_specific:
-                self._encode_names([production])
+                self.encode_names([production])
                 return self._cache[production]
             emb = self._cache[production] = ops.take_rows(
                 self.model.params["action_emb"], self.model.agnostic_index[production])
@@ -157,7 +168,7 @@ class ActionEmbedder:
         if matrix is None:
             model = self.model
             if any(p.schema_specific for p in key):
-                self._encode_names(key)
+                self.encode_names(key)
                 matrix = ops.stack([self(p) for p in key])
             else:
                 matrix = ops.take_rows(model.params["action_emb"],
@@ -165,7 +176,7 @@ class ActionEmbedder:
             self._lists[key] = matrix
         return matrix
 
-    def _encode_names(self, productions) -> None:
+    def encode_names(self, productions) -> None:
         """Encode the schema names among ``productions`` that it lacks, in one pass."""
         model, cache = self.model, self._cache
         names = list(dict.fromkeys(p for p in productions
@@ -206,6 +217,27 @@ class ActionEmbedder:
                                    self._turn_state(prefix[:-1]))
             self._turn_states[prefix] = state
         return state
+
+    def precedents(self, queries) -> list[CopyContext]:
+        """Each precedent query's :class:`CopyContext`, an empty one for
+        None or ``()``. The queries it lacks are encoded in one pass, each
+        followed by its subtrees when the model copies them."""
+        model, cache = self.model, self._precedents
+        queries = [tuple(q) if q else () for q in queries]
+        todo = [q for q in dict.fromkeys(queries) if q and q not in cache]
+        if todo:
+            with_subtrees = "tree_copy" in model.config.sql_methods
+            trees = [extract_subtrees(q) if with_subtrees else [] for q in todo]
+            encoded = iter(encode_actions(
+                [self.embed_all(seq) for q, qt in zip(todo, trees)
+                 for seq in chain([q], (seq for _, seq in qt))],
+                model.cell("sql_enc.fwd"), model.cell("sql_enc.bwd")))
+            for q, qt in zip(todo, trees):
+                states, _ = next(encoded)
+                # zip stops at the end of qt before it draws from encoded.
+                cache[q] = CopyContext(q, states, [(root, seq, final) for (root, seq), (_, final)
+                                                   in zip(qt, encoded)])
+        return [cache[q] if q else EMPTY_COPY_CONTEXT for q in queries]
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +315,12 @@ class EncodedTurn:
 
 
 def encode_precedent(model, actions: tuple[Production, ...],
-                     embedder: ActionEmbedder,
-                     with_subtrees: bool) -> CopyContext:
-    """Encode the previous turn's action sequence for copy mechanisms,
-    in one pass with its subtrees when they are wanted."""
-    if not actions:
-        return EMPTY_COPY_CONTEXT
-    trees = extract_subtrees(list(actions)) if with_subtrees else []
-    encoded = encode_actions([embedder.embed_all(seq)
-                              for seq in [actions] + [seq for _, seq in trees]],
-                             model.cell("sql_enc.fwd"), model.cell("sql_enc.bwd"))
-    subtrees = [(root, seq, final) for (root, seq), (_, final) in zip(trees, encoded[1:])]
-    return CopyContext(tuple(actions), encoded[0][0], subtrees)
+                     embedder: ActionEmbedder) -> CopyContext:
+    """The previous turn's action sequence, prepared for copy mechanisms
+    by ``embedder`` (:meth:`ActionEmbedder.precedents`), which encodes it
+    unless it already has."""
+    [copy_ctx] = embedder.precedents([actions])
+    return copy_ctx
 
 
 def encode_turn(model, segments: list[list[str]], distances: list[int],
@@ -331,8 +357,7 @@ def encode_turn(model, segments: list[list[str]], distances: list[int],
 
     copy_ctx = EMPTY_COPY_CONTEXT
     if config.sql_methods and precedent:
-        copy_ctx = encode_precedent(model, tuple(precedent), embedder,
-                                    with_subtrees="tree_copy" in config.sql_methods)
+        copy_ctx = encode_precedent(model, precedent, embedder)
     return EncodedTurn(ctx, encodings[-1].final_state, copy_ctx, embedder)
 
 

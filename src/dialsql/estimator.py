@@ -49,11 +49,13 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
     forcing. Incomplete decodes yield None (scored as wrong).
 
     Each dialogue has one :class:`ActionEmbedder`, freed with it, which
-    its turns share: the question encodings, the production embeddings
-    and the linking rows. The question windows do not depend on
-    predictions, so before the first turn all of them are encoded in
-    one pass (one per window position under ``turn``), as ``fit``
-    encodes a batch's; the encodings equal those of a pass per turn.
+    its turns share: the question encodings, the production embeddings,
+    the precedent encodings and the linking rows. The question windows do
+    not depend on predictions, so before the first turn all of them are
+    encoded in one pass (one per window position under ``turn``), as
+    ``fit`` encodes a batch's; under ``gold_previous_sql`` neither do the
+    precedents, which then share one pass too. The encodings equal those
+    of a pass per turn.
     """
     grammars = _grammars(corpus)
     out: dict[tuple[str, int], AST | None] = {}
@@ -61,6 +63,9 @@ def predict_corpus(model: ModelBundle, corpus: Corpus,
         embedder = ActionEmbedder(model)
         embedder.questions([question_window(dialogue, ex.turn_index, model.config)[0]
                             for ex in dialogue.turns])
+        if gold_previous_sql:
+            embedder.precedents([prepare_inputs(dialogue, ex.turn_index, model.config).precedent
+                                 for ex in dialogue.turns])
         grammar = grammars[dialogue.db_id]
         own: dict[int, tuple | None] = {}
         for ex in dialogue.turns:
@@ -175,12 +180,20 @@ class SqlParser:
                 optimizer.zero_grad()
                 with Tape() as tape:
                     # One embedder per batch: the parameters change only
-                    # after it, so every production and question is
-                    # encoded once, and the batch's questions share passes.
+                    # after it, so every production, question and
+                    # precedent is encoded once. The batch's questions,
+                    # schema names and precedents take one pass each
+                    # (questions: one per window position under turn).
+                    # Every gold query expands Agg -> f Col Tab, so each
+                    # turn asks for all its grammar's names anyway.
                     embedder = ActionEmbedder(model)
                     batch_inputs = [prepare_inputs(dialogue, ex.turn_index, config)
                                     for dialogue, ex in batch]
                     embedder.questions([inputs.segments for inputs in batch_inputs])
+                    embedder.encode_names(
+                        p for db_id in dict.fromkeys(dialogue.db_id for dialogue, _ in batch)
+                        for p in grammars[db_id].productions if p.schema_specific)
+                    embedder.precedents([inputs.precedent for inputs in batch_inputs])
                     total = None
                     for (dialogue, ex), inputs in zip(batch, batch_inputs):
                         encoded = encode_turn(model, inputs.segments, inputs.distances,

@@ -123,10 +123,11 @@ class TestFit:
         from dialsql import decoder
 
         encode_name, embed_all = decoder.encode_name, decoder.ActionEmbedder.embed_all
-        encoded, requested = [], []
+        encoded, requested, passes = [], [], []
 
         def counting_encode_name(embedded, cell):
             encoded.extend(embedded)
+            passes.append(len(embedded))
             return encode_name(embedded, cell)
 
         def recording_embed_all(self, productions):
@@ -139,6 +140,56 @@ class TestFit:
         quick_parser(method="action_copy", epochs=1, batch_size=batch).fit(corpus)
         assert len(requested) > len(set(requested))      # names recur within the batch
         assert len(encoded) == len(set(requested))
+        assert passes == [len(encoded)]                   # all of them in one pass
+
+    @pytest.mark.parametrize("method", ["action_copy", "tree_copy"])
+    def test_one_precedent_pass_per_batch_equals_lone_encodings(self, corpus, monkeypatch,
+                                                                method):
+        # A batch's distinct precedents, with their subtrees under
+        # tree_copy, share one encoder pass, and each turn's copy context
+        # equals that of a turn encoded on its own, bit for bit. Adam.step
+        # does nothing, so every batch sees the parameters fit returns.
+        from dialsql import decoder
+        from dialsql.nn import Adam
+
+        batches = []
+        zero_grad, encode_actions = Adam.zero_grad, decoder.encode_actions
+        loss = est_mod.teacher_forced_loss
+
+        def new_batch(self):
+            batches.append({"passes": 0, "copies": []})
+            return zero_grad(self)
+
+        def counting_encode_actions(embedded, fwd, bwd):
+            batches[-1]["passes"] += 1
+            return encode_actions(embedded, fwd, bwd)
+
+        def recording_loss(model, encoded, grammar, gold):
+            batches[-1]["copies"].append(encoded.copy)
+            return loss(model, encoded, grammar, gold)
+
+        monkeypatch.setattr(Adam, "zero_grad", new_batch)
+        monkeypatch.setattr(Adam, "step", lambda self: None)
+        monkeypatch.setattr(decoder, "encode_actions", counting_encode_actions)
+        monkeypatch.setattr(est_mod, "teacher_forced_loss", recording_loss)
+        model = quick_parser(method=method, epochs=1, batch_size=4).fit(corpus).model_
+        monkeypatch.undo()
+        for batch in batches:
+            assert batch["passes"] == any(not c.empty for c in batch["copies"]), batch
+        assert any(len({c.actions for c in b["copies"] if not c.empty}) > 1 for b in batches)
+
+        def bits(tensor):
+            return tensor.values.tobytes()
+
+        copies = [c for b in batches for c in b["copies"] if not c.empty]
+        for copy in copies:
+            lone = decoder.encode_precedent(model, copy.actions, decoder.ActionEmbedder(model))
+            assert bits(copy.states) == bits(lone.states)
+            assert [(root, seq) for root, seq, _ in copy.subtrees] == \
+                [(root, seq) for root, seq, _ in lone.subtrees]
+            assert [bits(phi) for *_, phi in copy.subtrees] == \
+                [bits(phi) for *_, phi in lone.subtrees]
+        assert any(c.subtrees for c in copies) == (method == "tree_copy")
 
     def test_one_batch_builds_each_production_matrix_once(self, corpus, monkeypatch):
         # Every list of productions (a frontier's candidates, a precedent,
@@ -326,6 +377,47 @@ class TestPredictCorpusSharesADialoguesWork:
                                           if result.complete else None)
                 assert predicted == expected
         assert deepest > 1 or not turn
+
+    @pytest.mark.parametrize("name", ["action_copy", "tree_copy"])
+    def test_gold_precedents_share_one_pass(self, corpus, name, monkeypatch):
+        # Under gold_previous_sql a dialogue's precedents are known before
+        # its first turn: one encoder pass takes them all, with their
+        # subtrees under tree_copy, and the predictions equal those of
+        # encoding and decoding each turn on its own.
+        from dialsql import decoder
+        from dialsql.context import method_config, prepare_inputs
+        from dialsql.data import build_vocab
+        from dialsql.grammar import actions_to_ast
+
+        model = build_model(method_config(name, h=2, dims={"embedding": 6, "hidden": 8,
+                                                           "distance": 4}),
+                            build_vocab(corpus), seed=4)
+        grammars = {db: build_grammar(schema) for db, schema in corpus.schemas.items()}
+        passes = []
+        real = decoder.encode_actions
+        monkeypatch.setattr(decoder, "encode_actions",
+                            lambda *args: passes.append(len(args[0])) or real(*args))
+        shared = 0
+        for dialogue in corpus.dialogues:
+            grammar = grammars[dialogue.db_id]
+            one = Corpus([dialogue], {dialogue.db_id: corpus.schemas[dialogue.db_id]})
+            precedents = {inputs.precedent for inputs in
+                          (prepare_inputs(dialogue, ex.turn_index, model.config)
+                           for ex in dialogue.turns) if inputs.precedent}
+            passes.clear()
+            predicted = predict_corpus(model, one, gold_previous_sql=True, max_steps=40)
+            assert len(passes) == (len(precedents) > 0), passes
+            shared += len(precedents) > 1
+            expected = {}
+            for ex in dialogue.turns:
+                inputs = prepare_inputs(dialogue, ex.turn_index, model.config)
+                encoded = decoder.encode_turn(model, inputs.segments, inputs.distances,
+                                              inputs.precedent)
+                result = decoder.greedy_parse(model, encoded, grammar, max_steps=40)
+                expected[ex.key()] = (actions_to_ast(list(result.actions), grammar)
+                                      if result.complete else None)
+            assert predicted == expected
+        assert shared
 
     def test_dialogue_without_turns(self, corpus):
         # load_corpus accepts one; its windows are an empty list.
